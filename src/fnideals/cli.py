@@ -1,6 +1,6 @@
 """Command-line surface: load a problem, run a suite, print a stable report.
 
-Problems are JSON documents (see README for the schema); a bundled fixture
+Problems are JSON documents (see README.md for the schema); a bundled fixture
 can stand in for the lattice via --fixture.  All indices in JSON are
 0-based; printed reports label ideals 1-based to match the usual I_1..I_n
 numbering.  Exit codes: 0 all checks passed, 1 a checked identity failed,
@@ -31,8 +31,7 @@ from .lattice import (
     ClosedFamily,
     LimitExceeded,
     SpaceModel,
-    _exhaustive_compatible,
-    _pairwise_compatible,
+    compat_oracles_agree,
     compute_gamma,
     enumerate_compatible_families,
     family_from_lists,
@@ -78,6 +77,11 @@ class Problem:
     y_points: tuple | None = None
     ideal_index: int | None = None
     subspace_rows: tuple | None = None
+
+
+def _is_int(v) -> bool:
+    """JSON integers only: true and false are not indices or counts."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _scalar_from_json(v):
@@ -138,15 +142,8 @@ def _resolve_problem(args) -> Problem:
         if "lattice" in doc:
             try:
                 lattice = lattice_from_dict(doc["lattice"])
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:
                 raise InputError(f"bad lattice member: {exc}") from None
-        if spec is not None and lattice is not None:
-            block_lat = enumerate_ideals(spec).lattice
-            iso = find_order_isomorphism(lattice, block_lat)
-            if iso is None:
-                raise InputError("blocks and lattice members are not order-isomorphic")
-        elif spec is not None:
-            lattice = enumerate_ideals(spec).lattice
     elif fixture is not None:
         lattice = fixture.lattice
         spec = fixture.spec
@@ -156,19 +153,33 @@ def _resolve_problem(args) -> Problem:
         points = fixture.family.space.point_count
     if points is None and fixture is not None:
         points = 2
-    if points is not None and (not isinstance(points, int) or points < 0):
+    if points is not None and (not _is_int(points) or points < 0):
         raise InputError(f"points must be a nonnegative integer, got {points!r}")
 
-    problem = Problem(name=name, lattice=lattice, spec=spec, iso=iso, points=points)
-
+    # Every limit is checked before any enumeration starts.
     if lattice is not None and lattice.size > MAX_LATTICE_SIZE:
         raise InputError(f"lattice size {lattice.size} exceeds the limit {MAX_LATTICE_SIZE}")
+    if spec is not None and 1 << spec.num_blocks > MAX_LATTICE_SIZE:
+        raise InputError(
+            f"ideal lattice size {1 << spec.num_blocks} exceeds the limit {MAX_LATTICE_SIZE}"
+        )
     if points is not None and points > MAX_POINTS:
         raise InputError(f"points = {points} exceeds the limit {MAX_POINTS}")
     if spec is not None and spec.total_dim > MAX_POINT_DIM:
         raise InputError(
             f"algebra dimension {spec.total_dim} exceeds the per-point limit {MAX_POINT_DIM}"
         )
+
+    if "blocks" in doc:
+        block_lat = enumerate_ideals(spec).lattice
+        if lattice is None:
+            lattice = block_lat
+        else:
+            iso = find_order_isomorphism(lattice, block_lat)
+            if iso is None:
+                raise InputError("blocks and lattice members are not order-isomorphic")
+
+    problem = Problem(name=name, lattice=lattice, spec=spec, iso=iso, points=points)
 
     if "family" in doc:
         if lattice is None or points is None:
@@ -188,7 +199,7 @@ def _resolve_problem(args) -> Problem:
         if not isinstance(stalks, list) or len(stalks) != points:
             raise InputError("ideal must list one stalk index per point")
         for s in stalks:
-            if not isinstance(s, int) or not 0 <= s < lattice.size:
+            if not _is_int(s) or not 0 <= s < lattice.size:
                 raise InputError(f"stalk index {s!r} out of range")
         problem.stalks = tuple(stalks)
 
@@ -203,13 +214,13 @@ def _resolve_problem(args) -> Problem:
 
     if "ideal_index" in doc:
         t = doc["ideal_index"]
-        if lattice is None or not isinstance(t, int) or not 0 <= t < lattice.size:
+        if lattice is None or not _is_int(t) or not 0 <= t < lattice.size:
             raise InputError(f"ideal_index {t!r} out of range")
         problem.ideal_index = t
 
     if "subspace" in doc:
         rows = doc["subspace"]
-        if not isinstance(rows, list):
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise InputError("subspace must be a list of rows")
         problem.subspace_rows = tuple(
             tuple(_scalar_from_json(v) for v in row) for row in rows
@@ -414,21 +425,15 @@ def _verify_all_lines(problem: Problem, args) -> list:
         lines.append("SKIP fin-sum (enumeration bound)")
 
     if lat.size * points <= min(bound, 12):
-        agree = True
-        full = space.full_mask
-        n = lat.size
-        import itertools as _it
-
-        for assignment in _it.product(range(full + 1), repeat=n):
-            if _pairwise_compatible(lat, assignment) != _exhaustive_compatible(lat, assignment):
-                agree = False
-                break
-        record("compat-oracle-agreement", agree)
+        record("compat-oracle-agreement", compat_oracles_agree(lat, space))
     else:
         lines.append("SKIP compat-oracle-agreement (enumeration bound)")
 
     if problem.family is not None:
-        compatible = is_compatible(problem.family)
+        try:
+            compatible = is_compatible(problem.family)
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
         record("family-compatible", compatible)
         if compatible:
             record("theta-recover-roundtrip", recover_S(theta(problem.family)) == problem.family)

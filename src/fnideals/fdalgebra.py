@@ -5,6 +5,10 @@ Its two-sided ideals are exactly the block sums, represented as bitmasks
 over the blocks; the enumeration never trusts that classification blindly,
 every returned subspace is re-checked for two-sided invariance and (at
 small dimension) an independent closure search confirms completeness.
+
+Every product, commutator, invariance check and closure in the package comes
+from `unit_products`, the table of `unit_product`; dense `Element`s are the
+tests' reference.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ class AlgebraSpec:
         if not self.block_dims:
             raise ValueError("at least one block is required")
         for n in self.block_dims:
-            if not isinstance(n, int) or n < 1:
+            if isinstance(n, bool) or not isinstance(n, int) or n < 1:
                 raise ValueError(f"block dimension {n!r} must be a positive integer")
 
     @property
@@ -69,6 +73,84 @@ def unit_product(u: tuple, v: tuple):
     if b1 != b2 or q != r:
         return None
     return (b1, p, s)
+
+
+@lru_cache(maxsize=None)
+def unit_products(spec: AlgebraSpec) -> tuple:
+    """out[i] = ((j, k), ...) for each nonzero product e_i * e_j = e_k of basis units."""
+    units = list(spec.unit_coords())
+    index = {u: i for i, u in enumerate(units)}
+    return tuple(
+        tuple((j, index[w]) for j, v in enumerate(units) if (w := unit_product(u, v)) is not None)
+        for u in units
+    )
+
+
+def unit_commutators(products) -> tuple:
+    """comm[i][j] = sparse coordinates ((k, c), ...) of [e_i, e_j], ascending in k.
+
+    e_i * e_j = e_k adds +e_k to [e_i, e_j] and -e_k to [e_j, e_i]; the two
+    terms cancel only for i == j.
+    """
+    n = len(products)
+    table = [[{} for _ in range(n)] for _ in range(n)]
+    for i, row in enumerate(products):
+        for j, k in row:
+            table[i][j][k] = table[i][j].get(k, 0) + 1
+            table[j][i][k] = table[j][i].get(k, 0) - 1
+    return tuple(
+        tuple(tuple((k, Scalar(c)) for k, c in sorted(terms.items()) if c) for terms in row)
+        for row in table
+    )
+
+
+def unit_translates(row, products) -> list:
+    """The nonzero rows e_a * v and v * e_a over all basis units e_a.
+
+    Left and right multiplication by one unit maps distinct units to
+    distinct units, so each translate only moves coefficients of v.
+    """
+    d = len(row)
+    coeff = {i: f for i, f in enumerate(row) if f}
+    out: dict = {}
+    for a, pairs in enumerate(products):
+        for j, k in pairs:
+            # e_a * e_j = e_k carries v_j into e_a * v and v_a into v * e_j
+            if j in coeff:
+                out.setdefault(("left", a), [ZERO] * d)[k] = coeff[j]
+            if a in coeff:
+                out.setdefault(("right", j), [ZERO] * d)[k] = coeff[a]
+    return list(out.values())
+
+
+def is_invariant(sub: Subspace, products) -> bool:
+    """True iff e_a * v and v * e_a stay in sub for every basis row v and unit e_a."""
+    return all(sub.contains(t) for row in sub.basis for t in unit_translates(row, products))
+
+
+def ideal_closure(generators, dim: int, products) -> Subspace:
+    """Smallest multiplication-invariant subspace containing the generators."""
+    current = rref(list(generators), dim)
+    while True:
+        rows = list(current.basis)
+        for row in current.basis:
+            rows.extend(unit_translates(row, products))
+        closed = rref(rows, dim)
+        if closed.dim == current.dim:
+            return closed
+        current = closed
+
+
+def closures_of_unit_subsets(dim: int, products, dim_limit: int) -> frozenset:
+    """ideal_closure of every subset of the unit basis of a dim-dimensional algebra."""
+    if dim > dim_limit:
+        raise LimitExceeded(f"total dimension {dim} exceeds the search limit {dim_limit}")
+    unit_rows = Subspace.full(dim).basis
+    return frozenset(
+        ideal_closure(subset, dim, products)
+        for r in range(dim + 1)
+        for subset in itertools.combinations(unit_rows, r)
+    )
 
 
 @dataclass(frozen=True)
@@ -208,11 +290,13 @@ def centre(spec: AlgebraSpec) -> Subspace:
 def commutator_span(spec: AlgebraSpec) -> Subspace:
     """Span of all commutators of basis pairs; the trace-zero part blockwise."""
     d = spec.total_dim
-    units = [Element.matrix_unit(spec, *c) for c in spec.unit_coords()]
     rows = []
-    for i, x in enumerate(units):
-        for y in units[i + 1 :]:
-            rows.append(commutator(x, y).to_vector())
+    for row in unit_commutators(unit_products(spec)):
+        for terms in row:
+            vec = [ZERO] * d
+            for k, c in terms:
+                vec[k] = c
+            rows.append(vec)
     return rref(rows, d)
 
 
@@ -261,18 +345,12 @@ def enumerate_ideals(spec: AlgebraSpec, max_blocks: int = 6) -> IdealLattice:
     meet = tuple(tuple(i & j for j in range(n)) for i in range(n))
     join = tuple(tuple(i | j for j in range(n)) for i in range(n))
     lat = BoundedLattice(n, meet, join, 0, n - 1)
-    units = [Element.matrix_unit(spec, *c) for c in spec.unit_coords()]
+    products = unit_products(spec)
     ideals = []
     for mask in range(n):
         ideal = BlockIdeal(spec, mask)
-        sub = ideal.subspace()
-        for row in sub.basis:
-            v = Element.from_vector(spec, row)
-            for a in units:
-                if not sub.contains((a * v).to_vector()):
-                    raise AssertionError(f"ideal mask {mask:b} not left-invariant")
-                if not sub.contains((v * a).to_vector()):
-                    raise AssertionError(f"ideal mask {mask:b} not right-invariant")
+        if not is_invariant(ideal.subspace(), products):
+            raise AssertionError(f"ideal mask {mask:b} not two-sided invariant")
         ideals.append(ideal)
     return IdealLattice(spec, lat, tuple(ideals))
 
@@ -290,24 +368,6 @@ def tracial_state_basis(spec: AlgebraSpec) -> tuple:
     return tuple(out)
 
 
-def ideal_closure(spec: AlgebraSpec, generators) -> Subspace:
-    """Smallest multiplication-invariant subspace containing the generators."""
-    d = spec.total_dim
-    units = [Element.matrix_unit(spec, *c) for c in spec.unit_coords()]
-    current = rref(list(generators), d)
-    while True:
-        rows = list(current.basis)
-        for row in current.basis:
-            v = Element.from_vector(spec, row)
-            for a in units:
-                rows.append((a * v).to_vector())
-                rows.append((v * a).to_vector())
-        closed = rref(rows, d)
-        if closed.dim == current.dim:
-            return closed
-        current = closed
-
-
 def brute_force_ideal_subspaces(spec: AlgebraSpec, dim_limit: int = 5) -> frozenset:
     """Closures of every subset of the matrix-unit basis grid.
 
@@ -315,12 +375,4 @@ def brute_force_ideal_subspaces(spec: AlgebraSpec, dim_limit: int = 5) -> frozen
     two-sided ideal, and every block-sum ideal arises from its own units, so
     the closure set must equal the enumerated lattice exactly.
     """
-    d = spec.total_dim
-    if d > dim_limit:
-        raise LimitExceeded(f"total dimension {d} exceeds the search limit {dim_limit}")
-    unit_rows = list(Subspace.full(d).basis)
-    found = set()
-    for r in range(d + 1):
-        for subset in itertools.combinations(unit_rows, r):
-            found.add(ideal_closure(spec, subset))
-    return frozenset(found)
+    return closures_of_unit_subsets(spec.total_dim, unit_products(spec), dim_limit)

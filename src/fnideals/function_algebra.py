@@ -17,9 +17,11 @@ from .fdalgebra import (
     AlgebraSpec,
     Element,
     IdealLattice,
-    commutator as element_commutator,
+    closures_of_unit_subsets,
     enumerate_ideals,
-    ideal_closure,
+    is_invariant,
+    unit_commutators,
+    unit_products,
 )
 from .lattice import (
     BoundedLattice,
@@ -28,7 +30,7 @@ from .lattice import (
     SpaceModel,
     is_compatible,
 )
-from .linalg import ONE, ZERO, Scalar, Subspace, rref
+from .linalg import ONE, ZERO, Subspace, rref
 
 
 @dataclass(frozen=True)
@@ -129,32 +131,26 @@ class FunctionAlgebra:
         return FunctionElement(self.spec, self.space, values)
 
     @property
+    def unit_products(self) -> tuple:
+        """out[i] = ((j, k), ...) for each nonzero e_i * e_j = e_k in B.
+
+        Units at different points multiply to zero, so this is the table of
+        A copied to every point.
+        """
+        if not hasattr(self, "_products"):
+            d = self.spec.total_dim
+            self._products = tuple(
+                tuple((x * d + j, x * d + k) for j, k in row)
+                for x in self.space.points()
+                for row in unit_products(self.spec)
+            )
+        return self._products
+
+    @property
     def commutator_table(self) -> tuple:
         """comm[i][b] = sparse coordinates of [e_i, e_b] for basis pairs."""
         if not hasattr(self, "_comm_table"):
-            d = self.spec.total_dim
-            per_point = []
-            units = list(self.spec.unit_coords())
-            elems = [Element.matrix_unit(self.spec, *u) for u in units]
-            for i in range(d):
-                row = []
-                for b in range(d):
-                    vec = element_commutator(elems[i], elems[b]).to_vector()
-                    row.append(tuple((c, v) for c, v in enumerate(vec) if v))
-                per_point.append(row)
-            table = []
-            for idx in range(self.dim):
-                x, off = divmod(idx, d)
-                row = []
-                for bidx in range(self.dim):
-                    xb, offb = divmod(bidx, d)
-                    if xb != x:
-                        row.append(())
-                    else:
-                        base = x * d
-                        row.append(tuple((base + c, v) for c, v in per_point[off][offb]))
-                table.append(tuple(row))
-            self._comm_table = tuple(table)
+            self._comm_table = unit_commutators(self.unit_products)
         return self._comm_table
 
     @property
@@ -269,46 +265,15 @@ def enumerate_all_ideals(
     out = []
     for stalks in itertools.product(range(lat.size), repeat=alg.space.point_count):
         ideal = PointwiseIdeal(lat, alg.space, stalks)
-        if verify:
-            _verify_invariance(alg, ideal)
+        if verify and not is_invariant(alg.ideal_subspace(ideal), alg.unit_products):
+            raise AssertionError(f"stalks {ideal.stalks} give a non-invariant subspace")
         out.append(ideal)
     return out
 
 
-def _verify_invariance(alg: FunctionAlgebra, ideal: PointwiseIdeal):
-    sub = alg.ideal_subspace(ideal)
-    for row in sub.basis:
-        v = alg.element_from_vector(row)
-        for b in range(alg.dim):
-            a = alg.basis_element(b)
-            if not sub.contains((a * v).to_vector()) or not sub.contains((v * a).to_vector()):
-                raise AssertionError(f"stalks {ideal.stalks} give a non-invariant subspace")
-
-
 def brute_force_function_ideals(alg: FunctionAlgebra, dim_limit: int = 5) -> frozenset:
     """Closure search over basis subsets of B; completeness oracle."""
-    d = alg.dim
-    if d > dim_limit:
-        raise LimitExceeded(f"total dimension {d} exceeds the search limit {dim_limit}")
-    basis = [alg.basis_element(i) for i in range(d)]
-    unit_rows = list(Subspace.full(d).basis)
-    found = set()
-    for r in range(d + 1):
-        for subset in itertools.combinations(unit_rows, r):
-            current = rref(list(subset), d)
-            while True:
-                rows = list(current.basis)
-                for row in current.basis:
-                    v = alg.element_from_vector(row)
-                    for a in basis:
-                        rows.append((a * v).to_vector())
-                        rows.append((v * a).to_vector())
-                closed = rref(rows, d)
-                if closed.dim == current.dim:
-                    break
-                current = closed
-            found.add(current)
-    return frozenset(found)
+    return closures_of_unit_subsets(alg.dim, alg.unit_products, dim_limit)
 
 
 @dataclass(frozen=True)

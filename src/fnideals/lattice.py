@@ -189,8 +189,8 @@ def mask_to_points(mask: int) -> tuple:
 def points_to_mask(points: Iterable[int], point_count: int) -> int:
     mask = 0
     for p in points:
-        if not 0 <= p < point_count:
-            raise ValueError(f"point {p} out of range [0, {point_count})")
+        if isinstance(p, bool) or not isinstance(p, int) or not 0 <= p < point_count:
+            raise ValueError(f"point {p!r} out of range [0, {point_count})")
         mask |= 1 << p
     return mask
 
@@ -260,6 +260,17 @@ def is_compatible(family: ClosedFamily, exhaustive: bool = False) -> bool:
     return _pairwise_compatible(lat, sets)
 
 
+def compat_oracles_agree(lat: BoundedLattice, space: SpaceModel) -> bool:
+    """True iff the pairwise and exhaustive compatibility checks agree on
+    every assignment of a subset of X to each lattice index.  They can
+    differ only on a meet table that is not commutative.
+    """
+    return all(
+        _pairwise_compatible(lat, sets) == _exhaustive_compatible(lat, sets)
+        for sets in itertools.product(range(space.full_mask + 1), repeat=lat.size)
+    )
+
+
 def compute_gamma(lat: BoundedLattice, j: int) -> frozenset:
     """Indices i whose element does not lie above j: { i : not (j <= i) }."""
     return frozenset(i for i in range(lat.size) if not lat.leq(j, i))
@@ -279,6 +290,8 @@ def union_over_gamma(family: ClosedFamily, j: int) -> int:
 
 def lattice_from_dict(doc: dict) -> BoundedLattice:
     """Build a lattice from the JSON problem-file layout."""
+    if not isinstance(doc, dict):
+        raise ValueError("lattice must be a JSON object")
     try:
         return BoundedLattice(
             size=doc["size"],

@@ -40,56 +40,42 @@ def _ideal_subspace(alg: FunctionAlgebra, ideal) -> Subspace:
     raise TypeError(f"expected PointwiseIdeal or Subspace, got {type(ideal).__name__}")
 
 
-def lie_normalizer(alg: FunctionAlgebra, ideal) -> Subspace:
-    """N(J): all f with [f, b] in J for every basis element b of B."""
-    sub = _ideal_subspace(alg, ideal)
-    ann = annihilator(sub)
+def _brackets(alg: FunctionAlgebra, v) -> list:
+    """[v, e_b] as dense rows, for each basis e_b whose bracket with v has a term.
+
+    A row's terms may cancel to zero; callers only span or test membership.
+    """
     comm = alg.commutator_table
     dim = alg.dim
-    rows = []
-    for b in range(dim):
-        col = [comm[i][b] for i in range(dim)]
-        if not any(col):
+    rows = [None] * dim
+    for i, f in enumerate(v):
+        if not f:
             continue
-        for phi in ann.basis:
-            row = []
-            nonzero = False
-            for entries in col:
-                acc = None
-                for c, v in entries:
-                    f = phi[c]
-                    if f:
-                        acc = f * v if acc is None else acc + f * v
-                if acc is None or not acc:
-                    row.append(_SZERO)
-                else:
-                    row.append(acc)
-                    nonzero = True
-            if nonzero:
-                rows.append(row)
-    return solve_membership_constraints(rows, dim)
+        for b, terms in enumerate(comm[i]):
+            if terms:
+                row = rows[b]
+                if row is None:
+                    row = rows[b] = [_SZERO] * dim
+                for c, s in terms:
+                    row[c] = row[c] + f * s
+    return [row for row in rows if row is not None]
+
+
+def lie_normalizer(alg: FunctionAlgebra, ideal) -> Subspace:
+    """N(J): all f with [f, b] in J for every basis element b of B.
+
+    Under the coordinate pairing, phi . [f, e_b] = [phi, e_b^T] . f, so the
+    constraint rows are the brackets of the annihilator's basis rows.
+    """
+    ann = annihilator(_ideal_subspace(alg, ideal))
+    rows = [row for phi in ann.basis for row in _brackets(alg, phi)]
+    return solve_membership_constraints(rows, alg.dim)
 
 
 def commutator_ideal_span(alg: FunctionAlgebra, ideal) -> Subspace:
     """Span of [v, b] over basis rows v of the ideal and basis elements b."""
     sub = _ideal_subspace(alg, ideal)
-    comm = alg.commutator_table
-    dim = alg.dim
-    rows = []
-    for v in sub.basis:
-        for b in range(dim):
-            out = [_SZERO] * dim
-            touched = False
-            for i in range(dim):
-                f = v[i]
-                if not f:
-                    continue
-                for c, s in comm[i][b]:
-                    out[c] = out[c] + f * s
-                    touched = True
-            if touched and any(out):
-                rows.append(out)
-    return rref(rows, dim)
+    return rref([row for v in sub.basis for row in _brackets(alg, v)], alg.dim)
 
 
 @dataclass(frozen=True)
@@ -106,23 +92,10 @@ class LieCandidate:
 
 def is_lie_ideal(candidate: LieCandidate) -> bool:
     """True iff [b, l] stays in the subspace for all basis pairs."""
-    alg, sub = candidate.alg, candidate.space
-    comm = alg.commutator_table
-    dim = alg.dim
-    for v in sub.basis:
-        for b in range(dim):
-            out = [_SZERO] * dim
-            touched = False
-            for i in range(dim):
-                f = v[i]
-                if not f:
-                    continue
-                for c, s in comm[i][b]:
-                    out[c] = out[c] + f * s
-                    touched = True
-            if touched and not sub.contains(out):
-                return False
-    return True
+    sub = candidate.space
+    return all(
+        sub.contains(row) for v in sub.basis for row in _brackets(candidate.alg, v)
+    )
 
 
 def _sandwich_bounds(alg: FunctionAlgebra) -> list:

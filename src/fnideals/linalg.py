@@ -107,18 +107,6 @@ def vector(entries: Iterable) -> Vector:
     return tuple(out)
 
 
-def zero_vector(n: int) -> Vector:
-    return (ZERO,) * n
-
-
-def vec_add(u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_scale(c: Scalar, v: Sequence[Scalar]) -> Vector:
-    return tuple(c * a for a in v)
-
-
 def vec_dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
     acc = ZERO
     for a, b in zip(u, v):

@@ -1,0 +1,82 @@
+"""The CLI's input boundary and its byte-identical output on recorded cases."""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from fnideals.cli import main
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+
+
+def run_cli(tmp_path, capsys, argv, doc):
+    """main(argv) with doc written to a problem file, as the shell runs it."""
+    argv = list(argv)
+    if doc is not None:
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc))
+        argv.insert(1, str(path))
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+# ---------------------------------------------------------------------------
+# input boundary: exit 2 and one error line, never a traceback or a hang
+# ---------------------------------------------------------------------------
+
+BOOLEAN_2 = {
+    "size": 4,
+    "meet": [[i & j for j in range(4)] for i in range(4)],
+    "join": [[i | j for j in range(4)] for i in range(4)],
+    "bottom": 0,
+    "top": 3,
+}
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        # limits are checked before the ideal lattice is enumerated
+        (("validate",), {"blocks": [1000000]}),
+        (("verify-all",), {"blocks": [2], "points": True}),
+        (("validate",), {"lattice": 5}),
+        (("validate",), {"lattice": dict(BOOLEAN_2, meet=5)}),
+        (("sandwich",), {"blocks": [2], "points": 1, "subspace": [5]}),
+        (("ideal-from-y",), {"blocks": [1, 1], "points": 2, "Y": [True], "ideal_index": 1}),
+        (("normalizer",), {"blocks": [1, 1], "points": 1, "ideal": [True]}),
+        # the top index must carry the whole point set
+        (("verify-all",), {"blocks": [1, 1], "points": 2, "family": [[], [0], [1], [0]]}),
+    ],
+    ids=["huge-block", "bool-points", "lattice-not-object", "meet-not-list",
+         "subspace-row-not-list", "bool-point", "bool-stalk", "family-top-not-X"],
+)
+def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv, doc):
+    code, out, err = run_cli(tmp_path, capsys, argv, doc)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# ---------------------------------------------------------------------------
+# output is byte-identical to the benchmark's recorded goldens
+# ---------------------------------------------------------------------------
+
+def _golden_cases():
+    queries = json.loads((BENCH_DIR / "queries.json").read_text())
+    cases = [(q["id"], q["argv"], q["doc"]) for q in queries if q["id"].endswith("/0")]
+    # The benchmark's verify-suite problem on the single-block path.
+    cases.append(("verify-suite/blocks_3x2", ["verify-all", "--seed", "0"], {"blocks": [3], "points": 2}))
+    return [pytest.param(*case, id=case[0]) for case in cases]
+
+
+GOLDENS = json.loads((BENCH_DIR / "goldens.json").read_text())
+
+
+@pytest.mark.parametrize("case_id, argv, doc", _golden_cases())
+def test_output_matches_recorded_golden(tmp_path, capsys, case_id, argv, doc):
+    code, out, _ = run_cli(tmp_path, capsys, argv, doc)
+    stdout = out.encode()
+    assert {"exit": code, "sha256": hashlib.sha256(stdout).hexdigest(), "bytes": len(stdout)} == GOLDENS[case_id]

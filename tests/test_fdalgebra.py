@@ -16,9 +16,12 @@ from fnideals.fdalgebra import (
     commutator,
     commutator_span,
     enumerate_ideals,
+    is_invariant,
     multiply,
     tracial_state_basis,
     unit_product,
+    unit_products,
+    unit_translates,
 )
 from fnideals.lattice import LimitExceeded
 from fnideals.linalg import ONE, ZERO, Scalar, Subspace, intersect, rref, vec_dot
@@ -80,6 +83,37 @@ def test_unit_product_matches_element_multiplication():
                 assert expected == Element.zero(M23)
             else:
                 assert expected == unit(M23, *got)
+
+
+@given(st.sampled_from(SAMPLE_SPECS), st.data())
+@settings(max_examples=40, deadline=None)
+def test_unit_translates_match_element_multiplication(spec, data):
+    vec = tuple(
+        Scalar(data.draw(st.integers(-2, 2))) for _ in range(spec.total_dim)
+    )
+    v = Element.from_vector(spec, vec)
+    dense = set()
+    for c in spec.unit_coords():
+        for prod in (unit(spec, *c) * v, v * unit(spec, *c)):
+            if any(prod.to_vector()):
+                dense.add(prod.to_vector())
+    got = [tuple(t) for t in unit_translates(vec, unit_products(spec))]
+    assert all(any(t) for t in got)
+    assert set(got) == dense
+
+
+def test_invariance_check_rejects_a_non_ideal():
+    """Negative control: one off-diagonal unit of M_2 spans no ideal."""
+    e12 = rref([(ZERO, ONE, ZERO, ZERO)], 4)
+    assert not is_invariant(e12, unit_products(M2))
+    assert is_invariant(Subspace.full(4), unit_products(M2))
+
+
+def test_enumerate_ideals_fails_on_a_non_invariant_subspace(monkeypatch):
+    e12 = rref([(ZERO, ONE, ZERO, ZERO)], 4)
+    monkeypatch.setattr(BlockIdeal, "subspace", lambda self: e12)
+    with pytest.raises(AssertionError):
+        enumerate_ideals.__wrapped__(M2)
 
 
 @given(st.sampled_from(SAMPLE_SPECS), st.data())

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import level_family
 from fnideals.fdalgebra import AlgebraSpec, commutator_span
 from fnideals.function_algebra import (
+    FunctionAlgebra,
     FunctionElement,
     PointwiseIdeal,
     PointwiseSubspace,
@@ -20,7 +21,7 @@ from fnideals.function_algebra import (
     theta,
 )
 from fnideals.lattice import ClosedFamily, LimitExceeded, SpaceModel, is_compatible
-from fnideals.linalg import Scalar, Subspace
+from fnideals.linalg import Scalar, Subspace, rref
 
 M2 = AlgebraSpec((2,))
 M11 = AlgebraSpec((1, 1))
@@ -141,6 +142,17 @@ def test_brute_force_closure_matches_enumeration(spec, points):
     alg = function_algebra(spec, points)
     enumerated = {alg.ideal_subspace(i) for i in enumerate_all_ideals(alg)}
     assert brute_force_function_ideals(alg) == enumerated
+
+
+def test_verified_enumeration_fails_on_a_non_invariant_subspace(monkeypatch):
+    """Negative control: a corrupted ideal subspace (one off-diagonal unit of
+    M_2) must fail the invariance check of enumerate_all_ideals."""
+    alg = FunctionAlgebra(M2, SpaceModel(1))
+    e12 = rref([(Scalar(0), Scalar(1), Scalar(0), Scalar(0))], 4)
+    monkeypatch.setattr(alg, "ideal_subspace", lambda ideal: e12)
+    assert len(enumerate_all_ideals(alg, verify=False)) == 2
+    with pytest.raises(AssertionError):
+        enumerate_all_ideals(alg)
 
 
 def test_brute_force_respects_limit():

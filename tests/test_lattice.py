@@ -16,6 +16,7 @@ from fnideals.lattice import (
     _pairwise_compatible,
     boolean_lattice,
     chain_lattice,
+    compat_oracles_agree,
     compute_gamma,
     enumerate_compatible_families,
     family_from_lists,
@@ -116,6 +117,19 @@ def test_pairwise_agrees_with_exhaustive(lat, points):
     full = (1 << points) - 1
     for assignment in itertools.product(range(full + 1), repeat=lat.size):
         assert _pairwise_compatible(lat, assignment) == _exhaustive_compatible(lat, assignment)
+    assert compat_oracles_agree(lat, SpaceModel(points))
+
+
+def test_oracle_agreement_check_can_fail():
+    """Negative control: a meet table that is not commutative splits the two
+    checks, because the pairwise one never reads meet[2][1]."""
+    b = boolean_lattice(2)
+    meet = [list(row) for row in b.meet]
+    meet[2][1] = 1
+    lat = BoundedLattice(b.size, meet, b.join, b.bottom, b.top)
+    assert _pairwise_compatible(lat, (0, 1, 0, 3))
+    assert not _exhaustive_compatible(lat, (0, 1, 0, 3))
+    assert not compat_oracles_agree(lat, SpaceModel(2))
 
 
 @given(st.sampled_from(POOL), st.data())

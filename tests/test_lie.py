@@ -1,8 +1,10 @@
 """Lie normalizers, sandwich characterization, CQP and weak centrality."""
 
 import random
+from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +14,7 @@ from fnideals.function_algebra import (
     PointwiseSubspace,
     enumerate_all_ideals,
     function_algebra,
+    function_commutator,
     theta,
 )
 from fnideals.lattice import ClosedFamily, SpaceModel, enumerate_compatible_families
@@ -108,6 +111,62 @@ def test_pointwise_normalizer_formula(spec, points):
             alg.space, tuple(per_stalk[s] for s in ideal.stalks)
         ).to_subspace()
         assert direct == assembled
+
+
+# ---------------------------------------------------------------------------
+# dense oracles for the bracket core
+# ---------------------------------------------------------------------------
+
+def dense_brackets(alg, v):
+    """[v, e_b] for every basis element, from dense function elements."""
+    f = alg.element_from_vector(v)
+    return [function_commutator(f, alg.basis_element(b)).to_vector() for b in range(alg.dim)]
+
+
+def from_sympy(x) -> Scalar:
+    re, im = sympy.re(x), sympy.im(x)
+    return Scalar(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
+
+
+def sympy_kernel(rows, dim) -> Subspace:
+    """{ f : r . f = 0 for every row r }, solved by sympy."""
+    if not rows:
+        return Subspace.full(dim)
+    matrix = sympy.Matrix(
+        [[sympy.Rational(v.re) + sympy.Rational(v.im) * sympy.I for v in row] for row in rows]
+    )
+    return rref([tuple(from_sympy(x) for x in w) for w in matrix.nullspace()], dim)
+
+
+def dense_normalizer(alg, sub) -> Subspace:
+    """N(S) = { f : phi . [f, e_b] = 0 for each phi vanishing on S and each b }."""
+    ann = sympy_kernel(list(sub.basis), alg.dim).basis
+    cols = [dense_brackets(alg, alg.basis_element(i).to_vector()) for i in range(alg.dim)]
+    rows = [
+        [vec_dot(phi, cols[i][b]) for i in range(alg.dim)]
+        for phi in ann
+        for b in range(alg.dim)
+    ]
+    return sympy_kernel(rows, alg.dim)
+
+
+def core_cases(spec, points, random_count=6):
+    """Every ideal subspace of A^X and seeded random raw subspaces."""
+    alg = function_algebra(spec, points)
+    rng = random.Random(1904)
+    subs = [alg.ideal_subspace(i) for i in enumerate_all_ideals(alg, verify=False)]
+    subs += [random_subspace(alg.dim, rng, max_rows=3) for _ in range(random_count)]
+    return alg, subs
+
+
+@pytest.mark.parametrize("spec, points", [(M2, 2), (M12, 2)])
+def test_bracket_core_matches_dense_oracles(spec, points):
+    alg, subs = core_cases(spec, points)
+    for sub in subs:
+        dense = [row for v in sub.basis for row in dense_brackets(alg, v)]
+        assert lie_normalizer(alg, sub) == dense_normalizer(alg, sub)
+        assert commutator_ideal_span(alg, sub) == rref(dense, alg.dim)
+        assert is_lie_ideal(LieCandidate(alg, sub)) == all(sub.contains(row) for row in dense)
 
 
 # ---------------------------------------------------------------------------
