@@ -91,7 +91,6 @@ class FunctionAlgebra:
         self.space = space
         self.dim = space.point_count * spec.total_dim
         self._ideal_subspaces: dict = {}
-        self._sandwich_bounds = None
 
     def __repr__(self):
         return f"FunctionAlgebra({self.spec.block_dims}, points={self.space.point_count})"

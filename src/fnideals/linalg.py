@@ -9,7 +9,7 @@ returns a fresh value, so the module is safe to use from multiple threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -161,26 +161,19 @@ class Subspace:
 
     ambient_dim: int
     basis: tuple
+    pivots: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "basis", tuple(tuple(r) for r in self.basis))
         for row in self.basis:
-            if len(row) != self.ambient_dim:
-                raise ValueError("basis row length differs from ambient dimension")
+            if len(row) != self.ambient_dim or not any(row):
+                raise ValueError("basis rows must be nonzero and of the ambient length")
+        pivots = tuple(next(c for c, v in enumerate(row) if v) for row in self.basis)
+        object.__setattr__(self, "pivots", pivots)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    @property
-    def pivots(self) -> tuple:
-        out = []
-        for row in self.basis:
-            for c, v in enumerate(row):
-                if v:
-                    out.append(c)
-                    break
-        return tuple(out)
 
     def contains(self, vec: Sequence) -> bool:
         v = list(vector(vec))

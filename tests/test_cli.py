@@ -60,13 +60,27 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv, doc):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def test_verify_all_bound_skips_bijection_count(tmp_path, capsys):
+    argv = ["verify-all", "--bound", "1"]
+    code, out, _ = run_cli(tmp_path, capsys, argv, {"blocks": [1, 1], "points": 2})
+    lines = out.splitlines()
+    assert code == 0
+    assert "SKIP bijection-count (enumeration bound)" in lines
+    assert not any(line.startswith("PASS bijection-count") for line in lines)
+
+
 # ---------------------------------------------------------------------------
 # output is byte-identical to the benchmark's recorded goldens
 # ---------------------------------------------------------------------------
 
 def _golden_cases():
     queries = json.loads((BENCH_DIR / "queries.json").read_text())
-    cases = [(q["id"], q["argv"], q["doc"]) for q in queries if q["id"].endswith("/0")]
+    # Variant /0 of each query group, and every variant of the sandwich groups.
+    cases = [
+        (q["id"], q["argv"], q["doc"])
+        for q in queries
+        if q["id"].endswith("/0") or q["group"].startswith(("sandwich-lie/", "sandwich-span/"))
+    ]
     # The benchmark's verify-suite problem on the single-block path.
     cases.append(("verify-suite/blocks_3x2", ["verify-all", "--seed", "0"], {"blocks": [3], "points": 2}))
     return [pytest.param(*case, id=case[0]) for case in cases]

@@ -2,12 +2,14 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fnideals import lie
 from fnideals.fdalgebra import AlgebraSpec, commutator_span, tracial_state_basis
 from fnideals.function_algebra import (
     PointwiseIdeal,
@@ -24,6 +26,7 @@ from fnideals.lie import (
     commutator_ideal_span,
     cqp_transfer_check,
     is_lie_ideal,
+    least_normalizing_ideal,
     lie_normalizer,
     maximal_ideals,
     normalizer_decomposition_check,
@@ -321,14 +324,58 @@ def test_sandwich_random_suite_small(points):
     assert ok, lines
 
 
+def test_sandwich_suite_catches_witness_without_lower_bound_test(monkeypatch):
+    """A witness that skips span[J_min, B] <= L must make the suite FAIL."""
+    monkeypatch.setattr(lie, "sandwich_witness", least_normalizing_ideal)
+    ok, lines = sandwich_random_suite(function_algebra(M2, 2), seed=11, per_ideal=15, free_count=15)
+    assert not ok
+    assert lines[1].startswith("FAIL sandwich-outside-bounds"), lines
+
+
+@lru_cache(maxsize=None)
+def sandwich_bounds(alg):
+    """(ideal, span[J,B], N(J)) for every ideal, in canonical stalk order."""
+    return tuple(
+        (ideal, commutator_ideal_span(alg, ideal), lie_normalizer(alg, ideal))
+        for ideal in enumerate_all_ideals(alg, verify=False)
+    )
+
+
+def scan_witness(candidate):
+    """Oracle: the first ideal J in stalk order with span[J,B] <= L <= N(J)."""
+    sub = candidate.space
+    for ideal, lower, upper in sandwich_bounds(candidate.alg):
+        if lower <= sub and sub <= upper:
+            return ideal
+    return None
+
+
 def test_random_lie_subspaces_equivalence():
-    """Any seeded random subspace: lie ideal iff a sandwich witness exists."""
-    alg = function_algebra(M2, 1)
+    """Lie ideal iff a sandwich witness exists, and the closed-form witness is
+    the scan's first hit; J_min is the first ideal whose normalizer holds L.
+
+    Candidates: seeded random subspaces, each ideal's bounds, and subspaces
+    between them.
+    """
     rng = random.Random(3)
-    for _ in range(120):
-        sub = random_subspace(alg.dim, rng)
-        cand = LieCandidate(alg, sub)
-        assert is_lie_ideal(cand) == (sandwich_witness(cand) is not None)
+    cases = [(M2, 1), (M2, 2), (M3, 1), (M12, 2), (AlgebraSpec((2, 2)), 1), (AlgebraSpec((1, 1, 1)), 2)]
+    for spec, points in cases:
+        alg = function_algebra(spec, points)
+        bounds = sandwich_bounds(alg)
+        subs = [random_subspace(alg.dim, rng) for _ in range(120)]
+        for _, lower, upper in bounds:
+            subs += [lower, upper]
+            for _ in range(3):
+                extra = [row for row in upper.basis if rng.random() < 0.5]
+                subs.append(rref(list(lower.basis) + extra, alg.dim))
+        for sub in subs:
+            cand = LieCandidate(alg, sub)
+            witness, expected = sandwich_witness(cand), scan_witness(cand)
+            assert is_lie_ideal(cand) == (witness is not None)
+            assert (witness is None) == (expected is None), (alg, sub)
+            assert witness is None or witness.stalks == expected.stalks, (alg, sub)
+            least = next(ideal for ideal, _, upper in bounds if sub <= upper)
+            assert least_normalizing_ideal(cand).stalks == least.stalks, (alg, sub)
 
 
 # ---------------------------------------------------------------------------

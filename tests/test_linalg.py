@@ -146,6 +146,12 @@ def test_rref_dimension_mismatch():
         rref([V(1, 0), V(1, 0, 0)], 2)
 
 
+def test_subspace_rejects_a_zero_basis_row():
+    # a zero row has no pivot, so contains() could not reduce against it
+    with pytest.raises(ValueError):
+        Subspace(2, (V(1, 0), V(0, 0)))
+
+
 scalars = st.builds(
     Scalar,
     st.fractions(min_value=-3, max_value=3, max_denominator=3),
