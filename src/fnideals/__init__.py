@@ -47,10 +47,10 @@ from .lie import (
     LieCandidate,
     check_cqp,
     commutator_ideal_span,
+    cqp_sides,
     cqp_transfer_check,
     is_lie_ideal,
     lie_normalizer,
-    normalizer_decomposition_check,
     sandwich_witness,
     weak_centrality,
 )

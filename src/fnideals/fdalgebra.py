@@ -331,16 +331,20 @@ class IdealLattice:
     ideals: tuple
 
 
+# k blocks give 2^k ideals, each one checked for invariance.
+MAX_BLOCKS = 6
+
+
 @lru_cache(maxsize=None)
-def enumerate_ideals(spec: AlgebraSpec, max_blocks: int = 6) -> IdealLattice:
+def enumerate_ideals(spec: AlgebraSpec) -> IdealLattice:
     """All 2^k block-sum ideals with meet/join = mask AND/OR.
 
     Every returned subspace is checked to be invariant under two-sided
     multiplication by all basis elements.
     """
     k = spec.num_blocks
-    if k > max_blocks:
-        raise LimitExceeded(f"{k} blocks exceeds the configured bound {max_blocks}")
+    if k > MAX_BLOCKS:
+        raise LimitExceeded(f"{k} blocks exceeds the configured bound {MAX_BLOCKS}")
     n = 1 << k
     meet = tuple(tuple(i & j for j in range(n)) for i in range(n))
     join = tuple(tuple(i | j for j in range(n)) for i in range(n))

@@ -50,13 +50,13 @@ class PointwiseIdeal:
                 raise ValueError(f"stalk index {s!r} out of range")
 
 
-def theta(family: ClosedFamily, check: bool = True) -> PointwiseIdeal:
+def theta(family: ClosedFamily) -> PointwiseIdeal:
     """Map a compatible family to the ideal { f : f(S_i) inside I_i for all i }.
 
     Pointwise this is stalk(x) = meet of { i : x in S_i }; the meet set is
     nonempty because the top index always carries the full point set.
     """
-    if check and not is_compatible(family):
+    if not is_compatible(family):
         raise ValueError("family is not compatible with the lattice")
     lat = family.lattice
     stalks = []

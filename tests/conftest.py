@@ -2,7 +2,22 @@
 
 from __future__ import annotations
 
+import pytest
+
+from fnideals import lie
 from fnideals.lattice import BoundedLattice, ClosedFamily, SpaceModel
+from fnideals.linalg import rref
+
+
+@pytest.fixture
+def corrupt_normalizer(monkeypatch):
+    """Seeded fault: lie_normalizer drops the last basis row of N(J)."""
+    normalizer = lie.lie_normalizer
+
+    def corrupted(alg, ideal):
+        return rref(normalizer(alg, ideal).basis[:-1], alg.dim)
+
+    monkeypatch.setattr(lie, "lie_normalizer", corrupted)
 
 
 def diamond_lattice() -> BoundedLattice:

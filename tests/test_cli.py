@@ -69,20 +69,54 @@ def test_verify_all_bound_skips_bijection_count(tmp_path, capsys):
     assert not any(line.startswith("PASS bijection-count") for line in lines)
 
 
+def test_normalizer_reports_precondition_on_two_blocks(tmp_path, capsys):
+    doc = {"blocks": [1, 1], "points": 1, "ideal": [0]}
+    code, out, _ = run_cli(tmp_path, capsys, ["normalizer"], doc)
+    assert code == 0
+    assert out == (
+        "dim N(J) = 2\n"
+        "PRECONDITION normalizer-decomposition (algebra has 2 blocks; a unique maximal ideal needs 1)\n"
+    )
+
+
+# ---------------------------------------------------------------------------
+# negative controls: a corrupted normalizer FAILs both normalizer identities
+# ---------------------------------------------------------------------------
+
+def test_verify_all_fails_on_corrupted_normalizer(tmp_path, capsys, corrupt_normalizer):
+    code, out, _ = run_cli(tmp_path, capsys, ["verify-all"], {"blocks": [2], "points": 1})
+    lines = out.splitlines()
+    assert code == 1
+    assert "FAIL normalizer-decomposition" in lines
+    assert "FAIL cqp" in lines
+    assert lines[-1] == "verify-all: FAIL"
+
+
+def test_normalizer_fails_on_corrupted_normalizer(tmp_path, capsys, corrupt_normalizer):
+    doc = {"blocks": [2], "points": 1, "ideal": [0]}
+    code, out, _ = run_cli(tmp_path, capsys, ["normalizer"], doc)
+    assert code == 1
+    assert out.splitlines()[-1].startswith("FAIL normalizer-decomposition"), out
+
+
 # ---------------------------------------------------------------------------
 # output is byte-identical to the benchmark's recorded goldens
 # ---------------------------------------------------------------------------
 
 def _golden_cases():
     queries = json.loads((BENCH_DIR / "queries.json").read_text())
-    # Variant /0 of each query group, and every variant of the sandwich groups.
+    # Variant /0 of each query group, and every variant of the sandwich and
+    # normalizer groups.
+    every_variant = ("sandwich-lie/", "sandwich-span/", "normalizer/")
     cases = [
         (q["id"], q["argv"], q["doc"])
         for q in queries
-        if q["id"].endswith("/0") or q["group"].startswith(("sandwich-lie/", "sandwich-span/"))
+        if q["id"].endswith("/0") or q["group"].startswith(every_variant)
     ]
-    # The benchmark's verify-suite problem on the single-block path.
-    cases.append(("verify-suite/blocks_3x2", ["verify-all", "--seed", "0"], {"blocks": [3], "points": 2}))
+    # The benchmark's verify-suite problems on the single- and multi-block paths.
+    for blocks, points in (([3], 2), ([2, 2], 2)):
+        case_id = "verify-suite/blocks_" + "_".join(map(str, blocks)) + f"x{points}"
+        cases.append((case_id, ["verify-all", "--seed", "0"], {"blocks": blocks, "points": points}))
     return [pytest.param(*case, id=case[0]) for case in cases]
 
 

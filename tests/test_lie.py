@@ -24,12 +24,12 @@ from fnideals.lie import (
     LieCandidate,
     check_cqp,
     commutator_ideal_span,
+    cqp_sides,
     cqp_transfer_check,
     is_lie_ideal,
     least_normalizing_ideal,
     lie_normalizer,
     maximal_ideals,
-    normalizer_decomposition_check,
     random_subspace,
     sandwich_random_suite,
     sandwich_witness,
@@ -167,41 +167,29 @@ def test_bracket_core_matches_dense_oracles(spec, points):
     alg, subs = core_cases(spec, points)
     for sub in subs:
         dense = [row for v in sub.basis for row in dense_brackets(alg, v)]
+        cand = LieCandidate(alg, sub)
+        assert [tuple(row) for row in cand.brackets if any(row)] == [row for row in dense if any(row)]
         assert lie_normalizer(alg, sub) == dense_normalizer(alg, sub)
         assert commutator_ideal_span(alg, sub) == rref(dense, alg.dim)
-        assert is_lie_ideal(LieCandidate(alg, sub)) == all(sub.contains(row) for row in dense)
+        assert is_lie_ideal(cand) == all(sub.contains(row) for row in dense)
 
 
 # ---------------------------------------------------------------------------
-# normalizer decomposition (unique maximal ideal)
+# the two sides of N(J) = J + Z(B) (on one block, the normalizer formula)
 # ---------------------------------------------------------------------------
 
-def test_normalizer_decomposition_m2_all_ideals():
-    alg = function_algebra(M2, 2)
-    for ideal in enumerate_all_ideals(alg):
-        check = normalizer_decomposition_check(alg, ideal)
-        assert check.status == "PASS"
-
-
-def test_normalizer_decomposition_single_point_zero_ideal():
+def test_cqp_sides_single_point_zero_ideal():
     alg = function_algebra(M2, 1)
-    check = normalizer_decomposition_check(alg, ideal_of(alg, 0))
-    assert check.status == "PASS"
-    assert check.normalizer_dim == 1
+    nj, summed = cqp_sides(alg, ideal_of(alg, 0))
+    assert nj == summed
+    assert nj.dim == 1
 
 
-def test_normalizer_decomposition_trivial_on_whole_algebra():
+def test_cqp_sides_whole_algebra():
     alg = function_algebra(M3, 1)
-    check = normalizer_decomposition_check(alg, ideal_of(alg, 1))
-    assert check.status == "PASS"
-    assert check.normalizer_dim == 9
-
-
-def test_normalizer_decomposition_precondition_reported():
-    alg = function_algebra(M11, 1)
-    check = normalizer_decomposition_check(alg, ideal_of(alg, 0))
-    assert check.status == "PRECONDITION"
-    assert "blocks" in check.detail
+    nj, summed = cqp_sides(alg, ideal_of(alg, 1))
+    assert nj == summed
+    assert nj.dim == 9
 
 
 # ---------------------------------------------------------------------------
@@ -416,13 +404,53 @@ def test_maximal_ideals_shape():
     [(M2, 2), (AlgebraSpec((1, 1, 2)), 1), (M12, 2)],
 )
 def test_cqp_transfer_both_directions(spec, points):
-    ok, lines = cqp_transfer_check(spec, SpaceModel(points))
+    alg = function_algebra(spec, points)
+    ok, lines = cqp_transfer_check(spec, SpaceModel(points), check_cqp(alg)[0], weak_centrality(alg))
     assert ok
     assert len(lines) == 4
     assert all(line.startswith("PASS") for line in lines)
 
 
 def test_cqp_transfer_zero_points_skips():
-    ok, lines = cqp_transfer_check(M2, SpaceModel(0))
+    ok, lines = cqp_transfer_check(M2, SpaceModel(0), True, True)
     assert ok
     assert lines == ["SKIP points=0 function algebra is the zero algebra"]
+
+
+# ---------------------------------------------------------------------------
+# negative controls: each CQP-family check FAILs under a seeded fault
+# ---------------------------------------------------------------------------
+
+def test_check_cqp_fails_on_corrupted_normalizer(corrupt_normalizer):
+    ok, lines = check_cqp(function_algebra(M2, 2))
+    assert not ok
+    assert all(line.startswith("FAIL") for line in lines), lines
+
+
+def test_cqp_transfer_fails_when_function_algebra_lacks_cqp():
+    ok, lines = cqp_transfer_check(M2, SpaceModel(2), False, True)
+    assert not ok
+    assert lines == [
+        "PASS cqp-function-algebra-implies-base",
+        "FAIL cqp-base-implies-function-algebra",
+        "PASS weak-centrality-equals-cqp-base",
+        "FAIL weak-centrality-equals-cqp-function-algebra",
+    ]
+
+
+def test_cqp_transfer_fails_when_base_lacks_cqp(monkeypatch):
+    monkeypatch.setattr(lie, "check_cqp", lambda alg: (False, []))
+    ok, lines = cqp_transfer_check(M2, SpaceModel(2), True, True)
+    assert not ok
+    assert lines == [
+        "FAIL cqp-function-algebra-implies-base",
+        "PASS cqp-base-implies-function-algebra",
+        "FAIL weak-centrality-equals-cqp-base",
+        "PASS weak-centrality-equals-cqp-function-algebra",
+    ]
+
+
+def test_weak_centrality_fails_on_repeated_maximal_ideal(monkeypatch):
+    maximal = lie.maximal_ideals
+    monkeypatch.setattr(lie, "maximal_ideals", lambda alg: maximal(alg) + maximal(alg)[:1])
+    assert not weak_centrality(function_algebra(M11, 2))
