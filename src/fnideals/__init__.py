@@ -8,9 +8,8 @@ immutable, so the library is safe to drive from concurrent callers.
 from .decomposition import Decomposition, decompose, evaluate, verify_theorem
 from .fdalgebra import (
     AlgebraSpec,
-    BlockIdeal,
     Element,
-    IdealLattice,
+    block_ideal_subspace,
     centre,
     commutator,
     commutator_span,
@@ -23,10 +22,10 @@ from .function_algebra import (
     FunctionAlgebra,
     FunctionElement,
     PointwiseIdeal,
-    PointwiseSubspace,
     enumerate_all_ideals,
     function_algebra,
     ideal_from_Y_and_I,
+    pointwise_subspace,
     product_subspace,
     recover_S,
     theta,

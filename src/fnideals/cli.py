@@ -170,7 +170,7 @@ def _resolve_problem(args) -> Problem:
         )
 
     if "blocks" in doc:
-        block_lat = enumerate_ideals(spec).lattice
+        block_lat = enumerate_ideals(spec)
         if lattice is None:
             lattice = block_lat
         else:
@@ -344,11 +344,11 @@ def cmd_ideal_from_y(problem: Problem, args) -> int:
     y_points = _need(problem, "y_points", "a Y member")
     t = _need(problem, "ideal_index", "an ideal_index member")
     y_mask = points_to_mask(y_points, alg.space.point_count)
-    result = ideal_from_Y_and_I(alg, y_mask, _to_block_index(problem, t))
-    for x, s in enumerate(result.ideal.stalks):
+    ideal, matches = ideal_from_Y_and_I(alg, y_mask, _to_block_index(problem, t))
+    for x, s in enumerate(ideal.stalks):
         print(f"stalk[{x}] = {s + 1}")
-    print(f"{'PASS' if result.sum_matches else 'FAIL'} product-sum-equality")
-    return 0 if result.sum_matches else 1
+    print(f"{'PASS' if matches else 'FAIL'} product-sum-equality")
+    return 0 if matches else 1
 
 
 def cmd_normalizer(problem: Problem, args) -> int:
@@ -459,11 +459,11 @@ def _verify_all_lines(problem: Problem, args) -> list:
             bij = len(families) == len(ideals) and all(recover_S(theta(f)) == f for f in families)
             record(f"bijection-count ({len(families)} = {len(ideals)})", bij)
 
-        sweep_ok = True
-        for y_mask in range(space.full_mask + 1):
-            for t in range(alg.lattice.size):
-                if not ideal_from_Y_and_I(alg, y_mask, t).sum_matches:
-                    sweep_ok = False
+        sweep_ok = all(
+            ideal_from_Y_and_I(alg, y_mask, t)[1]
+            for y_mask in range(space.full_mask + 1)
+            for t in range(alg.lattice.size)
+        )
         record("ideal-from-y-sweep", sweep_ok)
 
         # With one block, Z(B) = C(X, C1): the normalizer formula is the CQP

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .lattice import BoundedLattice, LimitExceeded
+from .lattice import BoundedLattice, LimitExceeded, boolean_lattice
 from .linalg import ONE, ZERO, Scalar, Subspace, rref
 
 
@@ -300,35 +300,19 @@ def commutator_span(spec: AlgebraSpec) -> Subspace:
     return rref(rows, d)
 
 
-@dataclass(frozen=True)
-class BlockIdeal:
-    """Two-sided ideal: the sum of the blocks present in the bitmask."""
-
-    spec: AlgebraSpec
-    blocks_present: int
-
-    def __post_init__(self):
-        if not 0 <= self.blocks_present < (1 << self.spec.num_blocks):
-            raise ValueError("block mask out of range")
-
-    def subspace(self) -> Subspace:
-        d = self.spec.total_dim
-        rows = []
-        for b, p, q in self.spec.unit_coords():
-            if self.blocks_present >> b & 1:
-                row = [ZERO] * d
-                row[self.spec.coord(b, p, q)] = ONE
-                rows.append(row)
-        return rref(rows, d)
-
-
-@dataclass(frozen=True)
-class IdealLattice:
-    """The full ideal lattice of a block algebra, indexed by block mask."""
-
-    spec: AlgebraSpec
-    lattice: BoundedLattice
-    ideals: tuple
+@lru_cache(maxsize=None)
+def block_ideal_subspace(spec: AlgebraSpec, mask: int) -> Subspace:
+    """The two-sided ideal of A that is the sum of the blocks in the bitmask."""
+    if not 0 <= mask < 1 << spec.num_blocks:
+        raise ValueError("block mask out of range")
+    d = spec.total_dim
+    rows = []
+    for b, p, q in spec.unit_coords():
+        if mask >> b & 1:
+            row = [ZERO] * d
+            row[spec.coord(b, p, q)] = ONE
+            rows.append(row)
+    return rref(rows, d)
 
 
 # k blocks give 2^k ideals, each one checked for invariance.
@@ -336,27 +320,21 @@ MAX_BLOCKS = 6
 
 
 @lru_cache(maxsize=None)
-def enumerate_ideals(spec: AlgebraSpec) -> IdealLattice:
-    """All 2^k block-sum ideals with meet/join = mask AND/OR.
+def enumerate_ideals(spec: AlgebraSpec) -> BoundedLattice:
+    """The ideal lattice of A: index `mask` is block_ideal_subspace(spec, mask),
+    so meet/join = mask AND/OR.
 
-    Every returned subspace is checked to be invariant under two-sided
-    multiplication by all basis elements.
+    Every ideal is checked to be invariant under two-sided multiplication
+    by all basis elements.
     """
     k = spec.num_blocks
     if k > MAX_BLOCKS:
         raise LimitExceeded(f"{k} blocks exceeds the configured bound {MAX_BLOCKS}")
-    n = 1 << k
-    meet = tuple(tuple(i & j for j in range(n)) for i in range(n))
-    join = tuple(tuple(i | j for j in range(n)) for i in range(n))
-    lat = BoundedLattice(n, meet, join, 0, n - 1)
     products = unit_products(spec)
-    ideals = []
-    for mask in range(n):
-        ideal = BlockIdeal(spec, mask)
-        if not is_invariant(ideal.subspace(), products):
+    for mask in range(1 << k):
+        if not is_invariant(block_ideal_subspace(spec, mask), products):
             raise AssertionError(f"ideal mask {mask:b} not two-sided invariant")
-        ideals.append(ideal)
-    return IdealLattice(spec, lat, tuple(ideals))
+    return boolean_lattice(k)
 
 
 def tracial_state_basis(spec: AlgebraSpec) -> tuple:

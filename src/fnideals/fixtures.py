@@ -86,7 +86,7 @@ def chain_fixture(m: int) -> Fixture:
 def block_fixture(dims) -> Fixture:
     """Boolean ideal lattice of the block algebra with the given dimensions."""
     spec = AlgebraSpec(tuple(dims))
-    lat = enumerate_ideals(spec).lattice
+    lat = enumerate_ideals(spec)
     name = "block_" + "_".join(str(n) for n in spec.block_dims)
     return Fixture(name=name, lattice=lat, spec=spec)
 

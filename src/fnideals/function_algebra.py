@@ -16,7 +16,8 @@ from functools import lru_cache
 from .fdalgebra import (
     AlgebraSpec,
     Element,
-    IdealLattice,
+    block_ideal_subspace,
+    centre,
     closures_of_unit_subsets,
     enumerate_ideals,
     is_invariant,
@@ -30,7 +31,10 @@ from .lattice import (
     SpaceModel,
     is_compatible,
 )
-from .linalg import ONE, ZERO, Subspace, rref
+from .linalg import ZERO, Subspace, rref
+
+# The CLI limits cap |L|^|X| at 8^4 stalk assignments.
+MAX_IDEALS = 4096
 
 
 @dataclass(frozen=True)
@@ -96,15 +100,8 @@ class FunctionAlgebra:
         return f"FunctionAlgebra({self.spec.block_dims}, points={self.space.point_count})"
 
     @property
-    def ideal_lattice(self) -> IdealLattice:
-        return enumerate_ideals(self.spec)
-
-    @property
     def lattice(self) -> BoundedLattice:
-        return self.ideal_lattice.lattice
-
-    def offset(self, x: int) -> int:
-        return x * self.spec.total_dim
+        return enumerate_ideals(self.spec)
 
     def coord_info(self, index: int) -> tuple:
         """(point, block, row, col) of a flat coordinate of B."""
@@ -156,42 +153,17 @@ class FunctionAlgebra:
     def centre_subspace(self) -> Subspace:
         """Central functions: pointwise multiples of the block identities."""
         if not hasattr(self, "_centre"):
-            rows = []
-            for x in self.space.points():
-                for b, n in enumerate(self.spec.block_dims):
-                    row = [ZERO] * self.dim
-                    for p in range(n):
-                        row[self.offset(x) + self.spec.coord(b, p, p)] = ONE
-                    rows.append(row)
-            self._centre = rref(rows, self.dim)
+            self._centre = pointwise_subspace(self, [centre(self.spec)] * self.space.point_count)
         return self._centre
 
     def ideal_subspace(self, ideal: PointwiseIdeal) -> Subspace:
         """Materialize a pointwise ideal as a subspace of B's coordinate space."""
-        key = ideal.stalks
-        cached = self._ideal_subspaces.get(key)
-        if cached is not None:
-            return cached
-        il = self.ideal_lattice
-        rows = []
-        for x, s in enumerate(ideal.stalks):
-            mask = il.ideals[s].blocks_present
-            base = self.offset(x)
-            for b, p, q in self.spec.unit_coords():
-                if mask >> b & 1:
-                    row = [ZERO] * self.dim
-                    row[base + self.spec.coord(b, p, q)] = ONE
-                    rows.append(row)
-        sub = rref(rows, self.dim)
-        self._ideal_subspaces[key] = sub
+        sub = self._ideal_subspaces.get(ideal.stalks)
+        if sub is None:
+            # A stalk index is a block mask.
+            parts = [block_ideal_subspace(self.spec, s) for s in ideal.stalks]
+            sub = self._ideal_subspaces[ideal.stalks] = pointwise_subspace(self, parts)
         return sub
-
-    def pointwise_parts(self, ideal: PointwiseIdeal) -> "PointwiseSubspace":
-        il = self.ideal_lattice
-        return PointwiseSubspace(
-            self.space,
-            tuple(il.ideals[s].subspace() for s in ideal.stalks),
-        )
 
 
 @lru_cache(maxsize=None)
@@ -249,9 +221,7 @@ def function_commutator(x: FunctionElement, y: FunctionElement) -> FunctionEleme
     return x * y - y * x
 
 
-def enumerate_all_ideals(
-    alg: FunctionAlgebra, bound: int = 4096, verify: bool = True
-) -> list:
+def enumerate_all_ideals(alg: FunctionAlgebra, verify: bool = True) -> list:
     """All pointwise ideals of A^X in lexicographic stalk order.
 
     With verify=True each ideal's subspace is checked to be two-sided
@@ -259,8 +229,8 @@ def enumerate_all_ideals(
     """
     lat = alg.lattice
     count = lat.size ** alg.space.point_count
-    if count > bound:
-        raise LimitExceeded(f"{count} stalk assignments exceed the bound {bound}")
+    if count > MAX_IDEALS:
+        raise LimitExceeded(f"{count} stalk assignments exceed the bound {MAX_IDEALS}")
     out = []
     for stalks in itertools.product(range(lat.size), repeat=alg.space.point_count):
         ideal = PointwiseIdeal(lat, alg.space, stalks)
@@ -275,42 +245,22 @@ def brute_force_function_ideals(alg: FunctionAlgebra, dim_limit: int = 5) -> fro
     return closures_of_unit_subsets(alg.dim, alg.unit_products, dim_limit)
 
 
-@dataclass(frozen=True)
-class PointwiseSubspace:
-    """Family of subspaces of A, one per point of X."""
-
-    space: SpaceModel
-    parts: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
-        if len(self.parts) != self.space.point_count:
-            raise ValueError("one part per point is required")
-
-    def __add__(self, other: "PointwiseSubspace") -> "PointwiseSubspace":
-        if self.space != other.space:
-            raise ValueError("point spaces differ")
-        return PointwiseSubspace(
-            self.space, tuple(a + b for a, b in zip(self.parts, other.parts))
-        )
-
-    def to_subspace(self) -> Subspace:
-        """Embed as a subspace of the full coordinate space of A^X."""
-        if not self.parts:
-            return Subspace.zero(0)
-        d = self.parts[0].ambient_dim
-        dim = d * self.space.point_count
-        rows = []
-        for x, part in enumerate(self.parts):
-            for row in part.basis:
-                big = [ZERO] * dim
-                big[x * d : (x + 1) * d] = list(row)
-                rows.append(big)
-        return rref(rows, dim)
+def pointwise_subspace(alg: FunctionAlgebra, parts) -> Subspace:
+    """The subspace of B whose value at point x lies in parts[x], a subspace of A."""
+    d = alg.spec.total_dim
+    if len(parts) != alg.space.point_count or any(p.ambient_dim != d for p in parts):
+        raise ValueError("one subspace of A per point is required")
+    rows = []
+    for x, part in enumerate(parts):
+        for row in part.basis:
+            big = [ZERO] * alg.dim
+            big[x * d : (x + 1) * d] = row
+            rows.append(big)
+    return rref(rows, alg.dim)
 
 
-def product_subspace(alg: FunctionAlgebra, y_mask: int, c: Subspace) -> PointwiseSubspace:
-    """The family vanishing on Y with values in C elsewhere.
+def product_subspace(alg: FunctionAlgebra, y_mask: int, c: Subspace) -> Subspace:
+    """The functions vanishing on Y with values in C elsewhere.
 
     This is the pointwise image of the product J(Y) x C under the canonical
     identification of tensors f (x) a with the function x -> f(x) a.
@@ -318,36 +268,23 @@ def product_subspace(alg: FunctionAlgebra, y_mask: int, c: Subspace) -> Pointwis
     if c.ambient_dim != alg.spec.total_dim:
         raise ValueError("subspace must live in the coordinate space of A")
     zero = Subspace.zero(alg.spec.total_dim)
-    parts = tuple(
-        zero if y_mask >> x & 1 else c for x in alg.space.points()
-    )
-    return PointwiseSubspace(alg.space, parts)
+    return pointwise_subspace(alg, [zero if y_mask >> x & 1 else c for x in alg.space.points()])
 
 
-@dataclass(frozen=True)
-class YRestrictionResult:
-    """ideal_from_Y_and_I output: the ideal plus the product-sum equality check."""
+def ideal_from_Y_and_I(alg: FunctionAlgebra, y_mask: int, t: int) -> tuple:
+    """(ideal, matches): the ideal { f : f(Y) inside I_t } and its two-term check.
 
-    ideal: PointwiseIdeal
-    sum_matches: bool
-
-
-def ideal_from_Y_and_I(alg: FunctionAlgebra, y_mask: int, t: int) -> YRestrictionResult:
-    """The ideal { f : f(Y) inside I_t } and its two-product-term decomposition.
-
-    Stalks are I_t on Y and the whole algebra off Y; the result records
-    whether this equals product_subspace(empty, I_t) + product_subspace(Y, A)
-    computed pointwise with exact subspace sums.
+    Stalks are I_t on Y and the whole algebra off Y; matches records whether
+    the ideal's subspace equals product_subspace(empty, I_t) +
+    product_subspace(Y, A), an exact sum of subspaces of B.
     """
     lat = alg.lattice
     if not 0 <= t < lat.size:
         raise ValueError(f"ideal index {t} out of range")
-    stalks = tuple(
-        t if y_mask >> x & 1 else lat.top for x in alg.space.points()
-    )
+    stalks = tuple(t if y_mask >> x & 1 else lat.top for x in alg.space.points())
     ideal = PointwiseIdeal(lat, alg.space, stalks)
-    it_sub = alg.ideal_lattice.ideals[t].subspace()
     full = Subspace.full(alg.spec.total_dim)
-    summed = product_subspace(alg, 0, it_sub) + product_subspace(alg, y_mask, full)
-    matches = summed == alg.pointwise_parts(ideal)
-    return YRestrictionResult(ideal, matches)
+    summed = product_subspace(alg, 0, block_ideal_subspace(alg.spec, t)) + product_subspace(
+        alg, y_mask, full
+    )
+    return ideal, summed == alg.ideal_subspace(ideal)

@@ -129,22 +129,22 @@ def random_subspace(dim: int, rng, max_rows: int | None = None) -> Subspace:
 
 
 def _random_combination_rows(base: Subspace, rng, count: int) -> list:
+    terms = [[(k, v) for k, v in enumerate(src) if v] for src in base.basis]
     rows = []
     for _ in range(count):
         row = [_SZERO] * base.ambient_dim
-        for src in base.basis:
+        for src in terms:
             c = rng.randint(-2, 2)
             if c:
                 s = Scalar(c)
-                for k, v in enumerate(src):
-                    if v:
-                        row[k] = row[k] + s * v
+                for k, v in src:
+                    row[k] = row[k] + s * v
         rows.append(row)
     return rows
 
 
 def sandwich_random_suite(
-    alg: FunctionAlgebra, seed: int, per_ideal: int = 200, free_count: int = 200
+    alg: FunctionAlgebra, seed: int, per_ideal: int, free_count: int
 ) -> tuple:
     """Randomized check that the sandwich bounds characterize Lie ideals.
 

@@ -1,12 +1,18 @@
 """The CLI's input boundary and its byte-identical output on recorded cases."""
 
 import hashlib
+import importlib
 import json
 from pathlib import Path
 
 import pytest
 
+from fnideals import cli, decomposition
 from fnideals.cli import main
+from fnideals.function_algebra import PointwiseIdeal
+
+# The package re-exports a function of the same name over the module.
+function_algebra = importlib.import_module("fnideals.function_algebra")
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 
@@ -100,14 +106,72 @@ def test_normalizer_fails_on_corrupted_normalizer(tmp_path, capsys, corrupt_norm
 
 
 # ---------------------------------------------------------------------------
+# negative controls: seeded faults FAIL the lattice-side lines
+# ---------------------------------------------------------------------------
+
+def test_ideal_from_y_fails_on_product_dropping_the_last_point(tmp_path, capsys, monkeypatch):
+    product = function_algebra.product_subspace
+
+    def corrupted(alg, y_mask, c):
+        return product(alg, y_mask | 1 << (alg.space.point_count - 1), c)
+
+    monkeypatch.setattr(function_algebra, "product_subspace", corrupted)
+    doc = {"blocks": [2], "points": 2, "Y": [0], "ideal_index": 0}
+    code, out, _ = run_cli(tmp_path, capsys, ["ideal-from-y"], doc)
+    assert code == 1
+    assert out.splitlines()[-1] == "FAIL product-sum-equality"
+    code, out, _ = run_cli(tmp_path, capsys, ["verify-all"], {"blocks": [2], "points": 1})
+    assert code == 1
+    assert "FAIL ideal-from-y-sweep" in out.splitlines()
+
+
+def _top_at_last_point(ideal):
+    """The pointwise ideal with its stalk at the last point moved to the top."""
+    stalks = ideal.stalks[:-1] + (ideal.lattice.top,)
+    return PointwiseIdeal(ideal.lattice, ideal.space, stalks)
+
+
+@pytest.mark.parametrize(
+    "name, fault, failed",
+    [
+        ("evaluate", lambda f: lambda dec: _top_at_last_point(f(dec)), ["fin-sum"]),
+        (
+            "theta",
+            lambda f: lambda family: _top_at_last_point(f(family)),
+            ["fin-sum", "bijection-count", "theta-recover-roundtrip"],
+        ),
+        (
+            "recover_S",
+            lambda f: lambda ideal: f(_top_at_last_point(ideal)),
+            ["fin-sum", "bijection-count", "theta-recover-roundtrip"],
+        ),
+    ],
+)
+def test_verify_all_fails_on_lattice_side_faults(tmp_path, capsys, monkeypatch, name, fault, failed):
+    original = getattr(decomposition, name)
+    for module in (function_algebra, decomposition, cli):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, fault(original))
+    doc = {"blocks": [1, 1], "points": 2, "family": [[0, 1], [0, 1], [0, 1], [0, 1]]}
+    code, out, _ = run_cli(tmp_path, capsys, ["verify-all"], doc)
+    lines = out.splitlines()
+    assert code == 1
+    for check in failed:
+        assert any(line.startswith(f"FAIL {check}") for line in lines), (check, out)
+
+
+# ---------------------------------------------------------------------------
 # output is byte-identical to the benchmark's recorded goldens
 # ---------------------------------------------------------------------------
 
 def _golden_cases():
     queries = json.loads((BENCH_DIR / "queries.json").read_text())
-    # Variant /0 of each query group, and every variant of the sandwich and
-    # normalizer groups.
-    every_variant = ("sandwich-lie/", "sandwich-span/", "normalizer/")
+    # Variant /0 of each query group, and every variant of the sandwich,
+    # normalizer, ideal-from-y, recover, theta and decompose groups.
+    every_variant = (
+        "sandwich-lie/", "sandwich-span/", "normalizer/",
+        "ideal-from-y/", "recover/", "theta/", "decompose/",
+    )
     cases = [
         (q["id"], q["argv"], q["doc"])
         for q in queries

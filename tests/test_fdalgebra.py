@@ -7,10 +7,11 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fnideals import fdalgebra
 from fnideals.fdalgebra import (
     AlgebraSpec,
-    BlockIdeal,
     Element,
+    block_ideal_subspace,
     brute_force_ideal_subspaces,
     centre,
     commutator,
@@ -23,7 +24,7 @@ from fnideals.fdalgebra import (
     unit_products,
     unit_translates,
 )
-from fnideals.lattice import LimitExceeded
+from fnideals.lattice import LimitExceeded, boolean_lattice
 from fnideals.linalg import ONE, ZERO, Scalar, Subspace, intersect, rref, vec_dot
 
 M1 = AlgebraSpec((1,))
@@ -111,7 +112,7 @@ def test_invariance_check_rejects_a_non_ideal():
 
 def test_enumerate_ideals_fails_on_a_non_invariant_subspace(monkeypatch):
     e12 = rref([(ZERO, ONE, ZERO, ZERO)], 4)
-    monkeypatch.setattr(BlockIdeal, "subspace", lambda self: e12)
+    monkeypatch.setattr(fdalgebra, "block_ideal_subspace", lambda spec, mask: e12)
     with pytest.raises(AssertionError):
         enumerate_ideals.__wrapped__(M2)
 
@@ -213,16 +214,26 @@ def test_centre_meets_commutator_span_trivially(spec):
 # ---------------------------------------------------------------------------
 
 def test_enumerate_ideals_counts():
-    assert len(enumerate_ideals(M2).ideals) == 2
-    assert len(enumerate_ideals(M11).ideals) == 4
-    assert len(enumerate_ideals(M21).ideals) == 4
+    assert enumerate_ideals(M2).size == 2
+    assert enumerate_ideals(M11).size == 4
+    assert enumerate_ideals(M21).size == 4
 
 
 def test_enumerate_ideals_lattice_is_boolean():
-    il = enumerate_ideals(M21)
-    lat = il.lattice
+    lat = enumerate_ideals(M21)
+    assert lat == boolean_lattice(2)
     assert lat.bottom == 0 and lat.top == 3
     assert lat.meet[1][2] == 0 and lat.join[1][2] == 3
+
+
+def test_block_ideal_subspace_is_the_sum_of_the_masked_blocks():
+    assert block_ideal_subspace(M21, 0) == Subspace.zero(5)
+    assert block_ideal_subspace(M21, 3) == Subspace.full(5)
+    assert block_ideal_subspace(M21, 1) == rref(Subspace.full(5).basis[:4], 5)
+    assert block_ideal_subspace(M21, 2) == rref(Subspace.full(5).basis[4:], 5)
+    for mask in (-1, 4):
+        with pytest.raises(ValueError):
+            block_ideal_subspace(M21, mask)
 
 
 def test_enumerate_ideals_block_bound():
@@ -232,7 +243,7 @@ def test_enumerate_ideals_block_bound():
 
 @pytest.mark.parametrize("spec", [M1, M11, M2, AlgebraSpec((1, 1, 1)), AlgebraSpec((1, 2)), M21])
 def test_brute_force_search_finds_exactly_the_block_ideals(spec):
-    enumerated = {ideal.subspace() for ideal in enumerate_ideals(spec).ideals}
+    enumerated = {block_ideal_subspace(spec, m) for m in range(enumerate_ideals(spec).size)}
     assert brute_force_ideal_subspaces(spec) == enumerated
 
 
@@ -244,8 +255,8 @@ def test_brute_force_search_respects_dim_limit():
 @pytest.mark.parametrize("spec", SAMPLE_SPECS)
 def test_block_ideals_are_two_sided_invariant(spec):
     units = [Element.matrix_unit(spec, *c) for c in spec.unit_coords()]
-    for ideal in enumerate_ideals(spec).ideals:
-        sub = ideal.subspace()
+    for mask in range(enumerate_ideals(spec).size):
+        sub = block_ideal_subspace(spec, mask)
         for row in sub.basis:
             v = Element.from_vector(spec, row)
             for a in units:
@@ -261,8 +272,7 @@ def test_weak_centrality_on_block_ideals(spec):
     full = (1 << k) - 1
     traces = []
     for b in range(k):
-        ideal = BlockIdeal(spec, full & ~(1 << b))
-        traces.append(intersect(ideal.subspace(), z))
+        traces.append(intersect(block_ideal_subspace(spec, full & ~(1 << b)), z))
     assert len(set(traces)) == k
 
 

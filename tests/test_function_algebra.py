@@ -10,12 +10,12 @@ from fnideals.function_algebra import (
     FunctionAlgebra,
     FunctionElement,
     PointwiseIdeal,
-    PointwiseSubspace,
     brute_force_function_ideals,
     enumerate_all_ideals,
     function_algebra,
     function_commutator,
     ideal_from_Y_and_I,
+    pointwise_subspace,
     product_subspace,
     recover_S,
     theta,
@@ -98,8 +98,11 @@ def test_enumeration_is_lexicographic():
 
 
 def test_enumeration_bound():
+    """8^5 = 32,768 stalk assignments: refused before any ideal is built."""
+    alg = FunctionAlgebra(AlgebraSpec((1, 1, 1)), SpaceModel(5))
     with pytest.raises(LimitExceeded):
-        enumerate_all_ideals(alg11(2), bound=5)
+        enumerate_all_ideals(alg)
+    assert alg._ideal_subspaces == {}
 
 
 @pytest.mark.parametrize(
@@ -197,47 +200,57 @@ def test_commutator_table_matches_element_commutators():
 
 def test_product_subspace_full_y_is_zero_family():
     alg = function_algebra(M2, 2)
-    ps = product_subspace(alg, 0b11, Subspace.full(4))
-    assert all(part.dim == 0 for part in ps.parts)
+    assert product_subspace(alg, 0b11, Subspace.full(4)) == Subspace.zero(8)
 
 
 def test_product_subspace_empty_y_full_c():
     alg = function_algebra(M2, 2)
-    ps = product_subspace(alg, 0, Subspace.full(4))
-    assert all(part == Subspace.full(4) for part in ps.parts)
+    assert product_subspace(alg, 0, Subspace.full(4)) == Subspace.full(8)
 
 
 def test_product_subspace_commutator_span_example():
     alg = function_algebra(M2, 2)
     sl = commutator_span(M2)
     ps = product_subspace(alg, 0b01, sl)
-    assert ps.parts[0].dim == 0
-    assert ps.parts[1] == sl
+    assert ps == pointwise_subspace(alg, [Subspace.zero(4), sl])
+    # vanishes at point 0, equals sl at point 1
+    assert ps.dim == sl.dim == 3
+    assert all(not any(row[:4]) for row in ps.basis)
+    assert rref([row[4:] for row in ps.basis], 4) == sl
 
 
 def test_pointwise_subspace_sum_and_embedding():
     alg = function_algebra(M11, 2)
     a = product_subspace(alg, 0b01, Subspace.full(2))
     b = product_subspace(alg, 0b10, Subspace.full(2))
-    total = (a + b).to_subspace()
-    assert total == Subspace.full(4)
+    assert a.dim == b.dim == 2
+    assert a & b == Subspace.zero(4)
+    assert a + b == Subspace.full(4)
+
+
+def test_pointwise_subspace_needs_one_part_of_a_per_point():
+    alg = function_algebra(M11, 2)
+    with pytest.raises(ValueError):
+        pointwise_subspace(alg, [Subspace.full(2)])
+    with pytest.raises(ValueError):
+        pointwise_subspace(alg, [Subspace.full(2), Subspace.full(3)])
 
 
 def test_ideal_from_y_trivial_cases():
     alg = alg11(2)
-    r = ideal_from_Y_and_I(alg, 0, 1)
-    assert r.ideal.stalks == (3, 3)
-    assert r.sum_matches
-    r = ideal_from_Y_and_I(alg, 0b11, alg.lattice.top)
-    assert r.ideal.stalks == (3, 3)
-    assert r.sum_matches
+    ideal, matches = ideal_from_Y_and_I(alg, 0, 1)
+    assert ideal.stalks == (3, 3)
+    assert matches
+    ideal, matches = ideal_from_Y_and_I(alg, 0b11, alg.lattice.top)
+    assert ideal.stalks == (3, 3)
+    assert matches
 
 
 def test_ideal_from_y_boolean_example():
     alg = alg11(2)
-    r = ideal_from_Y_and_I(alg, 0b01, 1)
-    assert r.ideal.stalks == (1, 3)
-    assert r.sum_matches
+    ideal, matches = ideal_from_Y_and_I(alg, 0b01, 1)
+    assert ideal.stalks == (1, 3)
+    assert matches
 
 
 @pytest.mark.parametrize("spec, points", [(M2, 2), (M11, 2), (AlgebraSpec((1, 2)), 2)])
@@ -245,7 +258,7 @@ def test_ideal_from_y_sweep(spec, points):
     alg = function_algebra(spec, points)
     for y_mask in range((1 << points)):
         for t in range(alg.lattice.size):
-            assert ideal_from_Y_and_I(alg, y_mask, t).sum_matches
+            assert ideal_from_Y_and_I(alg, y_mask, t)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,10 @@ from fnideals import lie
 from fnideals.fdalgebra import AlgebraSpec, commutator_span, tracial_state_basis
 from fnideals.function_algebra import (
     PointwiseIdeal,
-    PointwiseSubspace,
     enumerate_all_ideals,
     function_algebra,
     function_commutator,
+    pointwise_subspace,
     theta,
 )
 from fnideals.lattice import ClosedFamily, SpaceModel, enumerate_compatible_families
@@ -110,9 +110,7 @@ def test_pointwise_normalizer_formula(spec, points):
     for fam in enumerate_compatible_families(alg.lattice, SpaceModel(points)):
         ideal = theta(fam)
         direct = lie_normalizer(alg, ideal)
-        assembled = PointwiseSubspace(
-            alg.space, tuple(per_stalk[s] for s in ideal.stalks)
-        ).to_subspace()
+        assembled = pointwise_subspace(alg, [per_stalk[s] for s in ideal.stalks])
         assert direct == assembled
 
 
