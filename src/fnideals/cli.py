@@ -87,10 +87,10 @@ def _scalar_from_json(v):
     if isinstance(v, bool):
         raise InputError(f"scalar entry {v!r} is not a number")
     if isinstance(v, int):
-        return Scalar(v)
+        return v
     if isinstance(v, float):
         if v.is_integer():
-            return Scalar(int(v))
+            return int(v)
         raise InputError(f"scalar entry {v!r} is not exact; use a rational string")
     if isinstance(v, str):
         try:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .lattice import BoundedLattice, LimitExceeded, boolean_lattice
-from .linalg import ONE, ZERO, Scalar, Subspace, rref
+from .linalg import Subspace, rref, vector
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ def unit_commutators(products) -> tuple:
             table[i][j][k] = table[i][j].get(k, 0) + 1
             table[j][i][k] = table[j][i].get(k, 0) - 1
     return tuple(
-        tuple(tuple((k, Scalar(c)) for k, c in sorted(terms.items()) if c) for terms in row)
+        tuple(tuple((k, c) for k, c in sorted(terms.items()) if c) for terms in row)
         for row in table
     )
 
@@ -117,15 +117,17 @@ def unit_translates(row, products) -> list:
         for j, k in pairs:
             # e_a * e_j = e_k carries v_j into e_a * v and v_a into v * e_j
             if j in coeff:
-                out.setdefault(("left", a), [ZERO] * d)[k] = coeff[j]
+                out.setdefault(("left", a), [0] * d)[k] = coeff[j]
             if a in coeff:
-                out.setdefault(("right", j), [ZERO] * d)[k] = coeff[a]
+                out.setdefault(("right", j), [0] * d)[k] = coeff[a]
     return list(out.values())
 
 
 def is_invariant(sub: Subspace, products) -> bool:
     """True iff e_a * v and v * e_a stay in sub for every basis row v and unit e_a."""
-    return all(sub.contains(t) for row in sub.basis for t in unit_translates(row, products))
+    return all(
+        sub._reduces_to_zero(t) for row in sub.basis for t in unit_translates(row, products)
+    )
 
 
 def ideal_closure(generators, dim: int, products) -> Subspace:
@@ -155,7 +157,7 @@ def closures_of_unit_subsets(dim: int, products, dim_limit: int) -> frozenset:
 
 @dataclass(frozen=True)
 class Element:
-    """Member of a block algebra: one square Scalar matrix per block."""
+    """Member of a block algebra: one square matrix of canonical values per block."""
 
     spec: AlgebraSpec
     blocks: tuple
@@ -173,13 +175,13 @@ class Element:
 
     @staticmethod
     def zero(spec: AlgebraSpec) -> "Element":
-        return Element(spec, tuple(((ZERO,) * n,) * n for n in spec.block_dims))
+        return Element(spec, tuple(((0,) * n,) * n for n in spec.block_dims))
 
     @staticmethod
     def identity(spec: AlgebraSpec) -> "Element":
         blocks = []
         for n in spec.block_dims:
-            blocks.append(tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)))
+            blocks.append(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
         return Element(spec, tuple(blocks))
 
     @staticmethod
@@ -188,7 +190,7 @@ class Element:
         for bi, n in enumerate(spec.block_dims):
             blocks.append(
                 tuple(
-                    tuple(ONE if (bi == b and i == p and j == q) else ZERO for j in range(n))
+                    tuple(int(bi == b and i == p and j == q) for j in range(n))
                     for i in range(n)
                 )
             )
@@ -203,7 +205,7 @@ class Element:
         for n in spec.block_dims:
             blk = []
             for i in range(n):
-                blk.append(tuple(v if isinstance(v, Scalar) else Scalar(v) for v in vec[pos : pos + n]))
+                blk.append(vector(vec[pos : pos + n]))
                 pos += n
             blocks.append(tuple(blk))
         return Element(spec, tuple(blocks))
@@ -239,7 +241,7 @@ class Element:
             ),
         )
 
-    def scale(self, c: Scalar) -> "Element":
+    def scale(self, c) -> "Element":
         return Element(
             self.spec,
             tuple(tuple(tuple(c * a for a in row) for row in blk) for blk in self.blocks),
@@ -249,7 +251,7 @@ class Element:
         self._check_spec(other)
         blocks = []
         for blk_x, blk_y, n in zip(self.blocks, other.blocks, self.spec.block_dims):
-            out = [[ZERO] * n for _ in range(n)]
+            out = [[0] * n for _ in range(n)]
             for i in range(n):
                 row = blk_x[i]
                 for k in range(n):
@@ -279,9 +281,9 @@ def centre(spec: AlgebraSpec) -> Subspace:
     d = spec.total_dim
     rows = []
     for b, n in enumerate(spec.block_dims):
-        row = [ZERO] * d
+        row = [0] * d
         for p in range(n):
-            row[spec.coord(b, p, p)] = ONE
+            row[spec.coord(b, p, p)] = 1
         rows.append(row)
     return rref(rows, d)
 
@@ -293,7 +295,7 @@ def commutator_span(spec: AlgebraSpec) -> Subspace:
     rows = []
     for row in unit_commutators(unit_products(spec)):
         for terms in row:
-            vec = [ZERO] * d
+            vec = [0] * d
             for k, c in terms:
                 vec[k] = c
             rows.append(vec)
@@ -309,8 +311,8 @@ def block_ideal_subspace(spec: AlgebraSpec, mask: int) -> Subspace:
     rows = []
     for b, p, q in spec.unit_coords():
         if mask >> b & 1:
-            row = [ZERO] * d
-            row[spec.coord(b, p, q)] = ONE
+            row = [0] * d
+            row[spec.coord(b, p, q)] = 1
             rows.append(row)
     return rref(rows, d)
 
@@ -342,11 +344,10 @@ def tracial_state_basis(spec: AlgebraSpec) -> tuple:
     d = spec.total_dim
     out = []
     for b, n in enumerate(spec.block_dims):
-        row = [ZERO] * d
-        w = Scalar(Fraction(1, n))
+        row = [0] * d
         for p in range(n):
-            row[spec.coord(b, p, p)] = w
-        out.append(tuple(row))
+            row[spec.coord(b, p, p)] = Fraction(1, n)
+        out.append(vector(row))
     return tuple(out)
 
 

@@ -31,7 +31,7 @@ from .lattice import (
     SpaceModel,
     is_compatible,
 )
-from .linalg import ZERO, Subspace, rref
+from .linalg import Subspace, rref
 
 # The CLI limits cap |L|^|X| at 8^4 stalk assignments.
 MAX_IDEALS = 4096
@@ -253,7 +253,7 @@ def pointwise_subspace(alg: FunctionAlgebra, parts) -> Subspace:
     rows = []
     for x, part in enumerate(parts):
         for row in part.basis:
-            big = [ZERO] * alg.dim
+            big = [0] * alg.dim
             big[x * d : (x + 1) * d] = row
             rows.append(big)
     return rref(rows, alg.dim)

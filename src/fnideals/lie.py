@@ -21,14 +21,7 @@ from .function_algebra import (
     function_algebra,
 )
 from .lattice import SpaceModel
-from .linalg import (
-    ZERO as _SZERO,
-    Scalar,
-    Subspace,
-    annihilator,
-    rref,
-    solve_membership_constraints,
-)
+from .linalg import Subspace, annihilator, rref, solve_membership_constraints
 
 
 def _ideal_subspace(alg: FunctionAlgebra, ideal) -> Subspace:
@@ -56,7 +49,7 @@ def _brackets(alg: FunctionAlgebra, v) -> list:
             if terms:
                 row = rows[b]
                 if row is None:
-                    row = rows[b] = [_SZERO] * dim
+                    row = rows[b] = [0] * dim
                 for c, s in terms:
                     row[c] = row[c] + f * s
     return [row for row in rows if row is not None]
@@ -97,7 +90,7 @@ class LieCandidate:
 
 def is_lie_ideal(candidate: LieCandidate) -> bool:
     """True iff [b, l] stays in the subspace for all basis pairs."""
-    return all(candidate.space.contains(row) for row in candidate.brackets)
+    return all(candidate.space._reduces_to_zero(row) for row in candidate.brackets)
 
 
 def least_normalizing_ideal(candidate: LieCandidate) -> PointwiseIdeal:
@@ -132,13 +125,12 @@ def _random_combination_rows(base: Subspace, rng, count: int) -> list:
     terms = [[(k, v) for k, v in enumerate(src) if v] for src in base.basis]
     rows = []
     for _ in range(count):
-        row = [_SZERO] * base.ambient_dim
+        row = [0] * base.ambient_dim
         for src in terms:
             c = rng.randint(-2, 2)
             if c:
-                s = Scalar(c)
                 for k, v in src:
-                    row[k] = row[k] + s * v
+                    row[k] = row[k] + c * v
         rows.append(row)
     return rows
 

@@ -1,10 +1,15 @@
 """Exact linear algebra over the Gaussian rationals.
 
-Scalars are pairs of Fractions (a + b*i), so every computation is exact.
-Subspaces are stored as reduced row-echelon bases, which makes RREF a true
-canonical form: two subspaces are equal as sets iff their Subspace values
-compare equal field-for-field.  All values are immutable; every operation
-returns a fresh value, so the module is safe to use from multiple threads.
+Every coordinate is stored in its canonical form: an `int`, a `Fraction`
+whose denominator is not 1, or a `Scalar` (a + b*i) whose imaginary part is
+not 0.  Real values therefore run on Python's own int/Fraction arithmetic; a
+Scalar only arises from a non-real input, and a Scalar result whose
+imaginary part is 0 comes back as a plain number.  Elimination scales by
+exact inverses, never by int / int, so no float arises.  Subspaces are stored as reduced
+row-echelon bases, which makes RREF a true canonical form: two subspaces are
+equal as sets iff their Subspace values compare equal field-for-field.  All
+values are immutable; every operation returns a fresh value, so the module
+is safe to use from multiple threads.
 """
 
 from __future__ import annotations
@@ -14,50 +19,117 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 
+def _rational(x):
+    """x as an int when it is integral, else as a Fraction."""
+    if type(x) is int:
+        return x
+    f = x if type(x) is Fraction else Fraction(x)
+    return f.numerator if f.denominator == 1 else f
+
+
+def _gaussian(re, im):
+    """Canonical value of re + im*i: a plain rational when im is 0."""
+    if not im:
+        return _rational(re)
+    s = object.__new__(Scalar)
+    s.re = _rational(re)
+    s.im = _rational(im)
+    return s
+
+
+def _parts(x):
+    """(re, im) of an int, Fraction or Scalar; None for any other type."""
+    if type(x) is Scalar:
+        return x.re, x.im
+    if isinstance(x, (int, Fraction)):
+        return x, 0
+    return None
+
+
+def _quotient(a, b, c, d):
+    """(a + b*i) / (c + d*i), exactly."""
+    if not c and not d:
+        raise ZeroDivisionError("division by zero Scalar")
+    norm = Fraction(c * c + d * d)
+    return _gaussian((a * c + b * d) / norm, (b * c - a * d) / norm)
+
+
 class Scalar:
-    """Gaussian rational a + b*i.  Immutable value type with exact arithmetic."""
+    """Gaussian rational a + b*i.  Immutable value type with exact arithmetic.
+
+    It mixes with int and Fraction; every result is canonical (see the module
+    docstring).  A Scalar equals, and hashes like, its canonical value.
+    """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
+        self.re = _rational(re)
+        self.im = _rational(im)
 
-    def __add__(self, other: "Scalar") -> "Scalar":
-        return Scalar(self.re + other.re, self.im + other.im)
+    @property
+    def real(self):
+        return self.re
 
-    def __sub__(self, other: "Scalar") -> "Scalar":
-        return Scalar(self.re - other.re, self.im - other.im)
+    @property
+    def imag(self):
+        return self.im
 
-    def __mul__(self, other: "Scalar") -> "Scalar":
-        a, b, c, d = self.re, self.im, other.re, other.im
-        if not b and not d:
-            return Scalar(a * c)
-        return Scalar(a * c - b * d, a * d + b * c)
+    def __add__(self, other):
+        o = _parts(other)
+        if o is None:
+            return NotImplemented
+        return _gaussian(self.re + o[0], self.im + o[1])
 
-    def __truediv__(self, other: "Scalar") -> "Scalar":
-        c, d = other.re, other.im
-        if not d:
-            if not c:
-                raise ZeroDivisionError("division by zero Scalar")
-            return Scalar(self.re / c, self.im / c)
-        norm = c * c + d * d
-        a, b = self.re, self.im
-        return Scalar((a * c + b * d) / norm, (b * c - a * d) / norm)
+    __radd__ = __add__
 
-    def __neg__(self) -> "Scalar":
-        return Scalar(-self.re, -self.im)
+    def __sub__(self, other):
+        o = _parts(other)
+        if o is None:
+            return NotImplemented
+        return _gaussian(self.re - o[0], self.im - o[1])
+
+    def __rsub__(self, other):
+        o = _parts(other)
+        if o is None:
+            return NotImplemented
+        return _gaussian(o[0] - self.re, o[1] - self.im)
+
+    def __mul__(self, other):
+        o = _parts(other)
+        if o is None:
+            return NotImplemented
+        a, b, c, d = self.re, self.im, o[0], o[1]
+        return _gaussian(a * c - b * d, a * d + b * c)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = _parts(other)
+        if o is None:
+            return NotImplemented
+        return _quotient(self.re, self.im, o[0], o[1])
+
+    def __rtruediv__(self, other):
+        o = _parts(other)
+        if o is None:
+            return NotImplemented
+        return _quotient(o[0], o[1], self.re, self.im)
+
+    def __neg__(self):
+        return _gaussian(-self.re, -self.im)
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Scalar):
+        o = _parts(other)
+        if o is None:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.re == o[0] and self.im == o[1]
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __repr__(self):
         return f"Scalar({self.re!r}, {self.im!r})"
@@ -71,52 +143,55 @@ class Scalar:
         return f"{self.re}{sign}{abs(self.im)} i"
 
     @staticmethod
-    def parse(text: str) -> "Scalar":
-        """Parse "p/q", "r/s i" or "p/q+r/s i" (signs and spaces allowed)."""
+    def parse(text: str):
+        """Parse "p/q", "r/s i" or "p/q+r/s i" (signs and spaces allowed)
+        into its canonical value."""
         t = text.strip()
         if not t:
             raise ValueError("empty scalar")
         if t.endswith("i"):
             body = t[:-1].strip()
             if body in ("", "+"):
-                return Scalar(0, 1)
+                return _gaussian(0, 1)
             if body == "-":
-                return Scalar(0, -1)
+                return _gaussian(0, -1)
             for k in range(len(body) - 1, 0, -1):
                 if body[k] in "+-" and body[k - 1] not in "+-/":
                     re_part = body[:k].strip()
                     im_part = body[k:].strip()
                     if im_part in ("+", "-"):
                         im_part += "1"
-                    return Scalar(Fraction(re_part), Fraction(im_part))
-            return Scalar(0, Fraction(body))
-        return Scalar(Fraction(t))
+                    return _gaussian(Fraction(re_part), Fraction(im_part))
+            return _gaussian(0, Fraction(body))
+        return _rational(Fraction(t))
 
 
-ZERO = Scalar(0)
-ONE = Scalar(1)
+ZERO = 0
+ONE = 1
 
-Vector = tuple  # tuple of Scalar
+Vector = tuple  # tuple of canonical values: int, Fraction or non-real Scalar
+
+
+def _canonical(x):
+    """The canonical form of a number: int, Fraction (denominator not 1) or
+    Scalar (imaginary part not 0).  Anything Fraction() accepts is read exactly."""
+    if type(x) is Scalar:
+        return x if x.im else x.re
+    return _rational(x)
 
 
 def vector(entries: Iterable) -> Vector:
-    """Coerce ints/Fractions/Scalars into a Scalar tuple."""
-    out = []
-    for e in entries:
-        out.append(e if isinstance(e, Scalar) else Scalar(e))
-    return tuple(out)
-
-
-def vec_dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
-    acc = ZERO
-    for a, b in zip(u, v):
-        if a and b:
-            acc = acc + a * b
-    return acc
+    """Coerce ints/Fractions/Scalars into a tuple of canonical values."""
+    return tuple(map(_canonical, entries))
 
 
 def _echelon(work: list, width: int) -> list:
-    """In-place reduced row echelon over `width` columns; returns nonzero rows."""
+    """In-place reduced row echelon over `width` columns; returns nonzero rows.
+
+    Entries stay canonical: the pivot row is scaled by the exact inverse
+    Fraction(1, pv) (so no int division makes a float), and any Fraction
+    result with denominator 1 is dropped back to an int.
+    """
     nrows = len(work)
     prow = 0
     for col in range(width):
@@ -130,10 +205,16 @@ def _echelon(work: list, width: int) -> list:
         work[prow], work[pr] = work[pr], work[prow]
         pivot_row = work[prow]
         pv = pivot_row[col]
-        if pv != ONE:
+        if pv != 1:
+            inv = Fraction(1, pv) if type(pv) is int else 1 / pv
             for c in range(col, width):
-                if pivot_row[c]:
-                    pivot_row[c] = pivot_row[c] / pv
+                p = pivot_row[c]
+                if p:
+                    p = p * inv
+                    if type(p) is Fraction and p.denominator == 1:
+                        p = p.numerator
+                    pivot_row[c] = p
+        terms = [(c, p) for c in range(col, width) if (p := pivot_row[c])]
         for i in range(nrows):
             if i == prow:
                 continue
@@ -141,10 +222,11 @@ def _echelon(work: list, width: int) -> list:
             f = row[col]
             if not f:
                 continue
-            for c in range(col, width):
-                p = pivot_row[c]
-                if p:
-                    row[c] = row[c] - f * p
+            for c, p in terms:
+                x = row[c] - f * p
+                if type(x) is Fraction and x.denominator == 1:
+                    x = x.numerator
+                row[c] = x
         prow += 1
         if prow == nrows:
             break
@@ -164,7 +246,9 @@ class Subspace:
     pivots: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "basis", tuple(tuple(r) for r in self.basis))
+        # rref passes a tuple of tuples; rebuilding one only churns tuples (see rref)
+        if type(self.basis) is not tuple or not all(type(r) is tuple for r in self.basis):
+            object.__setattr__(self, "basis", tuple(tuple(r) for r in self.basis))
         for row in self.basis:
             if len(row) != self.ambient_dim or not any(row):
                 raise ValueError("basis rows must be nonzero and of the ambient length")
@@ -176,13 +260,23 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, vec: Sequence) -> bool:
-        v = list(vector(vec))
+        v = vector(vec)
         if len(v) != self.ambient_dim:
             raise ValueError("vector length differs from ambient dimension")
+        return self._reduces_to_zero(v)
+
+    def _reduces_to_zero(self, vec: Sequence) -> bool:
+        """Membership of a row of ints, Fractions or Scalars of the ambient length.
+
+        The package's own rows (basis rows, brackets, translates) already are,
+        so they skip the coercion and length check of `contains`.
+        """
+        v = list(vec)
+        n = self.ambient_dim
         for row, p in zip(self.basis, self.pivots):
             f = v[p]
             if f:
-                for c in range(p, self.ambient_dim):
+                for c in range(p, n):
                     if row[c]:
                         v[c] = v[c] - f * row[c]
         return not any(v)
@@ -193,7 +287,7 @@ class Subspace:
     def __le__(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return all(other.contains(row) for row in self.basis)
+        return all(other._reduces_to_zero(row) for row in self.basis)
 
     def __add__(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
@@ -211,8 +305,8 @@ class Subspace:
     def full(n: int) -> "Subspace":
         rows = []
         for i in range(n):
-            row = [ZERO] * n
-            row[i] = ONE
+            row = [0] * n
+            row[i] = 1
             rows.append(tuple(row))
         return Subspace(n, tuple(rows))
 
@@ -223,7 +317,9 @@ def rref(rows: Iterable[Sequence], ambient_dim: int) -> Subspace:
     for r in rows:
         if len(r) != ambient_dim:
             raise ValueError("row length differs from ambient dimension")
-        row = list(vector(r))
+        # coerced as vector() does, without a tuple to throw away: freed tuples of
+        # one length pile up on CPython's free list (2,000 rows) between collections
+        row = list(map(_canonical, r))
         if any(row):
             work.append(row)
     reduced = _echelon(work, ambient_dim)
@@ -238,7 +334,7 @@ def intersect(u: Subspace, v: Subspace) -> Subspace:
     work = []
     for row in u.basis:
         work.append(list(row) + list(row))
-    zeros = [ZERO] * n
+    zeros = [0] * n
     for row in v.basis:
         work.append(list(row) + zeros)
     reduced = _echelon(work, 2 * n)
@@ -257,8 +353,8 @@ def annihilator(u: Subspace) -> Subspace:
     free = [c for c in range(n) if c not in piv]
     rows = []
     for f in free:
-        vec = [ZERO] * n
-        vec[f] = ONE
+        vec = [0] * n
+        vec[f] = 1
         for row, p in zip(u.basis, u.pivots):
             if row[f]:
                 vec[p] = -row[f]

@@ -10,6 +10,7 @@ import pytest
 from fnideals import cli, decomposition
 from fnideals.cli import main
 from fnideals.function_algebra import PointwiseIdeal
+from fnideals.linalg import Scalar
 
 # The package re-exports a function of the same name over the module.
 function_algebra = importlib.import_module("fnideals.function_algebra")
@@ -64,6 +65,27 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv, doc):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# sl_2 at point 0 and all of M_2 at point 1 (a Lie ideal); e_12 at point 0 alone (not one)
+SL2_THEN_M2 = [[1, 0, 0, -1, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0, 0]] + [
+    [int(c == k) for c in range(8)] for k in range(4, 8)
+]
+E12_AT_0 = [[0, 1, 0, 0, 0, 0, 0, 0]]
+
+
+@pytest.mark.parametrize("rows, verdict", [(SL2_THEN_M2, "true"), (E12_AT_0, "false")])
+@pytest.mark.parametrize("scale", ["i", "1/2-3/2 i", "-2+i"])
+def test_sandwich_on_gaussian_rows_matches_the_real_rows(tmp_path, capsys, rows, verdict, scale):
+    """Rows scaled by a non-real scalar span the same subspace, so the Gaussian
+    path must print the real rows' report."""
+    c = Scalar.parse(scale)
+    doc = {"blocks": [2], "points": 2, "subspace": rows}
+    code, real_out, _ = run_cli(tmp_path, capsys, ["sandwich"], doc)
+    assert code == 0 and f"lie-ideal: {verdict}" in real_out.splitlines()
+    doc["subspace"] = [[str(c * v) for v in row] for row in rows]
+    assert any(" i" in v for row in doc["subspace"] for v in row)
+    assert run_cli(tmp_path, capsys, ["sandwich"], doc) == (code, real_out, "")
 
 
 def test_verify_all_bound_skips_bijection_count(tmp_path, capsys):

@@ -25,7 +25,8 @@ from fnideals.fdalgebra import (
     unit_translates,
 )
 from fnideals.lattice import LimitExceeded, boolean_lattice
-from fnideals.linalg import ONE, ZERO, Scalar, Subspace, intersect, rref, vec_dot
+from fnideals.linalg import ONE, ZERO, Scalar, Subspace, intersect, rref
+from oracles import vec_dot
 
 M1 = AlgebraSpec((1,))
 M2 = AlgebraSpec((2,))
@@ -144,7 +145,7 @@ def sympy_centre(spec) -> Subspace:
     m = []
     for u_idx in range(d):
         for c in range(d):
-            m.append([sympy.Rational(rows[k][u_idx][c].re) for k in range(d)])
+            m.append([sympy.Rational(rows[k][u_idx][c].real) for k in range(d)])
     null = sympy.Matrix(m).nullspace()
     vecs = [
         tuple(Scalar(Fraction(int(v.p), int(v.q))) for v in w.T) for w in null

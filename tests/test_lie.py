@@ -35,7 +35,8 @@ from fnideals.lie import (
     sandwich_witness,
     weak_centrality,
 )
-from fnideals.linalg import Scalar, Subspace, intersect, rref, vec_dot
+from fnideals.linalg import Scalar, Subspace, intersect, rref
+from oracles import vec_dot
 
 M2 = AlgebraSpec((2,))
 M3 = AlgebraSpec((3,))
@@ -134,7 +135,7 @@ def sympy_kernel(rows, dim) -> Subspace:
     if not rows:
         return Subspace.full(dim)
     matrix = sympy.Matrix(
-        [[sympy.Rational(v.re) + sympy.Rational(v.im) * sympy.I for v in row] for row in rows]
+        [[sympy.Rational(v.real) + sympy.Rational(v.imag) * sympy.I for v in row] for row in rows]
     )
     return rref([tuple(from_sympy(x) for x in w) for w in matrix.nullspace()], dim)
 

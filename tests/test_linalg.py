@@ -33,7 +33,7 @@ def V(*entries):
 
 def to_sympy_matrix(rows, dim):
     return sympy.Matrix(
-        [[sympy.Rational(v.re) + sympy.Rational(v.im) * sympy.I for v in row] for row in rows]
+        [[sympy.Rational(v.real) + sympy.Rational(v.imag) * sympy.I for v in row] for row in rows]
     ) if rows else sympy.zeros(0, dim)
 
 
@@ -109,12 +109,108 @@ def test_scalar_parse(text, value):
 def test_scalar_format_parse_roundtrip(re, im):
     s = Scalar(re, im)
     assert Scalar.parse(str(s)) == s
+    assert_canonical(Scalar.parse(str(s)))
 
 
 def test_scalar_parse_rejects_garbage():
     for bad in ("", "one", "1//2", "2-"):
         with pytest.raises(ValueError):
             Scalar.parse(bad)
+
+
+def test_scalar_product_with_zero_imaginary_part_is_an_int():
+    r = Scalar(0, 1) * Scalar(0, 1)
+    assert type(r) is int and r == -1
+
+
+def test_scalar_mixes_exactly_with_int_and_fraction():
+    assert 2 * Scalar(0, 1) == Scalar(0, 2)
+    assert Scalar(0, 1) * 2 == Scalar(0, 2)
+    assert Fraction(1, 2) - Scalar(0, 1) == S(Fraction(1, 2), -1)
+    assert Scalar(0, 1) - Fraction(1, 2) == S(Fraction(-1, 2), 1)
+    assert 1 / Scalar(1, 1) == S(Fraction(1, 2), Fraction(-1, 2))
+    assert Scalar(1, 1) / 2 == S(Fraction(1, 2), Fraction(1, 2))
+    assert 3 + Scalar(0, 1) - Scalar(0, 1) == 3
+    assert type(3 + Scalar(0, 1) - Scalar(0, 1)) is int
+    q = Scalar(1, 1) / Scalar(2, 2)
+    assert type(q) is Fraction and q == Fraction(1, 2)
+
+
+def test_vector_gives_canonical_values():
+    got = vector([Fraction(4, 2), Scalar(3), Scalar(1, Fraction(2, 2)), 2.5, Fraction(1, 3)])
+    assert got == (2, 3, Scalar(1, 1), Fraction(5, 2), Fraction(1, 3))
+    assert [type(x) for x in got] == [int, int, Scalar, Fraction, Fraction]
+    assert type(Scalar(1, 1).im) is int
+
+
+def test_scalar_real_and_imag():
+    s = S(Fraction(1, 2), -3)
+    assert (s.real, s.imag) == (Fraction(1, 2), -3)
+    assert type(s.imag) is int
+    for x in (4, Fraction(2, 3)):
+        assert (x.real, x.imag) == (x, 0)
+
+
+def test_scalar_equals_and_hashes_like_its_canonical_value():
+    pairs = ((Scalar(3), 3), (Scalar(Fraction(4, 2)), 2), (S(Fraction(1, 2)), Fraction(1, 2)))
+    for s, plain in pairs:
+        assert s == plain and plain == s
+        assert hash(s) == hash(plain)
+        assert len({s, plain}) == 1
+    assert Scalar(0, 1) != 0 and 0 != Scalar(0, 1)
+    assert Scalar(1, 1) != 1
+
+
+def test_scalar_division_by_zero_mixed():
+    cases = (
+        (Scalar(1, 1), 0), (1, Scalar(0)), (Fraction(1, 2), Scalar(0, 0)), (Scalar(0, 1), Fraction(0))
+    )
+    for num, den in cases:
+        with pytest.raises(ZeroDivisionError):
+            num / den
+
+
+def as_sympy(x):
+    return sympy.Rational(x.real) + sympy.Rational(x.imag) * sympy.I
+
+
+def assert_canonical(x):
+    """int, Fraction with denominator > 1, or Scalar with nonzero imaginary part."""
+    if type(x) is Scalar:
+        assert x.im != 0
+        assert_canonical(x.re)
+        assert_canonical(x.im)
+    elif type(x) is Fraction:
+        assert x.denominator > 1
+    else:
+        assert type(x) is int
+
+
+gaussians = st.builds(
+    Scalar,
+    st.fractions(min_value=-2, max_value=2, max_denominator=3),
+    st.fractions(min_value=-1, max_value=1, max_denominator=2),
+)
+# ints, Fractions (some integral) and Scalars (some real): every kind an entry may arrive as
+raw_entries = st.one_of(
+    st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4), gaussians
+)
+
+
+@given(gaussians, raw_entries)
+@settings(max_examples=150, deadline=None)
+def test_scalar_arithmetic_is_canonical_and_matches_sympy(s, x):
+    """Every result with a Scalar operand, on either side, is canonical and exact."""
+    ss, sx = as_sympy(s), as_sympy(x)
+    cases = [(s + x, ss + sx), (x + s, sx + ss), (s - x, ss - sx), (x - s, sx - ss),
+             (s * x, ss * sx), (x * s, sx * ss), (-s, -ss)]
+    if x:
+        cases.append((s / x, ss / sx))
+    if s:
+        cases.append((x / s, sx / ss))
+    for got, want in cases:
+        assert_canonical(got)
+        assert sympy.simplify(as_sympy(got) - want) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -302,3 +398,27 @@ def test_contains_closed_under_combinations(case):
         assert u.contains(combo)
     for row in rows:
         assert u.contains(row)
+
+
+def mixed_rows(dim, max_rows=4):
+    return st.lists(
+        st.lists(raw_entries, min_size=dim, max_size=dim).map(tuple), min_size=0, max_size=max_rows
+    )
+
+
+@given(
+    st.integers(1, 4).flatmap(lambda d: st.tuples(st.just(d), mixed_rows(d), mixed_rows(d)))
+)
+@settings(max_examples=120, deadline=None)
+def test_exactness_guard_every_basis_entry_is_canonical(case):
+    """No float, no integral Fraction and no real Scalar reaches any Subspace."""
+    dim, ur, vr = case
+    u, v = rref(ur, dim), rref(vr, dim)
+    for sub in (u, v, u + v, intersect(u, v), annihilator(u), annihilator(v)):
+        for row in sub.basis:
+            for x in row:
+                assert_canonical(x)
+    for row in ur:
+        assert u.contains(row)
+    for row in u.basis:
+        assert (u + v).contains(row)
