@@ -474,9 +474,7 @@ def _verify_all_lines(problem: Problem, args) -> list:
         else:
             lines.append("SKIP normalizer-decomposition (needs a single block)")
 
-        sandwich_ok, sandwich_lines = sandwich_random_suite(
-            alg, args.seed, per_ideal=20, free_count=20
-        )
+        sandwich_ok, sandwich_lines = sandwich_random_suite(alg, args.seed)
         lines.extend(sandwich_lines)
 
         wc_ok = weak_centrality(alg)
@@ -534,7 +532,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_intermixed_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

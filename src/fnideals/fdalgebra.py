@@ -21,6 +21,9 @@ from functools import lru_cache
 from .lattice import BoundedLattice, LimitExceeded, boolean_lattice
 from .linalg import Subspace, rref, vector
 
+# Largest algebra dimension whose 2^dim unit subsets the brute-force oracles close.
+BRUTE_FORCE_DIM_LIMIT = 5
+
 
 @dataclass(frozen=True)
 class AlgebraSpec:
@@ -143,10 +146,10 @@ def ideal_closure(generators, dim: int, products) -> Subspace:
         current = closed
 
 
-def closures_of_unit_subsets(dim: int, products, dim_limit: int) -> frozenset:
+def closures_of_unit_subsets(dim: int, products) -> frozenset:
     """ideal_closure of every subset of the unit basis of a dim-dimensional algebra."""
-    if dim > dim_limit:
-        raise LimitExceeded(f"total dimension {dim} exceeds the search limit {dim_limit}")
+    if dim > BRUTE_FORCE_DIM_LIMIT:
+        raise LimitExceeded(f"total dimension {dim} exceeds the search limit {BRUTE_FORCE_DIM_LIMIT}")
     unit_rows = Subspace.full(dim).basis
     return frozenset(
         ideal_closure(subset, dim, products)
@@ -351,11 +354,11 @@ def tracial_state_basis(spec: AlgebraSpec) -> tuple:
     return tuple(out)
 
 
-def brute_force_ideal_subspaces(spec: AlgebraSpec, dim_limit: int = 5) -> frozenset:
+def brute_force_ideal_subspaces(spec: AlgebraSpec) -> frozenset:
     """Closures of every subset of the matrix-unit basis grid.
 
     Independent completeness oracle for enumerate_ideals: each closure is a
     two-sided ideal, and every block-sum ideal arises from its own units, so
     the closure set must equal the enumerated lattice exactly.
     """
-    return closures_of_unit_subsets(spec.total_dim, unit_products(spec), dim_limit)
+    return closures_of_unit_subsets(spec.total_dim, unit_products(spec))

@@ -36,13 +36,9 @@ class Fixture:
     note: str = ""
 
 
-def _data_text(filename: str) -> str:
-    return resources.files("fnideals").joinpath("data", filename).read_text()
-
-
 def bh2_fixture() -> Fixture:
     """The 9-element two-chain-squared lattice with its nested family."""
-    doc = json.loads(_data_text("bh2.json"))
+    doc = json.loads(resources.files("fnideals").joinpath("data", "bh2.json").read_text())
     lat = lattice_from_dict(doc["lattice"])
     space = SpaceModel(doc["points"])
     family = family_from_lists(lat, space, doc["family"])
@@ -92,12 +88,11 @@ def block_fixture(dims) -> Fixture:
 
 
 _BLOCK_NAMES = ("block_2", "block_3", "block_1_1", "block_1_2", "block_1_1_1")
+_CHAIN_LENGTHS = range(2, 9)
 
 
 def bundled_fixture_names() -> list:
-    doc = json.loads(_data_text("chain_n.json"))
-    chains = [f"chain{m}" for m in range(doc["m_min"], doc["m_max"] + 1)]
-    return ["bh2"] + chains + list(_BLOCK_NAMES)
+    return ["bh2"] + [f"chain{m}" for m in _CHAIN_LENGTHS] + list(_BLOCK_NAMES)
 
 
 def load_fixture(name: str) -> Fixture:
@@ -106,12 +101,9 @@ def load_fixture(name: str) -> Fixture:
     m = re.fullmatch(r"chain(\d+)", name)
     if m:
         length = int(m.group(1))
-        doc = json.loads(_data_text("chain_n.json"))
-        if not doc["m_min"] <= length <= doc["m_max"]:
-            raise ValueError(
-                f"chain length {length} outside bundled range "
-                f"[{doc['m_min']}, {doc['m_max']}]"
-            )
+        if length not in _CHAIN_LENGTHS:
+            lo, hi = _CHAIN_LENGTHS[0], _CHAIN_LENGTHS[-1]
+            raise ValueError(f"chain length {length} outside bundled range [{lo}, {hi}]")
         return chain_fixture(length)
     m = re.fullmatch(r"block((?:_\d+)+)", name)
     if m:

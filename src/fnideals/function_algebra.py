@@ -95,6 +95,8 @@ class FunctionAlgebra:
         self.space = space
         self.dim = space.point_count * spec.total_dim
         self._ideal_subspaces: dict = {}
+        # span[J, B] per stalk tuple, filled by lie.commutator_ideal_span
+        self.commutator_spans: dict = {}
 
     def __repr__(self):
         return f"FunctionAlgebra({self.spec.block_dims}, points={self.space.point_count})"
@@ -240,9 +242,9 @@ def enumerate_all_ideals(alg: FunctionAlgebra, verify: bool = True) -> list:
     return out
 
 
-def brute_force_function_ideals(alg: FunctionAlgebra, dim_limit: int = 5) -> frozenset:
+def brute_force_function_ideals(alg: FunctionAlgebra) -> frozenset:
     """Closure search over basis subsets of B; completeness oracle."""
-    return closures_of_unit_subsets(alg.dim, alg.unit_products, dim_limit)
+    return closures_of_unit_subsets(alg.dim, alg.unit_products)
 
 
 def pointwise_subspace(alg: FunctionAlgebra, parts) -> Subspace:

@@ -21,7 +21,11 @@ from .function_algebra import (
     function_algebra,
 )
 from .lattice import SpaceModel
-from .linalg import Subspace, annihilator, rref, solve_membership_constraints
+from .linalg import Subspace, annihilator, rref
+
+# Candidates the sandwich suite draws per ideal, and outside every bound.
+SANDWICH_PER_IDEAL = 20
+SANDWICH_FREE_COUNT = 20
 
 
 def _ideal_subspace(alg: FunctionAlgebra, ideal) -> Subspace:
@@ -63,13 +67,20 @@ def lie_normalizer(alg: FunctionAlgebra, ideal) -> Subspace:
     """
     ann = annihilator(_ideal_subspace(alg, ideal))
     rows = [row for phi in ann.basis for row in _brackets(alg, phi)]
-    return solve_membership_constraints(rows, alg.dim)
+    return annihilator(rref(rows, alg.dim))
 
 
 def commutator_ideal_span(alg: FunctionAlgebra, ideal) -> Subspace:
-    """Span of [v, b] over basis rows v of the ideal and basis elements b."""
+    """Span of [v, b] over basis rows v of the ideal and basis elements b,
+    memoized per stalk tuple on the algebra when the ideal is a PointwiseIdeal."""
+    memo = isinstance(ideal, PointwiseIdeal)
+    if memo and ideal.stalks in alg.commutator_spans:
+        return alg.commutator_spans[ideal.stalks]
     sub = _ideal_subspace(alg, ideal)
-    return rref([row for v in sub.basis for row in _brackets(alg, v)], alg.dim)
+    span = rref([row for v in sub.basis for row in _brackets(alg, v)], alg.dim)
+    if memo:
+        alg.commutator_spans[ideal.stalks] = span
+    return span
 
 
 @dataclass(frozen=True)
@@ -135,9 +146,7 @@ def _random_combination_rows(base: Subspace, rng, count: int) -> list:
     return rows
 
 
-def sandwich_random_suite(
-    alg: FunctionAlgebra, seed: int, per_ideal: int, free_count: int
-) -> tuple:
+def sandwich_random_suite(alg: FunctionAlgebra, seed: int) -> tuple:
     """Randomized check that the sandwich bounds characterize Lie ideals.
 
     Part one: subspaces between span[J,B] and N(J) must all be Lie ideals
@@ -153,7 +162,7 @@ def sandwich_random_suite(
     bad_between = 0
     checked_between = 0
     for lower, upper in bounds:
-        for _ in range(per_ideal):
+        for _ in range(SANDWICH_PER_IDEAL):
             extra = _random_combination_rows(upper, rng, rng.randint(0, upper.dim))
             cand = LieCandidate(alg, rref(list(lower.basis) + extra, alg.dim))
             checked_between += 1
@@ -162,7 +171,7 @@ def sandwich_random_suite(
     bad_free = 0
     checked_free = 0
     attempts = 0
-    while checked_free < free_count and attempts < free_count * 50:
+    while checked_free < SANDWICH_FREE_COUNT and attempts < SANDWICH_FREE_COUNT * 50:
         attempts += 1
         sub = random_subspace(alg.dim, rng)
         cand = LieCandidate(alg, sub)

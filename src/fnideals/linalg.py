@@ -7,7 +7,11 @@ Scalar only arises from a non-real input, and a Scalar result whose
 imaginary part is 0 comes back as a plain number.  Elimination scales by
 exact inverses, never by int / int, so no float arises.  Subspaces are stored as reduced
 row-echelon bases, which makes RREF a true canonical form: two subspaces are
-equal as sets iff their Subspace values compare equal field-for-field.  All
+equal as sets iff their Subspace values compare equal field-for-field.
+
+There is one elimination layout: `rref` reduces rows of the ambient width.
+Sums concatenate bases and reduce them; the annihilator is read off an RREF
+basis; an intersection is the annihilator of the sum of annihilators.  All
 values are immutable; every operation returns a fresh value, so the module
 is safe to use from multiple threads.
 """
@@ -327,19 +331,13 @@ def rref(rows: Iterable[Sequence], ambient_dim: int) -> Subspace:
 
 
 def intersect(u: Subspace, v: Subspace) -> Subspace:
-    """Intersection via the Zassenhaus block trick on [[U U], [V 0]]."""
-    if u.ambient_dim != v.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    n = u.ambient_dim
-    work = []
-    for row in u.basis:
-        work.append(list(row) + list(row))
-    zeros = [0] * n
-    for row in v.basis:
-        work.append(list(row) + zeros)
-    reduced = _echelon(work, 2 * n)
-    right = [row[n:] for row in reduced if not any(row[:n])]
-    return rref(right, n)
+    """U intersect V as ann(ann(U) + ann(V)).
+
+    ann(U) + ann(V) is exactly the set of functionals vanishing on U
+    intersect V, and the double annihilator is exact; mismatched ambient
+    dimensions raise in the sum.
+    """
+    return annihilator(annihilator(u) + annihilator(v))
 
 
 def annihilator(u: Subspace) -> Subspace:
@@ -360,8 +358,3 @@ def annihilator(u: Subspace) -> Subspace:
                 vec[p] = -row[f]
         rows.append(vec)
     return rref(rows, n)
-
-
-def solve_membership_constraints(rows: Iterable[Sequence], ambient_dim: int) -> Subspace:
-    """Solution space { v : r . v = 0 for every constraint row r }."""
-    return annihilator(rref(rows, ambient_dim))

@@ -97,6 +97,16 @@ def test_verify_all_bound_skips_bijection_count(tmp_path, capsys):
     assert not any(line.startswith("PASS bijection-count") for line in lines)
 
 
+def test_options_may_come_before_or_after_the_problem_file(tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"blocks": [1, 2], "points": 2}))
+    runs = []
+    for argv in (["cqp", str(path), "--seed", "1"], ["cqp", "--seed", "1", str(path)]):
+        runs.append((main(argv), *capsys.readouterr()))
+    assert runs[0][0] == 0 and "cqp: true" in runs[0][1].splitlines()
+    assert runs[1] == runs[0]
+
+
 def test_normalizer_reports_precondition_on_two_blocks(tmp_path, capsys):
     doc = {"blocks": [1, 1], "points": 1, "ideal": [0]}
     code, out, _ = run_cli(tmp_path, capsys, ["normalizer"], doc)

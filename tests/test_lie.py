@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from fnideals import lie
 from fnideals.fdalgebra import AlgebraSpec, commutator_span, tracial_state_basis
 from fnideals.function_algebra import (
+    FunctionAlgebra,
     PointwiseIdeal,
     enumerate_all_ideals,
     function_algebra,
@@ -213,6 +214,37 @@ def test_commutator_ideal_commutative_algebra_is_zero():
     assert commutator_ideal_span(alg, top) == Subspace.zero(alg.dim)
 
 
+def test_commutator_ideal_span_is_memoized_per_stalk_tuple(monkeypatch):
+    """A second call for the same ideal runs no rref.  A fresh instance is
+    used, so the patched rref never fills the memo of a shared algebra."""
+    alg = FunctionAlgebra(M12, SpaceModel(2))
+    calls = []
+
+    def counted(rows, dim):
+        calls.append(dim)
+        return rref(rows, dim)
+
+    monkeypatch.setattr(lie, "rref", counted)
+    ideal = ideal_of(alg, 2, 3)
+    first = commutator_ideal_span(alg, ideal)
+    assert len(calls) == 1
+    again = commutator_ideal_span(alg, ideal_of(alg, 2, 3))
+    assert len(calls) == 1
+    assert again == first
+    assert commutator_ideal_span(alg, alg.ideal_subspace(ideal)) == first
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("spec, points", [(M2, 2), (M12, 2)])
+def test_memoized_commutator_spans_match_the_subspace_path(spec, points):
+    """Every memo entry of a shared algebra equals the span computed afresh."""
+    alg = function_algebra(spec, points)
+    for ideal in enumerate_all_ideals(alg, verify=False):
+        commutator_ideal_span(alg, ideal)
+    for stalks, span in alg.commutator_spans.items():
+        assert span == commutator_ideal_span(alg, alg.ideal_subspace(ideal_of(alg, *stalks)))
+
+
 @pytest.mark.parametrize("spec, points", [(M2, 1), (M2, 2), (M12, 2)])
 def test_commutator_ideal_intersection_identity(spec, points):
     """span[J, B] = J intersect [B, B] for every ideal J."""
@@ -307,14 +339,14 @@ def test_sl_type_subspace_is_not_ideal_plus_centre():
 @pytest.mark.parametrize("points", [1, 2])
 def test_sandwich_random_suite_small(points):
     alg = function_algebra(M2, points)
-    ok, lines = sandwich_random_suite(alg, seed=11, per_ideal=15, free_count=15)
+    ok, lines = sandwich_random_suite(alg, seed=11)
     assert ok, lines
 
 
 def test_sandwich_suite_catches_witness_without_lower_bound_test(monkeypatch):
     """A witness that skips span[J_min, B] <= L must make the suite FAIL."""
     monkeypatch.setattr(lie, "sandwich_witness", least_normalizing_ideal)
-    ok, lines = sandwich_random_suite(function_algebra(M2, 2), seed=11, per_ideal=15, free_count=15)
+    ok, lines = sandwich_random_suite(function_algebra(M2, 2), seed=11)
     assert not ok
     assert lines[1].startswith("FAIL sandwich-outside-bounds"), lines
 
