@@ -1,7 +1,8 @@
 """Exhaustive finite-model verification of ideal and Lie-ideal lattices of
 algebra-valued function algebras.
 
-Everything is exact (Gaussian-rational arithmetic) and every value type is
+Everything is exact (rational arithmetic; the CLI decides a subspace with
+non-real entries through its realification) and every value type is
 immutable, so the library is safe to drive from concurrent callers.
 """
 
@@ -53,6 +54,6 @@ from .lie import (
     sandwich_witness,
     weak_centrality,
 )
-from .linalg import Scalar, Subspace, annihilator, intersect, rref
+from .linalg import Subspace, annihilator, intersect, rref
 
 __version__ = "0.1.0"

@@ -52,7 +52,7 @@ from .lie import (
     sandwich_witness,
     weak_centrality,
 )
-from .linalg import Scalar, Subspace, rref
+from .linalg import rref, vector
 
 MAX_LATTICE_SIZE = 12
 MAX_POINTS = 4
@@ -75,7 +75,7 @@ class Problem:
     stalks: tuple | None = None
     y_points: tuple | None = None
     ideal_index: int | None = None
-    subspace_rows: tuple | None = None
+    subspace_rows: tuple | None = None  # rows of (re, im) pairs
 
 
 def _is_int(v) -> bool:
@@ -83,18 +83,39 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _scalar_from_json(v):
+def _parse_scalar(text: str) -> tuple:
+    """Parse "p/q", "r/s i" or "p/q+r/s i" (signs and spaces allowed) into
+    (re, im), each in canonical form."""
+    t = text.strip()
+    if not t:
+        raise ValueError("empty scalar")
+    if not t.endswith("i"):
+        return vector((t, 0))
+    body = t[:-1].strip()
+    if body in ("", "+", "-"):
+        return (0, -1) if body == "-" else (0, 1)
+    for k in range(len(body) - 1, 0, -1):
+        if body[k] in "+-" and body[k - 1] not in "+-/":
+            im_part = body[k:].strip()
+            if im_part in ("+", "-"):
+                im_part += "1"
+            return vector((body[:k].strip(), im_part))
+    return vector((0, body))
+
+
+def _scalar_from_json(v) -> tuple:
+    """A subspace entry as (re, im)."""
     if isinstance(v, bool):
         raise InputError(f"scalar entry {v!r} is not a number")
     if isinstance(v, int):
-        return v
+        return v, 0
     if isinstance(v, float):
         if v.is_integer():
-            return int(v)
+            return int(v), 0
         raise InputError(f"scalar entry {v!r} is not exact; use a rational string")
     if isinstance(v, str):
         try:
-            return Scalar.parse(v)
+            return _parse_scalar(v)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"cannot parse scalar {v!r}: {exc}") from None
     raise InputError(f"scalar entry {v!r} has unsupported type")
@@ -374,10 +395,19 @@ def cmd_normalizer(problem: Problem, args) -> int:
 
 
 def cmd_sandwich(problem: Problem, args) -> int:
+    """Decide L over the rationals through its realification: B is real, so
+    L is a Lie ideal of B iff the span of (Re v, Im v) and (-Im v, Re v) over
+    its rows v is closed under the halfwise brackets (see lie.LieCandidate)."""
     alg = _need_algebra(problem)
     rows = _need(problem, "subspace_rows", "a subspace member")
+    realified = []
+    for row in rows:
+        re = [x for x, _ in row]
+        im = [y for _, y in row]
+        realified.append(re + im)
+        realified.append([-y for y in im] + re)
     try:
-        sub = rref(rows, alg.dim)
+        sub = rref(realified, 2 * alg.dim)
     except ValueError as exc:
         raise InputError(str(exc)) from None
     candidate = LieCandidate(alg, sub)

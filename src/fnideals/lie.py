@@ -41,21 +41,25 @@ def _ideal_subspace(alg: FunctionAlgebra, ideal) -> Subspace:
 def _brackets(alg: FunctionAlgebra, v) -> list:
     """[v, e_b] as dense rows, for each basis e_b whose bracket with v has a term.
 
+    v may hold several elements of B side by side (a realified row holds
+    (Re, Im)); B is real, so each is bracketed with e_b in its own slot.
     A row's terms may cancel to zero; callers only span or test membership.
     """
     comm = alg.commutator_table
     dim = alg.dim
+    width = len(v)
     rows = [None] * dim
     for i, f in enumerate(v):
         if not f:
             continue
-        for b, terms in enumerate(comm[i]):
+        offset = i - i % dim
+        for b, terms in enumerate(comm[i - offset]):
             if terms:
                 row = rows[b]
                 if row is None:
-                    row = rows[b] = [0] * dim
+                    row = rows[b] = [0] * width
                 for c, s in terms:
-                    row[c] = row[c] + f * s
+                    row[offset + c] = row[offset + c] + f * s
     return [row for row in rows if row is not None]
 
 
@@ -85,7 +89,12 @@ def commutator_ideal_span(alg: FunctionAlgebra, ideal) -> Subspace:
 
 @dataclass(frozen=True)
 class LieCandidate:
-    """A closed subspace of B offered as a potential Lie ideal."""
+    """A closed subspace L of B offered as a potential Lie ideal.
+
+    `space` is L itself (width dim B) or, for a complex L, its realification:
+    the rational span of (Re v, Im v) over v in L (width 2 dim B).  B is
+    real, so every test below reads the same answer off either form.
+    """
 
     alg: FunctionAlgebra
     space: Subspace
@@ -93,7 +102,7 @@ class LieCandidate:
     brackets: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.space.ambient_dim != self.alg.dim:
+        if self.space.ambient_dim not in (self.alg.dim, 2 * self.alg.dim):
             raise ValueError("candidate does not live in the algebra's coordinate space")
         rows = tuple(row for v in self.space.basis for row in _brackets(self.alg, v))
         object.__setattr__(self, "brackets", rows)
@@ -106,13 +115,14 @@ def is_lie_ideal(candidate: LieCandidate) -> bool:
 
 def least_normalizing_ideal(candidate: LieCandidate) -> PointwiseIdeal:
     """J_min, the least ideal J with [L, B] <= J (equivalently L <= N(J)): its
-    stalk at x masks the blocks where some [v, e_b], v in L's basis, is nonzero."""
+    stalk at x masks the blocks where some [v, e_b], v in L's basis, is nonzero
+    (in its real or its imaginary part)."""
     alg = candidate.alg
     masks = [0] * alg.space.point_count
     for row in candidate.brackets:
         for i, c in enumerate(row):
             if c:
-                x, b, _, _ = alg.coord_info(i)
+                x, b, _, _ = alg.coord_info(i % alg.dim)
                 masks[x] |= 1 << b
     return PointwiseIdeal(alg.lattice, alg.space, tuple(masks))
 
@@ -122,9 +132,14 @@ def sandwich_witness(candidate: LieCandidate):
 
     L <= N(J) iff J contains J_min, and span[J, B] grows with J, so J_min
     decides; stalk indices are block masks, so it is the first witness too.
+    span[J, B] is real: it lies in L iff each basis row s has (s, 0) in the
+    realification, so its rows are padded to the candidate's width.
     """
     ideal = least_normalizing_ideal(candidate)
-    return ideal if commutator_ideal_span(candidate.alg, ideal) <= candidate.space else None
+    space = candidate.space
+    pad = (0,) * (space.ambient_dim - candidate.alg.dim)
+    lower = commutator_ideal_span(candidate.alg, ideal)
+    return ideal if all(space._reduces_to_zero(row + pad) for row in lower.basis) else None
 
 
 def random_subspace(dim: int, rng, max_rows: int | None = None) -> Subspace:

@@ -1,13 +1,14 @@
-"""Exact linear algebra over the Gaussian rationals.
+"""Exact linear algebra over the rationals.
 
-Every coordinate is stored in its canonical form: an `int`, a `Fraction`
-whose denominator is not 1, or a `Scalar` (a + b*i) whose imaginary part is
-not 0.  Real values therefore run on Python's own int/Fraction arithmetic; a
-Scalar only arises from a non-real input, and a Scalar result whose
-imaginary part is 0 comes back as a plain number.  Elimination scales by
-exact inverses, never by int / int, so no float arises.  Subspaces are stored as reduced
-row-echelon bases, which makes RREF a true canonical form: two subspaces are
-equal as sets iff their Subspace values compare equal field-for-field.
+Every coordinate is stored in its canonical form: an `int`, or a `Fraction`
+whose denominator is not 1, so values run on Python's own int/Fraction
+arithmetic.  The model B = A^X has rational structure constants, so no
+other number field is needed: the CLI decides a subspace with non-real
+entries through its realification (see `cli.cmd_sandwich`).  Elimination
+scales by exact inverses, never by int / int, so no float arises.  Subspaces
+are stored as reduced row-echelon bases, which makes RREF a true canonical
+form: two subspaces are equal as sets iff their Subspace values compare
+equal field-for-field.
 
 There is one elimination layout: `rref` reduces rows of the ambient width.
 Sums concatenate bases and reduce them; the annihilator is read off an RREF
@@ -24,169 +25,20 @@ from typing import Iterable, Sequence
 
 
 def _rational(x):
-    """x as an int when it is integral, else as a Fraction."""
+    """The canonical form of a number: an int when it is integral, else a
+    Fraction.  Anything Fraction() accepts is read exactly."""
     if type(x) is int:
         return x
     f = x if type(x) is Fraction else Fraction(x)
     return f.numerator if f.denominator == 1 else f
 
 
-def _gaussian(re, im):
-    """Canonical value of re + im*i: a plain rational when im is 0."""
-    if not im:
-        return _rational(re)
-    s = object.__new__(Scalar)
-    s.re = _rational(re)
-    s.im = _rational(im)
-    return s
-
-
-def _parts(x):
-    """(re, im) of an int, Fraction or Scalar; None for any other type."""
-    if type(x) is Scalar:
-        return x.re, x.im
-    if isinstance(x, (int, Fraction)):
-        return x, 0
-    return None
-
-
-def _quotient(a, b, c, d):
-    """(a + b*i) / (c + d*i), exactly."""
-    if not c and not d:
-        raise ZeroDivisionError("division by zero Scalar")
-    norm = Fraction(c * c + d * d)
-    return _gaussian((a * c + b * d) / norm, (b * c - a * d) / norm)
-
-
-class Scalar:
-    """Gaussian rational a + b*i.  Immutable value type with exact arithmetic.
-
-    It mixes with int and Fraction; every result is canonical (see the module
-    docstring).  A Scalar equals, and hashes like, its canonical value.
-    """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = _rational(re)
-        self.im = _rational(im)
-
-    @property
-    def real(self):
-        return self.re
-
-    @property
-    def imag(self):
-        return self.im
-
-    def __add__(self, other):
-        o = _parts(other)
-        if o is None:
-            return NotImplemented
-        return _gaussian(self.re + o[0], self.im + o[1])
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = _parts(other)
-        if o is None:
-            return NotImplemented
-        return _gaussian(self.re - o[0], self.im - o[1])
-
-    def __rsub__(self, other):
-        o = _parts(other)
-        if o is None:
-            return NotImplemented
-        return _gaussian(o[0] - self.re, o[1] - self.im)
-
-    def __mul__(self, other):
-        o = _parts(other)
-        if o is None:
-            return NotImplemented
-        a, b, c, d = self.re, self.im, o[0], o[1]
-        return _gaussian(a * c - b * d, a * d + b * c)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = _parts(other)
-        if o is None:
-            return NotImplemented
-        return _quotient(self.re, self.im, o[0], o[1])
-
-    def __rtruediv__(self, other):
-        o = _parts(other)
-        if o is None:
-            return NotImplemented
-        return _quotient(o[0], o[1], self.re, self.im)
-
-    def __neg__(self):
-        return _gaussian(-self.re, -self.im)
-
-    def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
-
-    def __eq__(self, other) -> bool:
-        o = _parts(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o[0] and self.im == o[1]
-
-    def __hash__(self):
-        return hash((self.re, self.im)) if self.im else hash(self.re)
-
-    def __repr__(self):
-        return f"Scalar({self.re!r}, {self.im!r})"
-
-    def __str__(self):
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"{self.im} i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)} i"
-
-    @staticmethod
-    def parse(text: str):
-        """Parse "p/q", "r/s i" or "p/q+r/s i" (signs and spaces allowed)
-        into its canonical value."""
-        t = text.strip()
-        if not t:
-            raise ValueError("empty scalar")
-        if t.endswith("i"):
-            body = t[:-1].strip()
-            if body in ("", "+"):
-                return _gaussian(0, 1)
-            if body == "-":
-                return _gaussian(0, -1)
-            for k in range(len(body) - 1, 0, -1):
-                if body[k] in "+-" and body[k - 1] not in "+-/":
-                    re_part = body[:k].strip()
-                    im_part = body[k:].strip()
-                    if im_part in ("+", "-"):
-                        im_part += "1"
-                    return _gaussian(Fraction(re_part), Fraction(im_part))
-            return _gaussian(0, Fraction(body))
-        return _rational(Fraction(t))
-
-
-ZERO = 0
-ONE = 1
-
-Vector = tuple  # tuple of canonical values: int, Fraction or non-real Scalar
-
-
-def _canonical(x):
-    """The canonical form of a number: int, Fraction (denominator not 1) or
-    Scalar (imaginary part not 0).  Anything Fraction() accepts is read exactly."""
-    if type(x) is Scalar:
-        return x if x.im else x.re
-    return _rational(x)
+Vector = tuple  # tuple of canonical values: int or Fraction
 
 
 def vector(entries: Iterable) -> Vector:
-    """Coerce ints/Fractions/Scalars into a tuple of canonical values."""
-    return tuple(map(_canonical, entries))
+    """Coerce numbers Fraction() accepts into a tuple of canonical values."""
+    return tuple(map(_rational, entries))
 
 
 def _echelon(work: list, width: int) -> list:
@@ -270,7 +122,7 @@ class Subspace:
         return self._reduces_to_zero(v)
 
     def _reduces_to_zero(self, vec: Sequence) -> bool:
-        """Membership of a row of ints, Fractions or Scalars of the ambient length.
+        """Membership of a row of ints and Fractions of the ambient length.
 
         The package's own rows (basis rows, brackets, translates) already are,
         so they skip the coercion and length check of `contains`.
@@ -323,7 +175,7 @@ def rref(rows: Iterable[Sequence], ambient_dim: int) -> Subspace:
             raise ValueError("row length differs from ambient dimension")
         # coerced as vector() does, without a tuple to throw away: freed tuples of
         # one length pile up on CPython's free list (2,000 rows) between collections
-        row = list(map(_canonical, r))
+        row = list(map(_rational, r))
         if any(row):
             work.append(row)
     reduced = _echelon(work, ambient_dim)

@@ -3,14 +3,23 @@
 import hashlib
 import importlib
 import json
+import random
 from pathlib import Path
 
 import pytest
+from sympy import QQ, QQ_I
+from sympy.polys.matrices import DomainMatrix
 
 from fnideals import cli, decomposition
-from fnideals.cli import main
-from fnideals.function_algebra import PointwiseIdeal
-from fnideals.linalg import Scalar
+from fnideals.cli import _parse_scalar, main
+from fnideals.fdalgebra import AlgebraSpec
+from fnideals.function_algebra import (
+    PointwiseIdeal,
+    enumerate_all_ideals,
+    function_commutator,
+)
+from fnideals.lie import commutator_ideal_span, lie_normalizer
+from oracles import gaussian_text
 
 # The package re-exports a function of the same name over the module.
 function_algebra = importlib.import_module("fnideals.function_algebra")
@@ -43,28 +52,48 @@ BOOLEAN_2 = {
 }
 
 
+def _one_entry(entry):
+    return {"blocks": [2], "points": 1, "subspace": [[entry, 0, 0, 0]]}
+
+
 @pytest.mark.parametrize(
-    "argv, doc",
+    "argv, doc, message",
     [
         # limits are checked before the ideal lattice is enumerated
-        (("validate",), {"blocks": [1000000]}),
-        (("verify-all",), {"blocks": [2], "points": True}),
-        (("validate",), {"lattice": 5}),
-        (("validate",), {"lattice": dict(BOOLEAN_2, meet=5)}),
-        (("sandwich",), {"blocks": [2], "points": 1, "subspace": [5]}),
-        (("ideal-from-y",), {"blocks": [1, 1], "points": 2, "Y": [True], "ideal_index": 1}),
-        (("normalizer",), {"blocks": [1, 1], "points": 1, "ideal": [True]}),
+        (("validate",), {"blocks": [1000000]},
+         "algebra dimension 1000000000000 exceeds the per-point limit 32"),
+        (("verify-all",), {"blocks": [2], "points": True},
+         "points must be a nonnegative integer, got True"),
+        (("validate",), {"lattice": 5}, "bad lattice member: lattice must be a JSON object"),
+        (("validate",), {"lattice": dict(BOOLEAN_2, meet=5)},
+         "bad lattice member: 'int' object is not iterable"),
+        (("sandwich",), {"blocks": [2], "points": 1, "subspace": [5]},
+         "subspace must be a list of rows"),
+        (("ideal-from-y",), {"blocks": [1, 1], "points": 2, "Y": [True], "ideal_index": 1},
+         "bad Y member: point True out of range [0, 2)"),
+        (("normalizer",), {"blocks": [1, 1], "points": 1, "ideal": [True]},
+         "stalk index True out of range"),
         # the top index must carry the whole point set
-        (("verify-all",), {"blocks": [1, 1], "points": 2, "family": [[], [0], [1], [0]]}),
+        (("verify-all",), {"blocks": [1, 1], "points": 2, "family": [[], [0], [1], [0]]},
+         "family must assign the full point set to the top index"),
+        (("sandwich",), _one_entry("x i"),
+         "cannot parse scalar 'x i': Invalid literal for Fraction: 'x'"),
+        (("sandwich",), _one_entry("1/0 i"), "cannot parse scalar '1/0 i': Fraction(1, 0)"),
+        (("sandwich",), _one_entry(""), "cannot parse scalar '': empty scalar"),
+        # a short row is refused after realification with the same text
+        (("sandwich",), {"blocks": [2], "points": 1, "subspace": [[0, "i", 0]]},
+         "row length differs from ambient dimension"),
     ],
     ids=["huge-block", "bool-points", "lattice-not-object", "meet-not-list",
-         "subspace-row-not-list", "bool-point", "bool-stalk", "family-top-not-X"],
+         "subspace-row-not-list", "bool-point", "bool-stalk", "family-top-not-X",
+         "subspace-bad-literal", "subspace-zero-denominator", "subspace-empty-entry",
+         "subspace-short-row"],
 )
-def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv, doc):
+def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv, doc, message):
     code, out, err = run_cli(tmp_path, capsys, argv, doc)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert err == f"error: {message}\n"
 
 
 # sl_2 at point 0 and all of M_2 at point 1 (a Lie ideal); e_12 at point 0 alone (not one)
@@ -79,13 +108,142 @@ E12_AT_0 = [[0, 1, 0, 0, 0, 0, 0, 0]]
 def test_sandwich_on_gaussian_rows_matches_the_real_rows(tmp_path, capsys, rows, verdict, scale):
     """Rows scaled by a non-real scalar span the same subspace, so the Gaussian
     path must print the real rows' report."""
-    c = Scalar.parse(scale)
+    re, im = _parse_scalar(scale)
     doc = {"blocks": [2], "points": 2, "subspace": rows}
     code, real_out, _ = run_cli(tmp_path, capsys, ["sandwich"], doc)
     assert code == 0 and f"lie-ideal: {verdict}" in real_out.splitlines()
-    doc["subspace"] = [[str(c * v) for v in row] for row in rows]
+    doc["subspace"] = [[gaussian_text(re * v, im * v) for v in row] for row in rows]
     assert any(" i" in v for row in doc["subspace"] for v in row)
     assert run_cli(tmp_path, capsys, ["sandwich"], doc) == (code, real_out, "")
+
+
+# ---------------------------------------------------------------------------
+# non-real sandwich input against rank tests over Q(i)
+# ---------------------------------------------------------------------------
+
+def gaussian_rank(rows, dim) -> int:
+    """Rank over Q(i) of rows of (re, im) pairs, in sympy's Gaussian-rational domain."""
+    if not rows:
+        return 0
+    entries = [[QQ_I(QQ.convert(re), QQ.convert(im)) for re, im in row] for row in rows]
+    return DomainMatrix(entries, (len(rows), dim), QQ_I).rank()
+
+
+def bracket_rows(alg, rows) -> list:
+    """[v, e_b] for each row v of (re, im) pairs and each basis element e_b,
+    from dense products of function elements."""
+    units = [alg.basis_element(i) for i in range(alg.dim)]
+    table = [[function_commutator(e, f).to_vector() for f in units] for e in units]
+    out = []
+    for v in rows:
+        for b in range(alg.dim):
+            out.append([
+                (sum(re * table[i][b][c] for i, (re, _) in enumerate(v)),
+                 sum(im * table[i][b][c] for i, (_, im) in enumerate(v)))
+                for c in range(alg.dim)
+            ])
+    return out
+
+
+def oracle_sandwich_report(alg, rows) -> tuple:
+    """(exit, stdout) of `sandwich` on L = span(rows) over Q(i): L is a Lie ideal
+    iff rank(L + [L, B]) = rank L; the witness is the first ideal J in stalk
+    order with span[J, B] <= L and [L, B] <= J."""
+    dim = alg.dim
+    rank_l = gaussian_rank(rows, dim)
+    l_brackets = bracket_rows(alg, rows)
+    lie = gaussian_rank(rows + l_brackets, dim) == rank_l
+    witness = None
+    for ideal in enumerate_all_ideals(alg, verify=False):
+        ideal_rows = []
+        for i in range(dim):
+            x, b, _, _ = alg.coord_info(i)
+            if ideal.stalks[x] >> b & 1:
+                ideal_rows.append([(int(c == i), 0) for c in range(dim)])
+        rank_j = gaussian_rank(ideal_rows, dim)
+        if (gaussian_rank(rows + bracket_rows(alg, ideal_rows), dim) == rank_l
+                and gaussian_rank(ideal_rows + l_brackets, dim) == rank_j):
+            witness = ideal
+            break
+    consistent = lie == (witness is not None)
+    shown = "none" if witness is None else "(" + ",".join(str(s + 1) for s in witness.stalks) + ")"
+    out = (f"lie-ideal: {'true' if lie else 'false'}\nwitness: {shown}\n"
+           f"{'PASS' if consistent else 'FAIL'} sandwich-consistency\n")
+    return (0 if consistent else 1), out
+
+
+def gaussian_combination(rng, basis, dim) -> list:
+    """A random combination of real rows with coefficients in {-2..2} + {-1..1} i."""
+    row = [(0, 0)] * dim
+    for u in basis:
+        a, b = rng.randint(-2, 2), rng.randint(-1, 1)
+        row = [(re + a * x, im + b * x) for (re, im), x in zip(row, u)]
+    return row
+
+
+def random_sandwich_rows(alg, rng, ideals) -> list:
+    """Rows between the bounds of a random ideal J (span[J, B], each row scaled
+    by a nonzero Gaussian, plus Gaussian combinations of N(J)), or free rows."""
+    dim = alg.dim
+    if rng.random() < 0.6:
+        ideal = rng.choice(ideals)
+        rows = []
+        for u in commutator_ideal_span(alg, ideal).basis:
+            a, b = rng.choice([(1, 1), (0, 1), (2, -1), (-1, 0)])
+            rows.append([(a * x, b * x) for x in u])
+        upper = lie_normalizer(alg, ideal).basis
+        rows += [gaussian_combination(rng, upper, dim) for _ in range(rng.randint(1, 2))]
+        return rows
+    return [
+        [(rng.randint(-1, 1), rng.randint(-1, 1)) if rng.random() < 0.4 else (0, 0) for _ in range(dim)]
+        for _ in range(rng.randint(1, 3))
+    ]
+
+
+@pytest.mark.parametrize("blocks, points", [([2], 1), ([1, 2], 1), ([2], 2), ([1, 1], 2)])
+def test_sandwich_on_non_real_rows_matches_rank_tests_over_gaussian_rationals(
+    tmp_path, capsys, blocks, points
+):
+    alg = function_algebra.function_algebra(AlgebraSpec(tuple(blocks)), points)
+    ideals = enumerate_all_ideals(alg, verify=False)
+    rng = random.Random(1904 + len(blocks) * 10 + points)
+    verdicts = set()
+    for _ in range(16):
+        rows = random_sandwich_rows(alg, rng, ideals)
+        doc = {"blocks": blocks, "points": points,
+               "subspace": [[gaussian_text(re, im) for re, im in row] for row in rows]}
+        code, out, err = run_cli(tmp_path, capsys, ["sandwich"], doc)
+        assert (code, out, err) == (*oracle_sandwich_report(alg, rows), ""), doc
+        verdicts.add(out.splitlines()[0])
+    # every subspace of a commutative B is a Lie ideal
+    assert verdicts == {"lie-ideal: true"} | ({"lie-ideal: false"} if max(blocks) > 1 else set())
+
+
+CENTRE_0_PLUS_I_CENTRE_1 = [[1, 0, 0, 1, "i", 0, 0, "i"]]
+BB_ON_2X2 = [
+    [0, 1, 0, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0, 0], [1, 0, 0, -1, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 1, 0, 0, -1],
+]
+
+
+@pytest.mark.parametrize(
+    "doc, verdict, witness",
+    [
+        # span{(1, i)} of the centre plus [B, B]: a Lie ideal no real rows span
+        ({"blocks": [2], "points": 2, "subspace": CENTRE_0_PLUS_I_CENTRE_1 + BB_ON_2X2},
+         "true", "(2,2)"),
+        # e12 at point 0 plus i e12 at point 1
+        ({"blocks": [2], "points": 2, "subspace": [[0, 1, 0, 0, 0, "i", 0, 0]]}, "false", "none"),
+        # B = A^X is the zero algebra
+        ({"blocks": [2], "points": 0, "subspace": []}, "true", "()"),
+        ({"blocks": [2], "points": 0, "subspace": [[]]}, "true", "()"),
+    ],
+    ids=["centre-line-plus-commutators", "e12-plus-i-e12", "zero-points", "zero-points-empty-row"],
+)
+def test_sandwich_fixed_non_real_and_empty_cases(tmp_path, capsys, doc, verdict, witness):
+    code, out, err = run_cli(tmp_path, capsys, ["sandwich"], doc)
+    assert (code, err) == (0, "")
+    assert out == f"lie-ideal: {verdict}\nwitness: {witness}\nPASS sandwich-consistency\n"
 
 
 def test_verify_all_bound_skips_bijection_count(tmp_path, capsys):
@@ -210,7 +368,7 @@ def _golden_cases():
         if q["id"].endswith("/0") or q["group"].startswith(every_variant)
     ]
     # The benchmark's verify-suite problems on the single- and multi-block paths.
-    for blocks, points in (([3], 2), ([2, 2], 2)):
+    for blocks, points in (([3], 2), ([2, 2], 2), ([1, 2], 3)):
         case_id = "verify-suite/blocks_" + "_".join(map(str, blocks)) + f"x{points}"
         cases.append((case_id, ["verify-all", "--seed", "0"], {"blocks": blocks, "points": points}))
     return [pytest.param(*case, id=case[0]) for case in cases]

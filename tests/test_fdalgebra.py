@@ -25,7 +25,7 @@ from fnideals.fdalgebra import (
     unit_translates,
 )
 from fnideals.lattice import LimitExceeded, boolean_lattice
-from fnideals.linalg import ONE, ZERO, Scalar, Subspace, intersect, rref
+from fnideals.linalg import Subspace, intersect, rref
 from oracles import vec_dot
 
 M1 = AlgebraSpec((1,))
@@ -46,7 +46,7 @@ def unit(spec, b, p, q):
 # ---------------------------------------------------------------------------
 
 def test_multiply_identity():
-    x = unit(M2, 0, 0, 1) + unit(M2, 0, 1, 0).scale(Scalar(3))
+    x = unit(M2, 0, 0, 1) + unit(M2, 0, 1, 0).scale(3)
     assert multiply(x, Element.identity(M2)) == x
     assert multiply(Element.identity(M2), x) == x
 
@@ -57,9 +57,9 @@ def test_matrix_unit_product():
 
 
 def test_scalar_blocks_multiply_componentwise():
-    x = Element.from_vector(M11, (Scalar(2), Scalar(3)))
-    y = Element.from_vector(M11, (Scalar(5), Scalar(7)))
-    assert (x * y).to_vector() == (Scalar(10), Scalar(21))
+    x = Element.from_vector(M11, (2, 3))
+    y = Element.from_vector(M11, (5, 7))
+    assert (x * y).to_vector() == (10, 21)
 
 
 def test_multiply_spec_mismatch():
@@ -91,7 +91,7 @@ def test_unit_product_matches_element_multiplication():
 @settings(max_examples=40, deadline=None)
 def test_unit_translates_match_element_multiplication(spec, data):
     vec = tuple(
-        Scalar(data.draw(st.integers(-2, 2))) for _ in range(spec.total_dim)
+        data.draw(st.integers(-2, 2)) for _ in range(spec.total_dim)
     )
     v = Element.from_vector(spec, vec)
     dense = set()
@@ -106,13 +106,13 @@ def test_unit_translates_match_element_multiplication(spec, data):
 
 def test_invariance_check_rejects_a_non_ideal():
     """Negative control: one off-diagonal unit of M_2 spans no ideal."""
-    e12 = rref([(ZERO, ONE, ZERO, ZERO)], 4)
+    e12 = rref([(0, 1, 0, 0)], 4)
     assert not is_invariant(e12, unit_products(M2))
     assert is_invariant(Subspace.full(4), unit_products(M2))
 
 
 def test_enumerate_ideals_fails_on_a_non_invariant_subspace(monkeypatch):
-    e12 = rref([(ZERO, ONE, ZERO, ZERO)], 4)
+    e12 = rref([(0, 1, 0, 0)], 4)
     monkeypatch.setattr(fdalgebra, "block_ideal_subspace", lambda spec, mask: e12)
     with pytest.raises(AssertionError):
         enumerate_ideals.__wrapped__(M2)
@@ -122,7 +122,7 @@ def test_enumerate_ideals_fails_on_a_non_invariant_subspace(monkeypatch):
 @settings(max_examples=40, deadline=None)
 def test_vector_roundtrip(spec, data):
     vec = tuple(
-        Scalar(data.draw(st.integers(-3, 3))) for _ in range(spec.total_dim)
+        data.draw(st.integers(-3, 3)) for _ in range(spec.total_dim)
     )
     assert Element.from_vector(spec, vec).to_vector() == vec
 
@@ -137,8 +137,8 @@ def sympy_centre(spec) -> Subspace:
     units = [Element.matrix_unit(spec, *c) for c in spec.unit_coords()]
     rows = []
     for k in range(d):
-        basis_vec = [ZERO] * d
-        basis_vec[k] = ONE
+        basis_vec = [0] * d
+        basis_vec[k] = 1
         ek = Element.from_vector(spec, basis_vec)
         rows.append([commutator(ek, u).to_vector() for u in units])
     # constraint matrix: one row per (unit, coordinate) pair
@@ -148,7 +148,7 @@ def sympy_centre(spec) -> Subspace:
             m.append([sympy.Rational(rows[k][u_idx][c].real) for k in range(d)])
     null = sympy.Matrix(m).nullspace()
     vecs = [
-        tuple(Scalar(Fraction(int(v.p), int(v.q))) for v in w.T) for w in null
+        tuple(Fraction(int(v.p), int(v.q)) for v in w.T) for w in null
     ]
     return rref(vecs, d)
 
@@ -192,7 +192,7 @@ def test_commutator_span_commutative_is_zero():
 def test_commutator_span_m2_is_trace_zero():
     got = commutator_span(M2)
     assert got.dim == 3
-    trace_zero = rref([(ONE, ZERO, ZERO, -ONE), (ZERO, ONE, ZERO, ZERO), (ZERO, ZERO, ONE, ZERO)], 4)
+    trace_zero = rref([(1, 0, 0, -1), (0, 1, 0, 0), (0, 0, 1, 0)], 4)
     assert got == trace_zero
 
 
@@ -283,12 +283,12 @@ def test_weak_centrality_on_block_ideals(spec):
 
 def test_tracial_state_m2():
     (t,) = tracial_state_basis(M2)
-    half = Scalar(Fraction(1, 2))
-    assert t == (half, ZERO, ZERO, half)
+    half = Fraction(1, 2)
+    assert t == (half, 0, 0, half)
 
 
 def test_tracial_states_commutative():
-    assert tracial_state_basis(M11) == ((ONE, ZERO), (ZERO, ONE))
+    assert tracial_state_basis(M11) == ((1, 0), (0, 1))
 
 
 @pytest.mark.parametrize("spec", SAMPLE_SPECS)
@@ -296,10 +296,10 @@ def test_tracial_states_normalized_and_annihilate_commutators(spec):
     states = tracial_state_basis(spec)
     assert len(states) == spec.num_blocks  # nonempty for every layout
     for b, t in enumerate(states):
-        block_identity = [ZERO] * spec.total_dim
+        block_identity = [0] * spec.total_dim
         for p in range(spec.block_dims[b]):
-            block_identity[spec.coord(b, p, p)] = ONE
-        assert vec_dot(t, block_identity) == ONE
+            block_identity[spec.coord(b, p, p)] = 1
+        assert vec_dot(t, block_identity) == 1
     for t in states:
         for row in commutator_span(spec).basis:
             assert not vec_dot(t, row)

@@ -21,7 +21,7 @@ from fnideals.function_algebra import (
     theta,
 )
 from fnideals.lattice import ClosedFamily, LimitExceeded, SpaceModel, is_compatible
-from fnideals.linalg import Scalar, Subspace, rref
+from fnideals.linalg import Subspace, rref
 
 M2 = AlgebraSpec((2,))
 M11 = AlgebraSpec((1, 1))
@@ -151,7 +151,7 @@ def test_verified_enumeration_fails_on_a_non_invariant_subspace(monkeypatch):
     """Negative control: a corrupted ideal subspace (one off-diagonal unit of
     M_2) must fail the invariance check of enumerate_all_ideals."""
     alg = FunctionAlgebra(M2, SpaceModel(1))
-    e12 = rref([(Scalar(0), Scalar(1), Scalar(0), Scalar(0))], 4)
+    e12 = rref([(0, 1, 0, 0)], 4)
     monkeypatch.setattr(alg, "ideal_subspace", lambda ideal: e12)
     assert len(enumerate_all_ideals(alg, verify=False)) == 2
     with pytest.raises(AssertionError):
@@ -172,7 +172,7 @@ def test_pointwise_ideals_invariant_under_random_elements(data):
     ideals = enumerate_all_ideals(alg, verify=False)
     ideal = data.draw(st.sampled_from(ideals))
     sub = alg.ideal_subspace(ideal)
-    vec = tuple(Scalar(data.draw(st.integers(-2, 2))) for _ in range(alg.dim))
+    vec = tuple(data.draw(st.integers(-2, 2)) for _ in range(alg.dim))
     f = alg.element_from_vector(vec)
     for row in sub.basis:
         v = alg.element_from_vector(row)
@@ -188,7 +188,7 @@ def test_commutator_table_matches_element_commutators():
             eb = alg.basis_element(b)
             expected = function_commutator(ei, eb).to_vector()
             sparse = alg.commutator_table[i][b]
-            dense = [Scalar(0)] * alg.dim
+            dense = [0] * alg.dim
             for c, v in sparse:
                 dense[c] = v
             assert tuple(dense) == expected
@@ -267,18 +267,18 @@ def test_ideal_from_y_sweep(spec, points):
 
 def test_function_element_arithmetic_is_pointwise():
     alg = alg11(2)
-    f = alg.element_from_vector((Scalar(1), Scalar(2), Scalar(3), Scalar(4)))
-    g = alg.element_from_vector((Scalar(5), Scalar(6), Scalar(7), Scalar(8)))
-    assert (f * g).to_vector() == (Scalar(5), Scalar(12), Scalar(21), Scalar(32))
-    assert (f + g).to_vector() == (Scalar(6), Scalar(8), Scalar(10), Scalar(12))
-    assert function_commutator(f, g).to_vector() == (Scalar(0),) * 4
+    f = alg.element_from_vector((1, 2, 3, 4))
+    g = alg.element_from_vector((5, 6, 7, 8))
+    assert (f * g).to_vector() == (5, 12, 21, 32)
+    assert (f + g).to_vector() == (6, 8, 10, 12)
+    assert function_commutator(f, g).to_vector() == (0,) * 4
 
 
 def test_function_element_shape_validation():
     alg = alg11(2)
     with pytest.raises(ValueError):
-        alg.element_from_vector((Scalar(1),) * 3)
-    f = alg.element_from_vector((Scalar(1),) * 4)
-    g = function_algebra(M11, 1).element_from_vector((Scalar(1),) * 2)
+        alg.element_from_vector((1,) * 3)
+    f = alg.element_from_vector((1,) * 4)
+    g = function_algebra(M11, 1).element_from_vector((1,) * 2)
     with pytest.raises(ValueError):
         f * g

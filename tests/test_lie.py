@@ -36,7 +36,7 @@ from fnideals.lie import (
     sandwich_witness,
     weak_centrality,
 )
-from fnideals.linalg import Scalar, Subspace, intersect, rref
+from fnideals.linalg import Subspace, intersect, rref
 from oracles import vec_dot
 
 M2 = AlgebraSpec((2,))
@@ -126,9 +126,8 @@ def dense_brackets(alg, v):
     return [function_commutator(f, alg.basis_element(b)).to_vector() for b in range(alg.dim)]
 
 
-def from_sympy(x) -> Scalar:
-    re, im = sympy.re(x), sympy.im(x)
-    return Scalar(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
+def from_sympy(x) -> Fraction:
+    return Fraction(int(x.p), int(x.q))
 
 
 def sympy_kernel(rows, dim) -> Subspace:
@@ -136,7 +135,7 @@ def sympy_kernel(rows, dim) -> Subspace:
     if not rows:
         return Subspace.full(dim)
     matrix = sympy.Matrix(
-        [[sympy.Rational(v.real) + sympy.Rational(v.imag) * sympy.I for v in row] for row in rows]
+        [[sympy.Rational(v) for v in row] for row in rows]
     )
     return rref([tuple(from_sympy(x) for x in w) for w in matrix.nullspace()], dim)
 
@@ -266,7 +265,7 @@ def test_tracial_states_annihilate_commutator_ideal(spec, points):
     d = spec.total_dim
     for x in range(points):
         for t in tracial_state_basis(spec):
-            extended = [Scalar(0)] * alg.dim
+            extended = [0] * alg.dim
             extended[x * d : (x + 1) * d] = list(t)
             for row in bb.basis:
                 assert not vec_dot(extended, row)
@@ -291,7 +290,7 @@ def test_commutator_span_is_lie_ideal_with_top_witness():
 
 def test_single_matrix_unit_is_not_lie_ideal():
     alg = function_algebra(M2, 1)
-    e12 = rref([(Scalar(0), Scalar(1), Scalar(0), Scalar(0))], 4)
+    e12 = rref([(0, 1, 0, 0)], 4)
     cand = LieCandidate(alg, e12)
     assert not is_lie_ideal(cand)
     assert sandwich_witness(cand) is None
@@ -318,7 +317,7 @@ def test_ideal_plus_central_subspace_is_always_lie_ideal():
         for _ in range(5):
             k_rows = []
             for row in centre.basis:
-                c = Scalar(rng.randint(-2, 2))
+                c = rng.randint(-2, 2)
                 k_rows.append([c * v for v in row])
             sub = rref(list(alg.ideal_subspace(ideal).basis) + k_rows, alg.dim)
             assert is_lie_ideal(LieCandidate(alg, sub))

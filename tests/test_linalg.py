@@ -1,4 +1,5 @@
-"""Exact subspace arithmetic, cross-checked against sympy as an independent oracle."""
+"""Exact subspace arithmetic over the rationals, cross-checked against sympy as
+an independent oracle, and the CLI's parser of Gaussian-rational entries."""
 
 from fractions import Fraction
 
@@ -7,20 +8,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fnideals.linalg import (
-    ONE,
-    ZERO,
-    Scalar,
-    Subspace,
-    annihilator,
-    intersect,
-    rref,
-    vector,
-)
-
-
-def S(re, im=0):
-    return Scalar(Fraction(re), Fraction(im))
+from fnideals.cli import _parse_scalar
+from fnideals.linalg import Subspace, annihilator, intersect, rref, vector
+from oracles import gaussian_text
 
 
 def V(*entries):
@@ -33,13 +23,12 @@ def V(*entries):
 
 def to_sympy_matrix(rows, dim):
     return sympy.Matrix(
-        [[sympy.Rational(v.real) + sympy.Rational(v.imag) * sympy.I for v in row] for row in rows]
+        [[sympy.Rational(v) for v in row] for row in rows]
     ) if rows else sympy.zeros(0, dim)
 
 
-def from_sympy_value(v) -> Scalar:
-    re, im = v.as_real_imag()
-    return Scalar(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
+def from_sympy_value(v) -> Fraction:
+    return Fraction(int(v.p), int(v.q))
 
 
 def oracle_rref(rows, dim) -> tuple:
@@ -67,39 +56,26 @@ def oracle_intersection(u_rows, v_rows, dim) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Scalar
+# the CLI's scalar parser, which feeds the realified rows of `sandwich`
 # ---------------------------------------------------------------------------
-
-def test_scalar_arithmetic_is_exact():
-    a = S(Fraction(1, 3), Fraction(-2, 7))
-    b = S(Fraction(5, 11), Fraction(4, 9))
-    assert (a + b) - b == a
-    assert (a * b) / b == a
-    assert a * b == b * a
-
-
-def test_scalar_division_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        S(1) / S(0)
-
 
 @pytest.mark.parametrize(
     "text, value",
     [
-        ("0", S(0)),
-        ("2", S(2)),
-        ("-3/4", S(Fraction(-3, 4))),
-        ("1/2+3/4 i", S(Fraction(1, 2), Fraction(3, 4))),
-        ("1/2-3/4 i", S(Fraction(1, 2), Fraction(-3, 4))),
-        ("3/4 i", S(0, Fraction(3, 4))),
-        ("-2 i", S(0, -2)),
-        ("i", S(0, 1)),
-        ("-i", S(0, -1)),
-        ("1/2+i", S(Fraction(1, 2), 1)),
+        ("0", (0, 0)),
+        ("2", (2, 0)),
+        ("-3/4", (Fraction(-3, 4), 0)),
+        ("1/2+3/4 i", (Fraction(1, 2), Fraction(3, 4))),
+        ("1/2-3/4 i", (Fraction(1, 2), Fraction(-3, 4))),
+        ("3/4 i", (0, Fraction(3, 4))),
+        ("-2 i", (0, -2)),
+        ("i", (0, 1)),
+        ("-i", (0, -1)),
+        ("1/2+i", (Fraction(1, 2), 1)),
     ],
 )
 def test_scalar_parse(text, value):
-    assert Scalar.parse(text) == value
+    assert _parse_scalar(text) == value
 
 
 @given(
@@ -107,110 +83,36 @@ def test_scalar_parse(text, value):
     st.fractions(min_value=-5, max_value=5, max_denominator=7),
 )
 def test_scalar_format_parse_roundtrip(re, im):
-    s = Scalar(re, im)
-    assert Scalar.parse(str(s)) == s
-    assert_canonical(Scalar.parse(str(s)))
+    parsed = _parse_scalar(gaussian_text(re, im))
+    assert parsed == (re, im)
+    for x in parsed:
+        assert_canonical(x)
 
 
 def test_scalar_parse_rejects_garbage():
     for bad in ("", "one", "1//2", "2-"):
         with pytest.raises(ValueError):
-            Scalar.parse(bad)
-
-
-def test_scalar_product_with_zero_imaginary_part_is_an_int():
-    r = Scalar(0, 1) * Scalar(0, 1)
-    assert type(r) is int and r == -1
-
-
-def test_scalar_mixes_exactly_with_int_and_fraction():
-    assert 2 * Scalar(0, 1) == Scalar(0, 2)
-    assert Scalar(0, 1) * 2 == Scalar(0, 2)
-    assert Fraction(1, 2) - Scalar(0, 1) == S(Fraction(1, 2), -1)
-    assert Scalar(0, 1) - Fraction(1, 2) == S(Fraction(-1, 2), 1)
-    assert 1 / Scalar(1, 1) == S(Fraction(1, 2), Fraction(-1, 2))
-    assert Scalar(1, 1) / 2 == S(Fraction(1, 2), Fraction(1, 2))
-    assert 3 + Scalar(0, 1) - Scalar(0, 1) == 3
-    assert type(3 + Scalar(0, 1) - Scalar(0, 1)) is int
-    q = Scalar(1, 1) / Scalar(2, 2)
-    assert type(q) is Fraction and q == Fraction(1, 2)
+            _parse_scalar(bad)
 
 
 def test_vector_gives_canonical_values():
-    got = vector([Fraction(4, 2), Scalar(3), Scalar(1, Fraction(2, 2)), 2.5, Fraction(1, 3)])
-    assert got == (2, 3, Scalar(1, 1), Fraction(5, 2), Fraction(1, 3))
-    assert [type(x) for x in got] == [int, int, Scalar, Fraction, Fraction]
-    assert type(Scalar(1, 1).im) is int
-
-
-def test_scalar_real_and_imag():
-    s = S(Fraction(1, 2), -3)
-    assert (s.real, s.imag) == (Fraction(1, 2), -3)
-    assert type(s.imag) is int
-    for x in (4, Fraction(2, 3)):
-        assert (x.real, x.imag) == (x, 0)
-
-
-def test_scalar_equals_and_hashes_like_its_canonical_value():
-    pairs = ((Scalar(3), 3), (Scalar(Fraction(4, 2)), 2), (S(Fraction(1, 2)), Fraction(1, 2)))
-    for s, plain in pairs:
-        assert s == plain and plain == s
-        assert hash(s) == hash(plain)
-        assert len({s, plain}) == 1
-    assert Scalar(0, 1) != 0 and 0 != Scalar(0, 1)
-    assert Scalar(1, 1) != 1
-
-
-def test_scalar_division_by_zero_mixed():
-    cases = (
-        (Scalar(1, 1), 0), (1, Scalar(0)), (Fraction(1, 2), Scalar(0, 0)), (Scalar(0, 1), Fraction(0))
-    )
-    for num, den in cases:
-        with pytest.raises(ZeroDivisionError):
-            num / den
-
-
-def as_sympy(x):
-    return sympy.Rational(x.real) + sympy.Rational(x.imag) * sympy.I
+    got = vector([Fraction(4, 2), 3, 2.5, Fraction(1, 3)])
+    assert got == (2, 3, Fraction(5, 2), Fraction(1, 3))
+    assert [type(x) for x in got] == [int, int, Fraction, Fraction]
 
 
 def assert_canonical(x):
-    """int, Fraction with denominator > 1, or Scalar with nonzero imaginary part."""
-    if type(x) is Scalar:
-        assert x.im != 0
-        assert_canonical(x.re)
-        assert_canonical(x.im)
-    elif type(x) is Fraction:
+    """int, or Fraction with denominator > 1."""
+    if type(x) is Fraction:
         assert x.denominator > 1
     else:
         assert type(x) is int
 
 
-gaussians = st.builds(
-    Scalar,
-    st.fractions(min_value=-2, max_value=2, max_denominator=3),
-    st.fractions(min_value=-1, max_value=1, max_denominator=2),
-)
-# ints, Fractions (some integral) and Scalars (some real): every kind an entry may arrive as
+# ints and Fractions (some integral): every kind an entry may arrive as
 raw_entries = st.one_of(
-    st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4), gaussians
+    st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)
 )
-
-
-@given(gaussians, raw_entries)
-@settings(max_examples=150, deadline=None)
-def test_scalar_arithmetic_is_canonical_and_matches_sympy(s, x):
-    """Every result with a Scalar operand, on either side, is canonical and exact."""
-    ss, sx = as_sympy(s), as_sympy(x)
-    cases = [(s + x, ss + sx), (x + s, sx + ss), (s - x, ss - sx), (x - s, sx - ss),
-             (s * x, ss * sx), (x * s, sx * ss), (-s, -ss)]
-    if x:
-        cases.append((s / x, ss / sx))
-    if s:
-        cases.append((x / s, sx / ss))
-    for got, want in cases:
-        assert_canonical(got)
-        assert sympy.simplify(as_sympy(got) - want) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +150,7 @@ def test_subspace_rejects_a_zero_basis_row():
         Subspace(2, (V(1, 0), V(0, 0)))
 
 
-scalars = st.builds(
-    Scalar,
-    st.fractions(min_value=-3, max_value=3, max_denominator=3),
-    st.fractions(min_value=-1, max_value=1, max_denominator=2),
-)
+scalars = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
 
 def rows_strategy(dim, max_rows=4):
@@ -284,7 +182,7 @@ def test_rref_canonical_under_regeneration(case, rng):
     if len(rows) >= 2:
         shuffled.append(vector([a + b for a, b in zip(rows[0], rows[1])]))
     if rows:
-        shuffled.append(vector([S(3) * a for a in rows[0]]))
+        shuffled.append(vector([3 * a for a in rows[0]]))
     assert rref(shuffled, dim) == first
 
 
@@ -383,7 +281,7 @@ def test_annihilator_pairing_and_double_dual(case):
     assert ann.dim == dim - u.dim
     for phi in ann.basis:
         for row in u.basis:
-            assert not sum((a * b for a, b in zip(phi, row)), ZERO)
+            assert not sum(a * b for a, b in zip(phi, row))
     assert annihilator(ann) == u
 
 
@@ -392,7 +290,7 @@ def test_annihilator_pairing_and_double_dual(case):
 def test_contains_closed_under_combinations(case):
     dim, rows = case
     u = rref(rows, dim)
-    assert u.contains([ZERO] * dim)
+    assert u.contains([0] * dim)
     if u.dim >= 2:
         combo = [a + b for a, b in zip(u.basis[0], u.basis[1])]
         assert u.contains(combo)
@@ -411,7 +309,7 @@ def mixed_rows(dim, max_rows=4):
 )
 @settings(max_examples=120, deadline=None)
 def test_exactness_guard_every_basis_entry_is_canonical(case):
-    """No float, no integral Fraction and no real Scalar reaches any Subspace."""
+    """No float and no integral Fraction reaches any Subspace."""
     dim, ur, vr = case
     u, v = rref(ur, dim), rref(vr, dim)
     for sub in (u, v, u + v, intersect(u, v), annihilator(u), annihilator(v)):
