@@ -123,16 +123,23 @@ def _scalar_from_json(v) -> tuple:
 
 def _load_document(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"problem file is not UTF-8: invalid byte at offset {exc.start}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(
             f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError:
+        # int() refuses a literal longer than sys.get_int_max_str_digits()
+        raise InputError("malformed JSON: a number has too many digits") from None
+    except RecursionError:
+        raise InputError("malformed JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise InputError("problem file must contain a JSON object")
     return doc

@@ -5,10 +5,11 @@ whose denominator is not 1, so values run on Python's own int/Fraction
 arithmetic.  The model B = A^X has rational structure constants, so no
 other number field is needed: the CLI decides a subspace with non-real
 entries through its realification (see `cli.cmd_sandwich`).  Elimination
-scales by exact inverses, never by int / int, so no float arises.  Subspaces
-are stored as reduced row-echelon bases, which makes RREF a true canonical
-form: two subspaces are equal as sets iff their Subspace values compare
-equal field-for-field.
+is fraction-free: `rref` scales each row to integers, eliminates with integer
+arithmetic only and divides each pivot row by its pivot once, at the end, as
+an exact Fraction, so no float arises.  Subspaces are stored as reduced
+row-echelon bases, which makes RREF a true canonical form: two subspaces are
+equal as sets iff their Subspace values compare equal field-for-field.
 
 There is one elimination layout: `rref` reduces rows of the ambient width.
 Sums concatenate bases and reduce them; the annihilator is read off an RREF
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
@@ -42,14 +44,19 @@ def vector(entries: Iterable) -> Vector:
 
 
 def _echelon(work: list, width: int) -> list:
-    """In-place reduced row echelon over `width` columns; returns nonzero rows.
+    """Reduced row echelon form of integer rows over `width` columns.
 
-    Entries stay canonical: the pivot row is scaled by the exact inverse
-    Fraction(1, pv) (so no int division makes a float), and any Fraction
-    result with denominator 1 is dropped back to an int.
+    Fraction-free (integer-preserving, after Bareiss): the pivot row clears an
+    entry f of another row by row <- a*row - b*pivot_row, with a = pivot/g and
+    b = f/g for g = gcd(pivot, f).  A row scaled by a != 1 is divided by the
+    gcd of its entries, which keeps the integers small; when a = 1 it is
+    updated in place, with no copy and no gcd.  Each finished row is divided
+    by its pivot at the end, leaving canonical entries.  `work` is consumed;
+    the nonzero rows are returned as tuples.
     """
     nrows = len(work)
     prow = 0
+    pivots = []
     for col in range(width):
         pr = -1
         for i in range(prow, nrows):
@@ -59,34 +66,35 @@ def _echelon(work: list, width: int) -> list:
         if pr < 0:
             continue
         work[prow], work[pr] = work[pr], work[prow]
-        pivot_row = work[prow]
-        pv = pivot_row[col]
-        if pv != 1:
-            inv = Fraction(1, pv) if type(pv) is int else 1 / pv
-            for c in range(col, width):
-                p = pivot_row[c]
-                if p:
-                    p = p * inv
-                    if type(p) is Fraction and p.denominator == 1:
-                        p = p.numerator
-                    pivot_row[c] = p
-        terms = [(c, p) for c in range(col, width) if (p := pivot_row[c])]
+        pv = work[prow][col]
+        terms = [(c, p) for c in range(col, width) if (p := work[prow][c])]
         for i in range(nrows):
-            if i == prow:
-                continue
             row = work[i]
             f = row[col]
-            if not f:
+            if not f or i == prow:
                 continue
+            g = gcd(pv, f)
+            a, b = pv // g, f // g
+            if a < 0:
+                a, b = -a, -b
+            if a != 1:
+                row = [a * x for x in row]
             for c, p in terms:
-                x = row[c] - f * p
-                if type(x) is Fraction and x.denominator == 1:
-                    x = x.numerator
-                row[c] = x
+                row[c] -= b * p
+            if a != 1:
+                g = gcd(*row)
+                work[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(col)
         prow += 1
         if prow == nrows:
             break
-    return work[:prow]
+    # tuple() of a list, not of a generator, whose tuple is built by growing and
+    # shrinking: that form measured a third more traced peak memory in verify-all
+    return [
+        tuple(row) if (pv := row[col]) == 1
+        else tuple([x // pv if x % pv == 0 else Fraction(x, pv) for x in row])
+        for row, col in zip(work, pivots)
+    ]
 
 
 @dataclass(frozen=True)
@@ -173,13 +181,23 @@ def rref(rows: Iterable[Sequence], ambient_dim: int) -> Subspace:
     for r in rows:
         if len(r) != ambient_dim:
             raise ValueError("row length differs from ambient dimension")
-        # coerced as vector() does, without a tuple to throw away: freed tuples of
-        # one length pile up on CPython's free list (2,000 rows) between collections
-        row = list(map(_rational, r))
+        # coerced as vector() does, and scaled to integers by the lcm of the
+        # denominators met on the way, without a tuple to throw away: freed tuples
+        # of one length pile up on CPython's free list (2,000 rows) between collections
+        row = []
+        den = 1
+        for x in r:
+            if type(x) is not int:
+                x = _rational(x)
+                if type(x) is Fraction:
+                    den = lcm(den, x.denominator)
+            row.append(x)
+        if den != 1:
+            row = [x.numerator * (den // x.denominator) if type(x) is Fraction else x * den
+                   for x in row]
         if any(row):
             work.append(row)
-    reduced = _echelon(work, ambient_dim)
-    return Subspace(ambient_dim, tuple(tuple(r) for r in reduced))
+    return Subspace(ambient_dim, tuple(_echelon(work, ambient_dim)))
 
 
 def intersect(u: Subspace, v: Subspace) -> Subspace:

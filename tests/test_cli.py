@@ -32,7 +32,10 @@ def run_cli(tmp_path, capsys, argv, doc):
     argv = list(argv)
     if doc is not None:
         path = tmp_path / "problem.json"
-        path.write_text(json.dumps(doc))
+        if isinstance(doc, bytes):
+            path.write_bytes(doc)
+        else:
+            path.write_text(json.dumps(doc))
         argv.insert(1, str(path))
     code = main(argv)
     out, err = capsys.readouterr()
@@ -83,11 +86,15 @@ def _one_entry(entry):
         # a short row is refused after realification with the same text
         (("sandwich",), {"blocks": [2], "points": 1, "subspace": [[0, "i", 0]]},
          "row length differs from ambient dimension"),
+        # problem files json.loads cannot take (a bytes doc is written as is)
+        (("validate",), b"\xff\xfe{}", "problem file is not UTF-8: invalid byte at offset 0"),
+        (("validate",), b"1" * 5000, "malformed JSON: a number has too many digits"),
+        (("validate",), b"[" * 100000, "malformed JSON: nested too deeply"),
     ],
     ids=["huge-block", "bool-points", "lattice-not-object", "meet-not-list",
          "subspace-row-not-list", "bool-point", "bool-stalk", "family-top-not-X",
          "subspace-bad-literal", "subspace-zero-denominator", "subspace-empty-entry",
-         "subspace-short-row"],
+         "subspace-short-row", "not-utf8", "int-too-long", "nested-too-deep"],
 )
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv, doc, message):
     code, out, err = run_cli(tmp_path, capsys, argv, doc)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from fnideals.cli import _parse_scalar
@@ -166,6 +166,58 @@ def rows_strategy(dim, max_rows=4):
 def test_rref_matches_sympy(case):
     dim, rows = case
     assert rref(rows, dim).basis == oracle_rref(rows, dim)
+
+
+# Rows up to 8 wide with numerators up to 10^6 over denominators up to 12:
+# integer elimination then scales rows by a != 1, divides out their content and
+# ends on pivots other than 1, which the small entries above rarely reach.
+wide_entries = st.one_of(
+    st.integers(-2, 2),
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 12)),
+)
+
+
+@seed(904)
+@given(
+    st.sampled_from(range(1, 9)).flatmap(
+        lambda d: st.tuples(
+            st.just(d),
+            st.lists(st.lists(wide_entries, min_size=d, max_size=d), max_size=10),
+        )
+    )
+)
+@settings(max_examples=120, deadline=None)
+def test_rref_matches_sympy_on_wide_rows_with_large_entries(case):
+    dim, rows = case
+    basis = rref(rows, dim).basis
+    assert basis == oracle_rref(rows, dim)
+    for row in basis:
+        for x in row:
+            assert_canonical(x)
+
+
+def _vandermonde(nodes, width):
+    return [[Fraction(x) ** k for k in range(width)] for x in nodes]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[Fraction(1, i + j + 1) for j in range(6)] for i in range(6)],
+        # five rows over three distinct nodes: rank 3 of 6
+        _vandermonde([2, Fraction(-1, 3), 5, 2, 5], 6),
+        [[-3, 1, 2, 0], [6, 0, 5, -7], [0, -2, 1, 1]],
+        [[4, 6, 8, 10], [6, 9, 3, 12], [10, 15, 11, 22]],
+    ],
+    ids=["hilbert-6", "vandermonde-rank-3", "negative-pivot", "content-above-1"],
+)
+def test_rref_matches_sympy_on_fixed_integer_cases(rows):
+    width = len(rows[0])
+    basis = rref(rows, width).basis
+    assert basis == oracle_rref(rows, width)
+    for row in basis:
+        for x in row:
+            assert_canonical(x)
 
 
 @given(
