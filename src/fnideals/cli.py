@@ -35,7 +35,6 @@ from .lattice import (
     compute_gamma,
     enumerate_compatible_families,
     family_from_lists,
-    find_order_isomorphism,
     is_compatible,
     lattice_from_dict,
     mask_to_points,
@@ -69,7 +68,6 @@ class Problem:
     name: str
     lattice: BoundedLattice | None = None
     spec: AlgebraSpec | None = None
-    iso: tuple | None = None  # problem lattice index -> block lattice index
     points: int | None = None
     family: ClosedFamily | None = None
     stalks: tuple | None = None
@@ -85,10 +83,13 @@ def _is_int(v) -> bool:
 
 def _parse_scalar(text: str) -> tuple:
     """Parse "p/q", "r/s i" or "p/q+r/s i" (signs and spaces allowed) into
-    (re, im), each in canonical form."""
+    (re, im), each in canonical form.  An exponent is refused: Fraction("1e9999999")
+    would build 10^9999999 from nine characters."""
     t = text.strip()
     if not t:
         raise ValueError("empty scalar")
+    if "e" in t or "E" in t:
+        raise ValueError("exponents are not accepted")
     if not t.endswith("i"):
         return vector((t, 0))
     body = t[:-1].strip()
@@ -157,7 +158,6 @@ def _resolve_problem(args) -> Problem:
 
     lattice = None
     spec = None
-    iso = None
     if "blocks" in doc or "lattice" in doc:
         if fixture is not None:
             raise InputError("the problem file and --fixture both provide a lattice")
@@ -199,14 +199,11 @@ def _resolve_problem(args) -> Problem:
 
     if "blocks" in doc:
         block_lat = enumerate_ideals(spec)
-        if lattice is None:
-            lattice = block_lat
-        else:
-            iso = find_order_isomorphism(lattice, block_lat)
-            if iso is None:
-                raise InputError("blocks and lattice members are not order-isomorphic")
+        if lattice is not None and lattice != block_lat:
+            raise InputError("lattice member must be the block lattice, indexed by block bitmask")
+        lattice = block_lat
 
-    problem = Problem(name=name, lattice=lattice, spec=spec, iso=iso, points=points)
+    problem = Problem(name=name, lattice=lattice, spec=spec, points=points)
 
     if "family" in doc:
         if lattice is None or points is None:
@@ -267,14 +264,6 @@ def _need_algebra(problem: Problem) -> FunctionAlgebra:
     spec = _need(problem, "spec", "a concrete block algebra (blocks member or fixture)")
     points = _need(problem, "points", "a points member")
     return function_algebra(spec, points)
-
-
-def _to_block_index(problem: Problem, index: int) -> int:
-    return index if problem.iso is None else problem.iso[index]
-
-
-def _block_stalks(problem: Problem, stalks: tuple) -> tuple:
-    return tuple(_to_block_index(problem, s) for s in stalks)
 
 
 def _fmt_points(mask_or_points) -> str:
@@ -372,7 +361,7 @@ def cmd_ideal_from_y(problem: Problem, args) -> int:
     y_points = _need(problem, "y_points", "a Y member")
     t = _need(problem, "ideal_index", "an ideal_index member")
     y_mask = points_to_mask(y_points, alg.space.point_count)
-    ideal, matches = ideal_from_Y_and_I(alg, y_mask, _to_block_index(problem, t))
+    ideal, matches = ideal_from_Y_and_I(alg, y_mask, t)
     for x, s in enumerate(ideal.stalks):
         print(f"stalk[{x}] = {s + 1}")
     print(f"{'PASS' if matches else 'FAIL'} product-sum-equality")
@@ -382,7 +371,7 @@ def cmd_ideal_from_y(problem: Problem, args) -> int:
 def cmd_normalizer(problem: Problem, args) -> int:
     alg = _need_algebra(problem)
     stalks = _need(problem, "stalks", "an ideal member (stalk list)")
-    ideal = PointwiseIdeal(alg.lattice, alg.space, _block_stalks(problem, stalks))
+    ideal = PointwiseIdeal(alg.lattice, alg.space, stalks)
     nj, summed = cqp_sides(alg, ideal)
     print(f"dim N(J) = {nj.dim}")
     # N(J) = J + C(X, C1) needs a unique maximal ideal in A: one block.

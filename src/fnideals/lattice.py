@@ -326,64 +326,6 @@ def family_to_lists(family: ClosedFamily) -> list:
     return [list(mask_to_points(s)) for s in family.sets]
 
 
-def find_order_isomorphism(a: BoundedLattice, b: BoundedLattice):
-    """A bijection carrying a's meet/join tables onto b's, or None.
-
-    Backtracking with down-set/up-set size signatures as the pruning
-    invariant; intended for the small lattices this package works with.
-    """
-    if a.size != b.size:
-        return None
-
-    def signature(lat):
-        down = [sum(lat.leq(j, i) for j in range(lat.size)) for i in range(lat.size)]
-        up = [sum(lat.leq(i, j) for j in range(lat.size)) for i in range(lat.size)]
-        return [(down[i], up[i]) for i in range(lat.size)]
-
-    sig_a, sig_b = signature(a), signature(b)
-    if sorted(sig_a) != sorted(sig_b):
-        return None
-    n = a.size
-    mapping = [-1] * n
-    used = [False] * n
-
-    def consistent(i, v):
-        for j in range(n):
-            w = mapping[j]
-            if w < 0:
-                continue
-            mi, mj = a.meet[i][j], a.join[i][j]
-            if mapping[mi] >= 0 and b.meet[v][w] != mapping[mi]:
-                return False
-            if mapping[mj] >= 0 and b.join[v][w] != mapping[mj]:
-                return False
-        return True
-
-    def assign(i):
-        if i == n:
-            for p in range(n):
-                for q in range(n):
-                    if mapping[a.meet[p][q]] != b.meet[mapping[p]][mapping[q]]:
-                        return False
-                    if mapping[a.join[p][q]] != b.join[mapping[p]][mapping[q]]:
-                        return False
-            return True
-        for v in range(n):
-            if used[v] or sig_a[i] != sig_b[v]:
-                continue
-            mapping[i] = v
-            used[v] = True
-            if consistent(i, v) and assign(i + 1):
-                return True
-            mapping[i] = -1
-            used[v] = False
-        return False
-
-    if assign(0):
-        return tuple(mapping)
-    return None
-
-
 def enumerate_compatible_families(
     lat: BoundedLattice, space: SpaceModel, bound: int = 16
 ) -> list:

@@ -101,8 +101,9 @@ def _echelon(work: list, width: int) -> list:
 class Subspace:
     """Linear subspace given by its reduced row-echelon basis.
 
-    Invariants: basis rows are nonzero, each leading entry is 1, pivot
-    columns are strictly increasing and zero in every other row.
+    Invariants, checked because membership relies on them: basis rows are
+    nonzero, each leading entry is 1, pivots strictly increase and each pivot
+    column is zero in every other row.
     """
 
     ambient_dim: int
@@ -117,6 +118,12 @@ class Subspace:
             if len(row) != self.ambient_dim or not any(row):
                 raise ValueError("basis rows must be nonzero and of the ambient length")
         pivots = tuple(next(c for c, v in enumerate(row) if v) for row in self.basis)
+        for k, (row, p) in enumerate(zip(self.basis, pivots)):
+            if row[p] != 1 or k and p <= pivots[k - 1]:
+                raise ValueError("basis must be in reduced row-echelon form")
+            for above in self.basis[:k]:  # rows below are zero at p: their pivots lie right of it
+                if above[p]:
+                    raise ValueError("basis must be in reduced row-echelon form")
         object.__setattr__(self, "pivots", pivots)
 
     @property

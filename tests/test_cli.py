@@ -2,8 +2,10 @@
 
 import hashlib
 import importlib
+import importlib.util
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,12 +14,13 @@ from sympy.polys.matrices import DomainMatrix
 
 from fnideals import cli, decomposition
 from fnideals.cli import _parse_scalar, main
-from fnideals.fdalgebra import AlgebraSpec
+from fnideals.fdalgebra import AlgebraSpec, enumerate_ideals
 from fnideals.function_algebra import (
     PointwiseIdeal,
     enumerate_all_ideals,
     function_commutator,
 )
+from fnideals.lattice import lattice_to_dict
 from fnideals.lie import commutator_ideal_span, lie_normalizer
 from oracles import gaussian_text
 
@@ -55,6 +58,16 @@ BOOLEAN_2 = {
 }
 
 
+# the same lattice listed as [bottom, top, {block 0}, {block 1}]
+BOOLEAN_2_RELABELED = {
+    "size": 4,
+    "meet": [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 2, 0], [0, 3, 0, 3]],
+    "join": [[0, 1, 2, 3], [1, 1, 1, 1], [2, 1, 2, 1], [3, 1, 1, 3]],
+    "bottom": 0,
+    "top": 1,
+}
+
+
 def _one_entry(entry):
     return {"blocks": [2], "points": 1, "subspace": [[entry, 0, 0, 0]]}
 
@@ -83,6 +96,9 @@ def _one_entry(entry):
          "cannot parse scalar 'x i': Invalid literal for Fraction: 'x'"),
         (("sandwich",), _one_entry("1/0 i"), "cannot parse scalar '1/0 i': Fraction(1, 0)"),
         (("sandwich",), _one_entry(""), "cannot parse scalar '': empty scalar"),
+        # an exponent would make Fraction build 10^k
+        (("sandwich",), _one_entry("1e5000"), "cannot parse scalar '1e5000': exponents are not accepted"),
+        (("sandwich",), _one_entry("2e-5 i"), "cannot parse scalar '2e-5 i': exponents are not accepted"),
         # a short row is refused after realification with the same text
         (("sandwich",), {"blocks": [2], "points": 1, "subspace": [[0, "i", 0]]},
          "row length differs from ambient dimension"),
@@ -90,11 +106,16 @@ def _one_entry(entry):
         (("validate",), b"\xff\xfe{}", "problem file is not UTF-8: invalid byte at offset 0"),
         (("validate",), b"1" * 5000, "malformed JSON: a number has too many digits"),
         (("validate",), b"[" * 100000, "malformed JSON: nested too deeply"),
+        # with blocks, a lattice member must be the block lattice itself
+        (("normalizer",),
+         {"blocks": [1, 2], "points": 2, "lattice": BOOLEAN_2_RELABELED, "ideal": [2, 2]},
+         "lattice member must be the block lattice, indexed by block bitmask"),
     ],
     ids=["huge-block", "bool-points", "lattice-not-object", "meet-not-list",
          "subspace-row-not-list", "bool-point", "bool-stalk", "family-top-not-X",
          "subspace-bad-literal", "subspace-zero-denominator", "subspace-empty-entry",
-         "subspace-short-row", "not-utf8", "int-too-long", "nested-too-deep"],
+         "subspace-exponent", "subspace-exponent-in-i-part", "subspace-short-row",
+         "not-utf8", "int-too-long", "nested-too-deep", "lattice-not-block-numbered"],
 )
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv, doc, message):
     code, out, err = run_cli(tmp_path, capsys, argv, doc)
@@ -253,6 +274,24 @@ def test_sandwich_fixed_non_real_and_empty_cases(tmp_path, capsys, doc, verdict,
     assert out == f"lie-ideal: {verdict}\nwitness: {witness}\nPASS sandwich-consistency\n"
 
 
+# stalks (1, 3) as a family, and e12 of the M_2 block at point 0
+BLOCKS_1_2_X2 = {
+    "blocks": [1, 2], "points": 2, "family": [[], [0], [], [0, 1]], "ideal": [1, 3],
+    "Y": [0], "ideal_index": 2, "subspace": [[0, 0, 1, 0, 0, 0, 0, 0, 0, 0]],
+}
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["theta", "recover", "decompose", "ideal-from-y", "normalizer", "sandwich", "cqp", "verify-all"],
+)
+def test_block_lattice_member_changes_no_output(tmp_path, capsys, command):
+    alone = run_cli(tmp_path, capsys, [command], BLOCKS_1_2_X2)
+    assert alone[0] == 0 and alone[1] and alone[2] == ""
+    lattice = lattice_to_dict(enumerate_ideals(AlgebraSpec((1, 2))))
+    assert run_cli(tmp_path, capsys, [command], dict(BLOCKS_1_2_X2, lattice=lattice)) == alone
+
+
 def test_verify_all_bound_skips_bijection_count(tmp_path, capsys):
     argv = ["verify-all", "--bound", "1"]
     code, out, _ = run_cli(tmp_path, capsys, argv, {"blocks": [1, 1], "points": 2})
@@ -361,6 +400,14 @@ def test_verify_all_fails_on_lattice_side_faults(tmp_path, capsys, monkeypatch, 
 # output is byte-identical to the benchmark's recorded goldens
 # ---------------------------------------------------------------------------
 
+def _bench_workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH_DIR / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks the module up by name
+    spec.loader.exec_module(module)
+    return module
+
+
 def _golden_cases():
     queries = json.loads((BENCH_DIR / "queries.json").read_text())
     # Variant /0 of each query group, and every variant of the sandwich,
@@ -374,10 +421,11 @@ def _golden_cases():
         for q in queries
         if q["id"].endswith("/0") or q["group"].startswith(every_variant)
     ]
-    # The benchmark's verify-suite problems on the single- and multi-block paths.
-    for blocks, points in (([3], 2), ([2, 2], 2), ([1, 2], 3)):
-        case_id = "verify-suite/blocks_" + "_".join(map(str, blocks)) + f"x{points}"
-        cases.append((case_id, ["verify-all", "--seed", "0"], {"blocks": blocks, "points": points}))
+    # Every other recorded case: verify-all on the single- and multi-block
+    # paths, fixture and lattice-member family sweeps, and the fixture list.
+    workloads = _bench_workloads()
+    others = workloads.suite_cases(0) + workloads.sweep_cases() + [workloads.setup_case()]
+    cases += [(case.id, case.argv, case.doc) for case in others]
     return [pytest.param(*case, id=case[0]) for case in cases]
 
 

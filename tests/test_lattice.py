@@ -21,7 +21,6 @@ from fnideals.lattice import (
     enumerate_compatible_families,
     family_from_lists,
     family_to_lists,
-    find_order_isomorphism,
     gamma_table,
     is_compatible,
     lattice_from_dict,
@@ -229,7 +228,7 @@ def test_enumerate_zero_points():
 
 
 # ---------------------------------------------------------------------------
-# masks, families, isomorphism
+# masks and families
 # ---------------------------------------------------------------------------
 
 def test_mask_helpers():
@@ -243,27 +242,6 @@ def test_family_list_roundtrip():
     fam = family_from_lists(B4, SpaceModel(2), [[], [0], [1], [0, 1]])
     assert fam.sets == (0, 1, 2, 3)
     assert family_to_lists(fam) == [[], [0], [1], [0, 1]]
-
-
-def test_order_isomorphism_found_and_rejected():
-    assert find_order_isomorphism(chain_lattice(2), boolean_lattice(1)) == (0, 1)
-    assert find_order_isomorphism(chain_lattice(4), B4) is None
-    # relabeled Boolean 4-lattice: swap the two atoms
-    perm = (0, 2, 1, 3)
-    meet = [[perm[B4.meet[i][j]] for j in range(4)] for i in range(4)]
-    join = [[perm[B4.join[i][j]] for j in range(4)] for i in range(4)]
-    relabeled = BoundedLattice(
-        4,
-        [[meet[perm.index(i)][perm.index(j)] for j in range(4)] for i in range(4)],
-        [[join[perm.index(i)][perm.index(j)] for j in range(4)] for i in range(4)],
-        0,
-        3,
-    )
-    iso = find_order_isomorphism(B4, relabeled)
-    assert iso is not None
-    for i in range(4):
-        for j in range(4):
-            assert iso[B4.meet[i][j]] == relabeled.meet[iso[i]][iso[j]]
 
 
 def test_product_lattice_shape():

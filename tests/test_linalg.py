@@ -150,6 +150,20 @@ def test_subspace_rejects_a_zero_basis_row():
         Subspace(2, (V(1, 0), V(0, 0)))
 
 
+@pytest.mark.parametrize(
+    "basis",
+    [
+        (V(2, 0),),  # leading entry 2: contains((2, 0)) would read False
+        (V(0, 1), V(1, 0)),  # pivots decrease
+        (V(1, 1), V(0, 1)),  # pivot column 1 is nonzero in two rows
+    ],
+    ids=["leading-entry-not-1", "pivots-not-increasing", "pivot-column-not-cleared"],
+)
+def test_subspace_rejects_a_basis_not_in_rref(basis):
+    with pytest.raises(ValueError, match="reduced row-echelon form"):
+        Subspace(2, basis)
+
+
 scalars = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
 
