@@ -12,11 +12,8 @@ from .fdalgebra import (
     Element,
     block_ideal_subspace,
     centre,
-    commutator,
     commutator_span,
     enumerate_ideals,
-    multiply,
-    tracial_state_basis,
 )
 from .fixtures import Fixture, bh2_fixture, block_fixture, chain_fixture, load_fixture
 from .function_algebra import (
@@ -38,7 +35,6 @@ from .lattice import (
     SpaceModel,
     compute_gamma,
     enumerate_compatible_families,
-    gamma_table,
     is_compatible,
     union_over_gamma,
     validate_lattice,

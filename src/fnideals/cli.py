@@ -3,14 +3,15 @@
 Problems are JSON documents (see README.md for the schema); a bundled fixture
 can stand in for the lattice via --fixture.  All indices in JSON are
 0-based; printed reports label ideals 1-based to match the usual I_1..I_n
-numbering.  Exit codes: 0 all checks passed, 1 a checked identity failed,
-2 invalid input.
+numbering.  Exit codes: 0 all checks passed, 1 a checked identity failed
+or stdout was closed before the report was written, 2 invalid input.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -563,13 +564,17 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         problem = _resolve_problem(args)
-        return _COMMANDS[args.command](problem, args)
-    except InputError as exc:
+        code = _COMMANDS[args.command](problem, args)
+        # a reader that closed the pipe is seen here, not at interpreter exit
+        sys.stdout.flush()
+        return code
+    except (InputError, LimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except LimitExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except BrokenPipeError:
+        # Python's SIGPIPE recipe: the flush at exit writes what is left to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -3,26 +3,20 @@
 An algebra is a direct sum of full matrix blocks M_{n_1} + ... + M_{n_k}.
 Its two-sided ideals are exactly the block sums, represented as bitmasks
 over the blocks; the enumeration never trusts that classification blindly,
-every returned subspace is re-checked for two-sided invariance and (at
-small dimension) an independent closure search confirms completeness.
+every returned subspace is re-checked for two-sided invariance.
 
-Every product, commutator, invariance check and closure in the package comes
-from `unit_products`, the table of `unit_product`; dense `Element`s are the
+Every product, commutator and invariance check in the package comes from
+`unit_products`, the table of `unit_product`; dense `Element`s are the
 tests' reference.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .lattice import BoundedLattice, LimitExceeded, boolean_lattice
 from .linalg import Subspace, rref, vector
-
-# Largest algebra dimension whose 2^dim unit subsets the brute-force oracles close.
-BRUTE_FORCE_DIM_LIMIT = 5
 
 
 @dataclass(frozen=True)
@@ -130,31 +124,6 @@ def is_invariant(sub: Subspace, products) -> bool:
     """True iff e_a * v and v * e_a stay in sub for every basis row v and unit e_a."""
     return all(
         sub._reduces_to_zero(t) for row in sub.basis for t in unit_translates(row, products)
-    )
-
-
-def ideal_closure(generators, dim: int, products) -> Subspace:
-    """Smallest multiplication-invariant subspace containing the generators."""
-    current = rref(list(generators), dim)
-    while True:
-        rows = list(current.basis)
-        for row in current.basis:
-            rows.extend(unit_translates(row, products))
-        closed = rref(rows, dim)
-        if closed.dim == current.dim:
-            return closed
-        current = closed
-
-
-def closures_of_unit_subsets(dim: int, products) -> frozenset:
-    """ideal_closure of every subset of the unit basis of a dim-dimensional algebra."""
-    if dim > BRUTE_FORCE_DIM_LIMIT:
-        raise LimitExceeded(f"total dimension {dim} exceeds the search limit {BRUTE_FORCE_DIM_LIMIT}")
-    unit_rows = Subspace.full(dim).basis
-    return frozenset(
-        ideal_closure(subset, dim, products)
-        for r in range(dim + 1)
-        for subset in itertools.combinations(unit_rows, r)
     )
 
 
@@ -271,14 +240,6 @@ class Element:
         return Element(self.spec, tuple(blocks))
 
 
-def multiply(x: Element, y: Element) -> Element:
-    return x * y
-
-
-def commutator(x: Element, y: Element) -> Element:
-    return x * y - y * x
-
-
 def centre(spec: AlgebraSpec) -> Subspace:
     """Span of the block identities; one dimension per block."""
     d = spec.total_dim
@@ -340,25 +301,3 @@ def enumerate_ideals(spec: AlgebraSpec) -> BoundedLattice:
         if not is_invariant(block_ideal_subspace(spec, mask), products):
             raise AssertionError(f"ideal mask {mask:b} not two-sided invariant")
     return boolean_lattice(k)
-
-
-def tracial_state_basis(spec: AlgebraSpec) -> tuple:
-    """Normalized block traces as dual coordinate vectors; never empty."""
-    d = spec.total_dim
-    out = []
-    for b, n in enumerate(spec.block_dims):
-        row = [0] * d
-        for p in range(n):
-            row[spec.coord(b, p, p)] = Fraction(1, n)
-        out.append(vector(row))
-    return tuple(out)
-
-
-def brute_force_ideal_subspaces(spec: AlgebraSpec) -> frozenset:
-    """Closures of every subset of the matrix-unit basis grid.
-
-    Independent completeness oracle for enumerate_ideals: each closure is a
-    two-sided ideal, and every block-sum ideal arises from its own units, so
-    the closure set must equal the enumerated lattice exactly.
-    """
-    return closures_of_unit_subsets(spec.total_dim, unit_products(spec))

@@ -33,7 +33,6 @@ class Fixture:
     lattice: BoundedLattice
     spec: AlgebraSpec | None = None
     family: ClosedFamily | None = None
-    note: str = ""
 
 
 def bh2_fixture() -> Fixture:
@@ -42,32 +41,7 @@ def bh2_fixture() -> Fixture:
     lat = lattice_from_dict(doc["lattice"])
     space = SpaceModel(doc["points"])
     family = family_from_lists(lat, space, doc["family"])
-    return Fixture(
-        name="bh2",
-        lattice=lat,
-        family=family,
-        note="abstract: the chain 0 < compact < bounded has no finite block model",
-    )
-
-
-def bh2_nested_family(lat: BoundedLattice | None = None) -> ClosedFamily:
-    """Five-point nested family on bh2 with all nine sets distinct and nonempty.
-
-    Point x carries stalk level m(x); S_i = { x : m(x) <= i } with levels
-    (bottom, I2, I3, I4, I6) over points 0..4.
-    """
-    if lat is None:
-        lat = bh2_fixture().lattice
-    space = SpaceModel(5)
-    levels = (0, 1, 2, 3, 5)
-    sets = []
-    for i in range(lat.size):
-        mask = 0
-        for x, lev in enumerate(levels):
-            if lat.leq(lev, i):
-                mask |= 1 << x
-        sets.append(mask)
-    return ClosedFamily(lat, space, tuple(sets))
+    return Fixture(name="bh2", lattice=lat, family=family)
 
 
 def chain_fixture(m: int) -> Fixture:
@@ -75,8 +49,7 @@ def chain_fixture(m: int) -> Fixture:
     if m < 2:
         raise ValueError("chain fixtures need at least two elements")
     spec = AlgebraSpec((2,)) if m == 2 else None
-    note = "" if m == 2 else "lattice-only: no block algebra has a chain of length >= 3"
-    return Fixture(name=f"chain{m}", lattice=chain_lattice(m), spec=spec, note=note)
+    return Fixture(name=f"chain{m}", lattice=chain_lattice(m), spec=spec)
 
 
 def block_fixture(dims) -> Fixture:

@@ -15,10 +15,8 @@ from functools import lru_cache
 
 from .fdalgebra import (
     AlgebraSpec,
-    Element,
     block_ideal_subspace,
     centre,
-    closures_of_unit_subsets,
     enumerate_ideals,
     is_invariant,
     unit_commutators,
@@ -112,27 +110,11 @@ class FunctionAlgebra:
         b, p, q = self.spec.coord_info(rem)
         return x, b, p, q
 
-    def basis_element(self, index: int) -> "FunctionElement":
-        x, b, p, q = self.coord_info(index)
-        values = [Element.zero(self.spec)] * self.space.point_count
-        values[x] = Element.matrix_unit(self.spec, b, p, q)
-        return FunctionElement(self.spec, self.space, tuple(values))
-
-    def element_from_vector(self, vec) -> "FunctionElement":
-        d = self.spec.total_dim
-        if len(vec) != self.dim:
-            raise ValueError("vector length differs from the algebra dimension")
-        values = tuple(
-            Element.from_vector(self.spec, vec[x * d : (x + 1) * d])
-            for x in self.space.points()
-        )
-        return FunctionElement(self.spec, self.space, values)
-
     @property
     def unit_products(self) -> tuple:
         """out[i] = ((j, k), ...) for each nonzero e_i * e_j = e_k in B.
 
-        Units at different points multiply to zero, so this is the table of
+        The product of units at different points is zero, so this is the table of
         A copied to every point.
         """
         if not hasattr(self, "_products"):
@@ -219,10 +201,6 @@ class FunctionElement:
         return tuple(out)
 
 
-def function_commutator(x: FunctionElement, y: FunctionElement) -> FunctionElement:
-    return x * y - y * x
-
-
 def enumerate_all_ideals(alg: FunctionAlgebra, verify: bool = True) -> list:
     """All pointwise ideals of A^X in lexicographic stalk order.
 
@@ -240,11 +218,6 @@ def enumerate_all_ideals(alg: FunctionAlgebra, verify: bool = True) -> list:
             raise AssertionError(f"stalks {ideal.stalks} give a non-invariant subspace")
         out.append(ideal)
     return out
-
-
-def brute_force_function_ideals(alg: FunctionAlgebra) -> frozenset:
-    """Closure search over basis subsets of B; completeness oracle."""
-    return closures_of_unit_subsets(alg.dim, alg.unit_products)
 
 
 def pointwise_subspace(alg: FunctionAlgebra, parts) -> Subspace:

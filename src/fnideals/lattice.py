@@ -18,6 +18,11 @@ class LimitExceeded(ValueError):
     """An exhaustive enumeration was asked to exceed its configured bound."""
 
 
+def _is_index(v, n: int) -> bool:
+    """An int in [0, n); true and false are not indices."""
+    return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < n
+
+
 @dataclass(frozen=True)
 class BoundedLattice:
     """Finite lattice given by explicit meet and join tables.
@@ -36,8 +41,8 @@ class BoundedLattice:
         object.__setattr__(self, "meet", tuple(tuple(r) for r in self.meet))
         object.__setattr__(self, "join", tuple(tuple(r) for r in self.join))
         n = self.size
-        if n < 1:
-            raise ValueError("lattice must have at least one element")
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError(f"lattice size {n!r} must be a positive integer")
         for name, table in (("meet", self.meet), ("join", self.join)):
             if len(table) != n:
                 raise ValueError(f"{name} table must have {n} rows")
@@ -45,10 +50,10 @@ class BoundedLattice:
                 if len(row) != n:
                     raise ValueError(f"{name} table rows must have {n} entries")
                 for v in row:
-                    if not isinstance(v, int) or not 0 <= v < n:
+                    if not _is_index(v, n):
                         raise ValueError(f"{name} table entry {v!r} out of range")
         for name, idx in (("bottom", self.bottom), ("top", self.top)):
-            if not isinstance(idx, int) or not 0 <= idx < n:
+            if not _is_index(idx, n):
                 raise ValueError(f"{name} index {idx!r} out of range")
 
     def leq(self, i: int, j: int) -> bool:
@@ -92,33 +97,6 @@ def boolean_lattice(k: int) -> BoundedLattice:
     meet = tuple(tuple(i & j for j in range(n)) for i in range(n))
     join = tuple(tuple(i | j for j in range(n)) for i in range(n))
     return BoundedLattice(n, meet, join, 0, n - 1)
-
-
-def product_lattice(a: BoundedLattice, b: BoundedLattice) -> BoundedLattice:
-    """Componentwise product; index of (i, j) is i * b.size + j."""
-    n = a.size * b.size
-
-    def pair(i):
-        return divmod(i, b.size)
-
-    def idx(p, q):
-        return p * b.size + q
-
-    meet = tuple(
-        tuple(
-            idx(a.meet[pair(i)[0]][pair(j)[0]], b.meet[pair(i)[1]][pair(j)[1]])
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    join = tuple(
-        tuple(
-            idx(a.join[pair(i)[0]][pair(j)[0]], b.join[pair(i)[1]][pair(j)[1]])
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    return BoundedLattice(n, meet, join, idx(a.bottom, b.bottom), idx(a.top, b.top))
 
 
 def validate_lattice(lat: BoundedLattice) -> str | None:
@@ -276,11 +254,6 @@ def compute_gamma(lat: BoundedLattice, j: int) -> frozenset:
     return frozenset(i for i in range(lat.size) if not lat.leq(j, i))
 
 
-def gamma_table(lat: BoundedLattice) -> dict:
-    """gamma_j for every non-bottom index j, ascending."""
-    return {j: compute_gamma(lat, j) for j in range(lat.size) if j != lat.bottom}
-
-
 def union_over_gamma(family: ClosedFamily, j: int) -> int:
     mask = 0
     for k in compute_gamma(family.lattice, j):
@@ -304,26 +277,12 @@ def lattice_from_dict(doc: dict) -> BoundedLattice:
         raise ValueError(f"lattice object is missing member {exc.args[0]!r}") from None
 
 
-def lattice_to_dict(lat: BoundedLattice) -> dict:
-    return {
-        "size": lat.size,
-        "meet": [list(r) for r in lat.meet],
-        "join": [list(r) for r in lat.join],
-        "bottom": lat.bottom,
-        "top": lat.top,
-    }
-
-
 def family_from_lists(lat: BoundedLattice, space: SpaceModel, lists) -> ClosedFamily:
     """Build a family from per-index sorted point lists."""
     if len(lists) != lat.size:
         raise ValueError("family must list one subset per lattice index")
     sets = tuple(points_to_mask(pts, space.point_count) for pts in lists)
     return ClosedFamily(lat, space, sets)
-
-
-def family_to_lists(family: ClosedFamily) -> list:
-    return [list(mask_to_points(s)) for s in family.sets]
 
 
 def enumerate_compatible_families(

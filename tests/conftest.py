@@ -71,6 +71,11 @@ def pentagon_lattice() -> BoundedLattice:
     return BoundedLattice(n, meet, join, bot, top)
 
 
+# Stalk levels (bottom, I2, I3, I4, I6) of five points on bh2: their level
+# family has all nine sets distinct and nonempty.
+BH2_NESTED_LEVELS = (0, 1, 2, 3, 5)
+
+
 def level_family(lat: BoundedLattice, levels) -> ClosedFamily:
     """Compatible family from a per-point stalk level: S_i = {x : level(x) <= i}."""
     space = SpaceModel(len(levels))

@@ -1,5 +1,18 @@
 """Reference helpers shared by the tests; independent of the package's fast paths."""
 
+import itertools
+from fractions import Fraction
+
+import sympy
+
+from fnideals.fdalgebra import Element, unit_translates
+from fnideals.function_algebra import FunctionElement
+from fnideals.lattice import BoundedLattice, LimitExceeded, mask_to_points
+from fnideals.linalg import Subspace, rref, vector
+
+# Largest algebra dimension whose 2^dim unit subsets the closure oracle closes.
+BRUTE_FORCE_DIM_LIMIT = 5
+
 
 def vec_dot(u, v):
     """Standard bilinear pairing of two coordinate rows."""
@@ -14,3 +27,114 @@ def gaussian_text(re, im):
         return f"{im} i"
     sign = "+" if im > 0 else "-"
     return f"{re}{sign}{abs(im)} i"
+
+
+def from_sympy(x) -> Fraction:
+    return Fraction(int(x.p), int(x.q))
+
+
+def sympy_kernel(rows, dim) -> Subspace:
+    """{ f : r . f = 0 for every row r }, solved by sympy."""
+    if not rows:
+        return Subspace.full(dim)
+    matrix = sympy.Matrix([[sympy.Rational(v) for v in row] for row in rows])
+    return rref([tuple(from_sympy(x) for x in w) for w in matrix.nullspace()], dim)
+
+
+def ideal_closure(generators, dim: int, products) -> Subspace:
+    """Smallest multiplication-invariant subspace containing the generators."""
+    current = rref(list(generators), dim)
+    while True:
+        rows = list(current.basis)
+        for row in current.basis:
+            rows.extend(unit_translates(row, products))
+        closed = rref(rows, dim)
+        if closed.dim == current.dim:
+            return closed
+        current = closed
+
+
+def closures_of_unit_subsets(dim: int, products) -> frozenset:
+    """ideal_closure of every subset of the unit basis of a dim-dimensional algebra.
+
+    Each closure is a two-sided ideal, and every ideal spanned by units
+    arises from its own units, so for a block algebra (or A^X) the closure
+    set must equal the enumerated ideals exactly.
+    """
+    if dim > BRUTE_FORCE_DIM_LIMIT:
+        raise LimitExceeded(f"total dimension {dim} exceeds the search limit {BRUTE_FORCE_DIM_LIMIT}")
+    unit_rows = Subspace.full(dim).basis
+    return frozenset(
+        ideal_closure(subset, dim, products)
+        for r in range(dim + 1)
+        for subset in itertools.combinations(unit_rows, r)
+    )
+
+
+def commutator(x, y):
+    """[x, y] = xy - yx of two Elements or two FunctionElements."""
+    return x * y - y * x
+
+
+def dense_brackets(alg, v) -> list:
+    """[v, e_b] for every basis element e_b of B, from dense function elements."""
+    f = element_from_vector(alg, v)
+    return [commutator(f, basis_element(alg, b)).to_vector() for b in range(alg.dim)]
+
+
+def tracial_state_basis(spec) -> tuple:
+    """Normalized block traces as dual coordinate vectors; never empty."""
+    d = spec.total_dim
+    out = []
+    for b, n in enumerate(spec.block_dims):
+        row = [0] * d
+        for p in range(n):
+            row[spec.coord(b, p, p)] = Fraction(1, n)
+        out.append(vector(row))
+    return tuple(out)
+
+
+def basis_element(alg, index: int) -> FunctionElement:
+    """The matrix unit of B = A^X at flat coordinate index."""
+    x, b, p, q = alg.coord_info(index)
+    values = [Element.zero(alg.spec)] * alg.space.point_count
+    values[x] = Element.matrix_unit(alg.spec, b, p, q)
+    return FunctionElement(alg.spec, alg.space, tuple(values))
+
+
+def element_from_vector(alg, vec) -> FunctionElement:
+    """The member of B = A^X with the given point-major coordinates."""
+    d = alg.spec.total_dim
+    if len(vec) != alg.dim:
+        raise ValueError("vector length differs from the algebra dimension")
+    values = tuple(
+        Element.from_vector(alg.spec, vec[x * d : (x + 1) * d]) for x in alg.space.points()
+    )
+    return FunctionElement(alg.spec, alg.space, values)
+
+
+def product_lattice(a: BoundedLattice, b: BoundedLattice) -> BoundedLattice:
+    """Componentwise product; index of (i, j) is i * b.size + j."""
+    pairs = list(itertools.product(range(a.size), range(b.size)))
+
+    def table(ta, tb):
+        return [[ta[i][k] * b.size + tb[j][m] for k, m in pairs] for i, j in pairs]
+
+    bottom, top = a.bottom * b.size + b.bottom, a.top * b.size + b.top
+    return BoundedLattice(len(pairs), table(a.meet, b.meet), table(a.join, b.join), bottom, top)
+
+
+def lattice_to_dict(lat: BoundedLattice) -> dict:
+    """The JSON problem-file layout of a lattice; lattice_from_dict inverts it."""
+    return {
+        "size": lat.size,
+        "meet": [list(r) for r in lat.meet],
+        "join": [list(r) for r in lat.join],
+        "bottom": lat.bottom,
+        "top": lat.top,
+    }
+
+
+def family_to_lists(family) -> list:
+    """Per-index sorted point lists; family_from_lists inverts it."""
+    return [list(mask_to_points(s)) for s in family.sets]

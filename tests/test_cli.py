@@ -4,7 +4,9 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -15,19 +17,15 @@ from sympy.polys.matrices import DomainMatrix
 from fnideals import cli, decomposition
 from fnideals.cli import _parse_scalar, main
 from fnideals.fdalgebra import AlgebraSpec, enumerate_ideals
-from fnideals.function_algebra import (
-    PointwiseIdeal,
-    enumerate_all_ideals,
-    function_commutator,
-)
-from fnideals.lattice import lattice_to_dict
+from fnideals.function_algebra import PointwiseIdeal, enumerate_all_ideals
 from fnideals.lie import commutator_ideal_span, lie_normalizer
-from oracles import gaussian_text
+from oracles import dense_brackets, gaussian_text, lattice_to_dict
 
 # The package re-exports a function of the same name over the module.
 function_algebra = importlib.import_module("fnideals.function_algebra")
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+SRC_DIR = BENCH_DIR.parent / "src"
 
 
 def run_cli(tmp_path, capsys, argv, doc):
@@ -110,18 +108,44 @@ def _one_entry(entry):
         (("normalizer",),
          {"blocks": [1, 2], "points": 2, "lattice": BOOLEAN_2_RELABELED, "ideal": [2, 2]},
          "lattice member must be the block lattice, indexed by block bitmask"),
+        # JSON true and false are not lattice sizes or indices
+        (("gamma",), {"lattice": dict(BOOLEAN_2, bottom=False, top=True)},
+         "bad lattice member: bottom index False out of range"),
+        (("gamma",), {"lattice": dict(BOOLEAN_2, top=True)},
+         "bad lattice member: top index True out of range"),
+        (("gamma",), {"lattice": dict(BOOLEAN_2, size=True, meet=[[0]], join=[[0]], top=0)},
+         "bad lattice member: lattice size True must be a positive integer"),
+        (("gamma",), {"lattice": dict(BOOLEAN_2, meet=[[False] * 4] * 4)},
+         "bad lattice member: meet table entry False out of range"),
     ],
     ids=["huge-block", "bool-points", "lattice-not-object", "meet-not-list",
          "subspace-row-not-list", "bool-point", "bool-stalk", "family-top-not-X",
          "subspace-bad-literal", "subspace-zero-denominator", "subspace-empty-entry",
          "subspace-exponent", "subspace-exponent-in-i-part", "subspace-short-row",
-         "not-utf8", "int-too-long", "nested-too-deep", "lattice-not-block-numbered"],
+         "not-utf8", "int-too-long", "nested-too-deep", "lattice-not-block-numbered",
+         "bool-bottom-top", "bool-top", "bool-size", "bool-table-entry"],
 )
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv, doc, message):
     code, out, err = run_cli(tmp_path, capsys, argv, doc)
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    """A reader that stops after one line, as `| head -1` does, closes the
+    pipe while the 600 kB report is still being written."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fnideals.cli", "verify-fin-sum", "--fixture", "bh2", "--bound", "36"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=str(SRC_DIR)),
+    )
+    assert proc.stdout.readline() == b"PASS bh2 0 evaluate-equals-theta\n"
+    proc.stdout.close()
+    try:
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert (proc.returncode, err) == (1, b"")
 
 
 # sl_2 at point 0 and all of M_2 at point 1 (a Lie ideal); e_12 at point 0 alone (not one)
@@ -159,17 +183,11 @@ def gaussian_rank(rows, dim) -> int:
 
 def bracket_rows(alg, rows) -> list:
     """[v, e_b] for each row v of (re, im) pairs and each basis element e_b,
-    from dense products of function elements."""
-    units = [alg.basis_element(i) for i in range(alg.dim)]
-    table = [[function_commutator(e, f).to_vector() for f in units] for e in units]
+    from dense products of function elements; B is real, so halfwise."""
     out = []
     for v in rows:
-        for b in range(alg.dim):
-            out.append([
-                (sum(re * table[i][b][c] for i, (re, _) in enumerate(v)),
-                 sum(im * table[i][b][c] for i, (_, im) in enumerate(v)))
-                for c in range(alg.dim)
-            ])
+        re_rows, im_rows = (dense_brackets(alg, half) for half in zip(*v))
+        out.extend(list(zip(re, im)) for re, im in zip(re_rows, im_rows))
     return out
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import level_family
+from conftest import BH2_NESTED_LEVELS, level_family
 from fnideals.decomposition import (
     Decomposition,
     decompose,
@@ -12,7 +12,7 @@ from fnideals.decomposition import (
     union_reduction_holds,
     verify_theorem,
 )
-from fnideals.fixtures import bh2_fixture, bh2_nested_family
+from fnideals.fixtures import bh2_fixture
 from fnideals.function_algebra import PointwiseIdeal, recover_S, theta
 from fnideals.lattice import (
     ClosedFamily,
@@ -91,7 +91,7 @@ def test_verify_theorem_reports_stable_names():
 
 def test_bh2_nested_family_targeted_run():
     fx = bh2_fixture()
-    fam = bh2_nested_family(fx.lattice)
+    fam = level_family(fx.lattice, BH2_NESTED_LEVELS)
     sets = fam.sets
     assert len(set(sets)) == 9 and all(sets)  # distinct and nonempty
     assert all(ok for _, ok in verify_theorem(fam))

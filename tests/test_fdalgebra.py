@@ -3,7 +3,6 @@
 from fractions import Fraction
 
 import pytest
-import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,21 +11,17 @@ from fnideals.fdalgebra import (
     AlgebraSpec,
     Element,
     block_ideal_subspace,
-    brute_force_ideal_subspaces,
     centre,
-    commutator,
     commutator_span,
     enumerate_ideals,
     is_invariant,
-    multiply,
-    tracial_state_basis,
     unit_product,
     unit_products,
     unit_translates,
 )
 from fnideals.lattice import LimitExceeded, boolean_lattice
 from fnideals.linalg import Subspace, intersect, rref
-from oracles import vec_dot
+from oracles import closures_of_unit_subsets, commutator, sympy_kernel, tracial_state_basis, vec_dot
 
 M1 = AlgebraSpec((1,))
 M2 = AlgebraSpec((2,))
@@ -47,8 +42,8 @@ def unit(spec, b, p, q):
 
 def test_multiply_identity():
     x = unit(M2, 0, 0, 1) + unit(M2, 0, 1, 0).scale(3)
-    assert multiply(x, Element.identity(M2)) == x
-    assert multiply(Element.identity(M2), x) == x
+    assert x * Element.identity(M2) == x
+    assert Element.identity(M2) * x == x
 
 
 def test_matrix_unit_product():
@@ -64,7 +59,7 @@ def test_scalar_blocks_multiply_componentwise():
 
 def test_multiply_spec_mismatch():
     with pytest.raises(ValueError):
-        multiply(Element.identity(M2), Element.identity(M11))
+        Element.identity(M2) * Element.identity(M11)
 
 
 def test_commutator_examples():
@@ -135,22 +130,9 @@ def sympy_centre(spec) -> Subspace:
     """Independent route: solve [z, e] = 0 for all matrix units."""
     d = spec.total_dim
     units = [Element.matrix_unit(spec, *c) for c in spec.unit_coords()]
-    rows = []
-    for k in range(d):
-        basis_vec = [0] * d
-        basis_vec[k] = 1
-        ek = Element.from_vector(spec, basis_vec)
-        rows.append([commutator(ek, u).to_vector() for u in units])
+    brackets = [[commutator(ek, u).to_vector() for u in units] for ek in units]
     # constraint matrix: one row per (unit, coordinate) pair
-    m = []
-    for u_idx in range(d):
-        for c in range(d):
-            m.append([sympy.Rational(rows[k][u_idx][c].real) for k in range(d)])
-    null = sympy.Matrix(m).nullspace()
-    vecs = [
-        tuple(Fraction(int(v.p), int(v.q)) for v in w.T) for w in null
-    ]
-    return rref(vecs, d)
+    return sympy_kernel([[brackets[k][u][c] for k in range(d)] for u in range(d) for c in range(d)], d)
 
 
 @pytest.mark.parametrize(
@@ -242,15 +224,40 @@ def test_enumerate_ideals_block_bound():
         enumerate_ideals(AlgebraSpec((1,) * 7))
 
 
-@pytest.mark.parametrize("spec", [M1, M11, M2, AlgebraSpec((1, 1, 1)), AlgebraSpec((1, 2)), M21])
+CLOSURE_SPECS = [M1, M11, M2, AlgebraSpec((1, 1, 1)), AlgebraSpec((1, 2)), M21]
+
+
+def block_ideals(spec) -> set:
+    return {fdalgebra.block_ideal_subspace(spec, m) for m in range(enumerate_ideals(spec).size)}
+
+
+def unit_closures(spec) -> frozenset:
+    return closures_of_unit_subsets(spec.total_dim, unit_products(spec))
+
+
+@pytest.mark.parametrize("spec", CLOSURE_SPECS)
 def test_brute_force_search_finds_exactly_the_block_ideals(spec):
-    enumerated = {block_ideal_subspace(spec, m) for m in range(enumerate_ideals(spec).size)}
-    assert brute_force_ideal_subspaces(spec) == enumerated
+    assert unit_closures(spec) == block_ideals(spec)
+
+
+@pytest.mark.parametrize("spec", CLOSURE_SPECS)
+def test_brute_force_search_detects_a_block_ideal_missing_a_row(spec, monkeypatch):
+    """Negative control: block 0 without its last unit is no ideal, so the
+    closures must differ from the enumerated block ideals."""
+    enumerate_ideals(spec)  # cached before the fault, whose mask 1 fails its invariance check
+    exact = fdalgebra.block_ideal_subspace
+
+    def corrupted(spec, mask):
+        sub = exact(spec, mask)
+        return rref(sub.basis[:-1], spec.total_dim) if mask == 1 else sub
+
+    monkeypatch.setattr(fdalgebra, "block_ideal_subspace", corrupted)
+    assert unit_closures(spec) != block_ideals(spec)
 
 
 def test_brute_force_search_respects_dim_limit():
     with pytest.raises(LimitExceeded):
-        brute_force_ideal_subspaces(M23)
+        unit_closures(M23)
 
 
 @pytest.mark.parametrize("spec", SAMPLE_SPECS)

@@ -20,17 +20,14 @@ from fnideals.lattice import (
     compute_gamma,
     enumerate_compatible_families,
     family_from_lists,
-    family_to_lists,
-    gamma_table,
     is_compatible,
     lattice_from_dict,
-    lattice_to_dict,
     mask_to_points,
     points_to_mask,
-    product_lattice,
     union_over_gamma,
     validate_lattice,
 )
+from oracles import family_to_lists, lattice_to_dict, product_lattice
 
 B4 = boolean_lattice(2)
 POOL = [chain_lattice(2), chain_lattice(3), chain_lattice(5), B4, boolean_lattice(3),
@@ -65,6 +62,18 @@ def test_malformed_tables_raise():
         BoundedLattice(2, ((0, 5), (5, 1)), ((0, 1), (1, 1)), 0, 1)
     with pytest.raises(ValueError):
         BoundedLattice(2, ((0, 0), (0, 1)), ((0, 1), (1, 1)), 0, 9)
+    # bool is an int subclass, but JSON true and false are not sizes or indices
+    chain = {"size": 2, "meet": ((0, 0), (0, 1)), "join": ((0, 1), (1, 1)), "bottom": 0, "top": 1}
+    assert BoundedLattice(**chain) == chain_lattice(2)
+    for bad, message in [
+        ({"size": True, "meet": ((0,),), "join": ((0,),), "top": 0}, "lattice size True must be a positive integer"),
+        ({"meet": ((0, False), (0, 1))}, "meet table entry False out of range"),
+        ({"join": ((0, True), (1, 1))}, "join table entry True out of range"),
+        ({"bottom": False}, "bottom index False out of range"),
+        ({"top": True}, "top index True out of range"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            BoundedLattice(**dict(chain, **bad))
 
 
 def test_lattice_dict_roundtrip():
@@ -172,7 +181,7 @@ def test_gamma_monotone():
 
 
 def test_gamma_table_skips_bottom():
-    table = gamma_table(B4)
+    table = {j: compute_gamma(B4, j) for j in range(B4.size) if j != B4.bottom}
     assert sorted(table) == [1, 2, 3]
 
 

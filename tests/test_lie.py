@@ -1,22 +1,19 @@
 """Lie normalizers, sandwich characterization, CQP and weak centrality."""
 
 import random
-from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fnideals import lie
-from fnideals.fdalgebra import AlgebraSpec, commutator_span, tracial_state_basis
+from fnideals.fdalgebra import AlgebraSpec, commutator_span
 from fnideals.function_algebra import (
     FunctionAlgebra,
     PointwiseIdeal,
     enumerate_all_ideals,
     function_algebra,
-    function_commutator,
     pointwise_subspace,
     theta,
 )
@@ -37,7 +34,14 @@ from fnideals.lie import (
     weak_centrality,
 )
 from fnideals.linalg import Subspace, intersect, rref
-from oracles import vec_dot
+from oracles import (
+    basis_element,
+    dense_brackets,
+    element_from_vector,
+    sympy_kernel,
+    tracial_state_basis,
+    vec_dot,
+)
 
 M2 = AlgebraSpec((2,))
 M3 = AlgebraSpec((3,))
@@ -94,9 +98,9 @@ def test_normalizer_is_closed_under_multiplication(spec, points):
     for ideal in enumerate_all_ideals(alg, verify=False):
         n = lie_normalizer(alg, ideal)
         for r1 in n.basis:
-            v1 = alg.element_from_vector(r1)
+            v1 = element_from_vector(alg, r1)
             for r2 in n.basis:
-                v2 = alg.element_from_vector(r2)
+                v2 = element_from_vector(alg, r2)
                 assert n.contains((v1 * v2).to_vector())
 
 
@@ -120,30 +124,10 @@ def test_pointwise_normalizer_formula(spec, points):
 # dense oracles for the bracket core
 # ---------------------------------------------------------------------------
 
-def dense_brackets(alg, v):
-    """[v, e_b] for every basis element, from dense function elements."""
-    f = alg.element_from_vector(v)
-    return [function_commutator(f, alg.basis_element(b)).to_vector() for b in range(alg.dim)]
-
-
-def from_sympy(x) -> Fraction:
-    return Fraction(int(x.p), int(x.q))
-
-
-def sympy_kernel(rows, dim) -> Subspace:
-    """{ f : r . f = 0 for every row r }, solved by sympy."""
-    if not rows:
-        return Subspace.full(dim)
-    matrix = sympy.Matrix(
-        [[sympy.Rational(v) for v in row] for row in rows]
-    )
-    return rref([tuple(from_sympy(x) for x in w) for w in matrix.nullspace()], dim)
-
-
 def dense_normalizer(alg, sub) -> Subspace:
     """N(S) = { f : phi . [f, e_b] = 0 for each phi vanishing on S and each b }."""
     ann = sympy_kernel(list(sub.basis), alg.dim).basis
-    cols = [dense_brackets(alg, alg.basis_element(i).to_vector()) for i in range(alg.dim)]
+    cols = [dense_brackets(alg, basis_element(alg, i).to_vector()) for i in range(alg.dim)]
     rows = [
         [vec_dot(phi, cols[i][b]) for i in range(alg.dim)]
         for phi in ann

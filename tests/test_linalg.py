@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fnideals.cli import _parse_scalar
 from fnideals.linalg import Subspace, annihilator, intersect, rref, vector
-from oracles import gaussian_text
+from oracles import from_sympy, gaussian_text
 
 
 def V(*entries):
@@ -27,15 +27,11 @@ def to_sympy_matrix(rows, dim):
     ) if rows else sympy.zeros(0, dim)
 
 
-def from_sympy_value(v) -> Fraction:
-    return Fraction(int(v.p), int(v.q))
-
-
 def oracle_rref(rows, dim) -> tuple:
     reduced, _ = to_sympy_matrix(rows, dim).rref()
     out = []
     for i in range(reduced.rows):
-        row = tuple(from_sympy_value(v) for v in reduced.row(i))
+        row = tuple(from_sympy(v) for v in reduced.row(i))
         if any(row):
             out.append(row)
     return tuple(out)
@@ -51,7 +47,7 @@ def oracle_intersection(u_rows, v_rows, dim) -> tuple:
     combos = []
     for w in stacked.nullspace():
         coeffs = w[: len(u_rows), 0]
-        combos.append(tuple(from_sympy_value(v) for v in (mu * coeffs).T))
+        combos.append(tuple(from_sympy(v) for v in (mu * coeffs).T))
     return oracle_rref(combos, dim)
 
 
