@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 from . import fixtures as fixtures_mod
 from .decomposition import decompose, verify_theorem
@@ -28,8 +27,6 @@ from .function_algebra import (
     theta,
 )
 from .lattice import (
-    BoundedLattice,
-    ClosedFamily,
     LimitExceeded,
     SpaceModel,
     compat_oracles_agree,
@@ -64,17 +61,21 @@ class InputError(Exception):
     """Bad problem input; mapped to exit code 2."""
 
 
-@dataclass
 class Problem:
-    name: str
-    lattice: BoundedLattice | None = None
-    spec: AlgebraSpec | None = None
-    points: int | None = None
-    family: ClosedFamily | None = None
-    stalks: tuple | None = None
-    y_points: tuple | None = None
-    ideal_index: int | None = None
-    subspace_rows: tuple | None = None  # rows of (re, im) pairs
+    """What a problem file and --fixture give; each command reads the members it needs."""
+
+    __slots__ = (
+        "name", "lattice", "spec", "points", "family", "stalks", "y_points", "ideal_index",
+        "subspace_rows",  # rows of (re, im) pairs
+    )
+
+    def __init__(self, name: str, lattice=None, spec=None, points=None):
+        self.name = name
+        self.lattice = lattice
+        self.spec = spec
+        self.points = points
+        self.family = self.stalks = self.y_points = self.ideal_index = None
+        self.subspace_rows = None
 
 
 def _is_int(v) -> bool:

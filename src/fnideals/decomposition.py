@@ -8,35 +8,34 @@ a pointwise ideal, and verify_theorem checks the round trip exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .function_algebra import PointwiseIdeal, recover_S, theta
 from .lattice import (
     BoundedLattice,
     ClosedFamily,
     SpaceModel,
-    compute_gamma,
+    _is_index,
     is_compatible,
     union_over_gamma,
 )
+from .value import Frozen, setfield
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Frozen):
     """Terms (Y_j, j) for every non-bottom index j, ascending in j."""
 
-    lattice: BoundedLattice
-    space: SpaceModel
-    terms: tuple
+    __slots__ = ("lattice", "space", "terms")
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(tuple(t) for t in self.terms))
-        full = self.space.full_mask
-        for y, j in self.terms:
-            if not 0 <= j < self.lattice.size or j == self.lattice.bottom:
+    def __init__(self, lattice: BoundedLattice, space: SpaceModel, terms):
+        terms = tuple(tuple(t) for t in terms)
+        masks = space.full_mask + 1
+        for y, j in terms:
+            if not _is_index(j, lattice.size) or j == lattice.bottom:
                 raise ValueError(f"term index {j} must be a non-bottom lattice index")
-            if y & ~full:
+            if not _is_index(y, masks):
                 raise ValueError(f"term mask {y} out of range")
+        setfield(self, "lattice", lattice)
+        setfield(self, "space", space)
+        setfield(self, "terms", terms)
 
 
 def decompose(family: ClosedFamily) -> Decomposition:

@@ -12,26 +12,29 @@ tests' reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .lattice import BoundedLattice, LimitExceeded, boolean_lattice
 from .linalg import Subspace, rref, vector
+from .value import Value, setfield
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
+class AlgebraSpec(Value):
     """Block structure [n_1, ..., n_k] of a direct sum of matrix algebras."""
 
-    block_dims: tuple
+    __slots__ = ("block_dims",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "block_dims", tuple(self.block_dims))
-        if not self.block_dims:
+    def __init__(self, block_dims):
+        block_dims = tuple(block_dims)
+        if not block_dims:
             raise ValueError("at least one block is required")
-        for n in self.block_dims:
+        for n in block_dims:
             if isinstance(n, bool) or not isinstance(n, int) or n < 1:
                 raise ValueError(f"block dimension {n!r} must be a positive integer")
+        setfield(self, "block_dims", block_dims)
+
+    def _key(self) -> tuple:
+        return (self.block_dims,)
 
     @property
     def num_blocks(self) -> int:
@@ -127,23 +130,24 @@ def is_invariant(sub: Subspace, products) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(Value):
     """Member of a block algebra: one square matrix of canonical values per block."""
 
-    spec: AlgebraSpec
-    blocks: tuple
+    __slots__ = ("spec", "blocks")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "blocks", tuple(tuple(tuple(row) for row in blk) for blk in self.blocks)
-        )
-        dims = self.spec.block_dims
-        if len(self.blocks) != len(dims):
+    def __init__(self, spec: AlgebraSpec, blocks):
+        blocks = tuple(tuple(tuple(row) for row in blk) for blk in blocks)
+        dims = spec.block_dims
+        if len(blocks) != len(dims):
             raise ValueError("block count differs from algebra layout")
-        for blk, n in zip(self.blocks, dims):
+        for blk, n in zip(blocks, dims):
             if len(blk) != n or any(len(row) != n for row in blk):
                 raise ValueError("block shape differs from algebra layout")
+        setfield(self, "spec", spec)
+        setfield(self, "blocks", blocks)
+
+    def _key(self) -> tuple:
+        return self.spec, self.blocks
 
     @staticmethod
     def zero(spec: AlgebraSpec) -> "Element":

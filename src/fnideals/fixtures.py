@@ -10,34 +10,37 @@ finite-dimensional block realization, so those carry a lattice only.
 from __future__ import annotations
 
 import json
+import os
 import re
-from dataclasses import dataclass
-from importlib import resources
 
 from .fdalgebra import AlgebraSpec, enumerate_ideals
 from .lattice import (
     BoundedLattice,
-    ClosedFamily,
     SpaceModel,
     chain_lattice,
     family_from_lists,
     lattice_from_dict,
 )
+from .value import Frozen, setfield
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(Frozen):
     """A named lattice, optionally with a concrete algebra and a family."""
 
-    name: str
-    lattice: BoundedLattice
-    spec: AlgebraSpec | None = None
-    family: ClosedFamily | None = None
+    __slots__ = ("name", "lattice", "spec", "family")
+
+    def __init__(self, name: str, lattice: BoundedLattice, spec=None, family=None):
+        setfield(self, "name", name)
+        setfield(self, "lattice", lattice)
+        setfield(self, "spec", spec)
+        setfield(self, "family", family)
 
 
 def bh2_fixture() -> Fixture:
     """The 9-element two-chain-squared lattice with its nested family."""
-    doc = json.loads(resources.files("fnideals").joinpath("data", "bh2.json").read_text())
+    # read next to this module: importlib.resources would add to every CLI start-up
+    with open(os.path.join(os.path.dirname(__file__), "data", "bh2.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
     lat = lattice_from_dict(doc["lattice"])
     space = SpaceModel(doc["points"])
     family = family_from_lists(lat, space, doc["family"])

@@ -10,7 +10,6 @@ ideal and recover_S inverts it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .fdalgebra import (
@@ -27,29 +26,34 @@ from .lattice import (
     ClosedFamily,
     LimitExceeded,
     SpaceModel,
+    _is_index,
     is_compatible,
 )
 from .linalg import Subspace, rref
+from .value import Frozen, Value, setfield
 
 # The CLI limits cap |L|^|X| at 8^4 stalk assignments.
 MAX_IDEALS = 4096
 
 
-@dataclass(frozen=True)
-class PointwiseIdeal:
+class PointwiseIdeal(Value):
     """Ideal of A^X as a map point -> index into the ideal lattice of A."""
 
-    lattice: BoundedLattice
-    space: SpaceModel
-    stalks: tuple
+    __slots__ = ("lattice", "space", "stalks")
 
-    def __post_init__(self):
-        object.__setattr__(self, "stalks", tuple(self.stalks))
-        if len(self.stalks) != self.space.point_count:
+    def __init__(self, lattice: BoundedLattice, space: SpaceModel, stalks):
+        stalks = tuple(stalks)
+        if len(stalks) != space.point_count:
             raise ValueError("one stalk per point is required")
-        for s in self.stalks:
-            if not isinstance(s, int) or not 0 <= s < self.lattice.size:
+        for s in stalks:
+            if not _is_index(s, lattice.size):
                 raise ValueError(f"stalk index {s!r} out of range")
+        setfield(self, "lattice", lattice)
+        setfield(self, "space", space)
+        setfield(self, "stalks", stalks)
+
+    def _key(self) -> tuple:
+        return self.lattice, self.space, self.stalks
 
 
 def theta(family: ClosedFamily) -> PointwiseIdeal:
@@ -156,21 +160,21 @@ def function_algebra(spec: AlgebraSpec, points: int) -> FunctionAlgebra:
     return FunctionAlgebra(spec, SpaceModel(points))
 
 
-@dataclass(frozen=True)
-class FunctionElement:
+class FunctionElement(Frozen):
     """Member of A^X: one Element per point."""
 
-    spec: AlgebraSpec
-    space: SpaceModel
-    values: tuple
+    __slots__ = ("spec", "space", "values")
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        if len(self.values) != self.space.point_count:
+    def __init__(self, spec: AlgebraSpec, space: SpaceModel, values):
+        values = tuple(values)
+        if len(values) != space.point_count:
             raise ValueError("one value per point is required")
-        for v in self.values:
-            if v.spec != self.spec:
+        for v in values:
+            if v.spec != spec:
                 raise ValueError("value belongs to a different algebra")
+        setfield(self, "spec", spec)
+        setfield(self, "space", space)
+        setfield(self, "values", values)
 
     def _check(self, other: "FunctionElement"):
         if self.spec != other.spec or self.space != other.space:

@@ -10,8 +10,9 @@ intersection of the assigned subsets.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
+
+from .value import Value, setfield
 
 
 class LimitExceeded(ValueError):
@@ -23,27 +24,22 @@ def _is_index(v, n: int) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < n
 
 
-@dataclass(frozen=True)
-class BoundedLattice:
+class BoundedLattice(Value):
     """Finite lattice given by explicit meet and join tables.
 
     `bottom` and `top` are the indices of the least and greatest elements.
     The derived order is i <= j iff meet(i, j) == i.
     """
 
-    size: int
-    meet: tuple
-    join: tuple
-    bottom: int
-    top: int
+    __slots__ = ("size", "meet", "join", "bottom", "top")
 
-    def __post_init__(self):
-        object.__setattr__(self, "meet", tuple(tuple(r) for r in self.meet))
-        object.__setattr__(self, "join", tuple(tuple(r) for r in self.join))
-        n = self.size
+    def __init__(self, size: int, meet, join, bottom: int, top: int):
+        meet = tuple(tuple(r) for r in meet)
+        join = tuple(tuple(r) for r in join)
+        n = size
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ValueError(f"lattice size {n!r} must be a positive integer")
-        for name, table in (("meet", self.meet), ("join", self.join)):
+        for name, table in (("meet", meet), ("join", join)):
             if len(table) != n:
                 raise ValueError(f"{name} table must have {n} rows")
             for row in table:
@@ -52,9 +48,17 @@ class BoundedLattice:
                 for v in row:
                     if not _is_index(v, n):
                         raise ValueError(f"{name} table entry {v!r} out of range")
-        for name, idx in (("bottom", self.bottom), ("top", self.top)):
+        for name, idx in (("bottom", bottom), ("top", top)):
             if not _is_index(idx, n):
                 raise ValueError(f"{name} index {idx!r} out of range")
+        setfield(self, "size", size)
+        setfield(self, "meet", meet)
+        setfield(self, "join", join)
+        setfield(self, "bottom", bottom)
+        setfield(self, "top", top)
+
+    def _key(self) -> tuple:
+        return self.size, self.meet, self.join, self.bottom, self.top
 
     def leq(self, i: int, j: int) -> bool:
         return self.meet[i][j] == i
@@ -135,15 +139,18 @@ def validate_lattice(lat: BoundedLattice) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class SpaceModel:
+class SpaceModel(Value):
     """Finite discrete point space; subsets of X are bitmasks over the points."""
 
-    point_count: int
+    __slots__ = ("point_count",)
 
-    def __post_init__(self):
-        if self.point_count < 0:
-            raise ValueError("point count must be nonnegative")
+    def __init__(self, point_count: int):
+        if isinstance(point_count, bool) or not isinstance(point_count, int) or point_count < 0:
+            raise ValueError(f"point count {point_count!r} must be a nonnegative integer")
+        setfield(self, "point_count", point_count)
+
+    def _key(self) -> tuple:
+        return (self.point_count,)
 
     @property
     def full_mask(self) -> int:
@@ -173,22 +180,25 @@ def points_to_mask(points: Iterable[int], point_count: int) -> int:
     return mask
 
 
-@dataclass(frozen=True)
-class ClosedFamily:
+class ClosedFamily(Value):
     """Assignment of a subset of X to every lattice index."""
 
-    lattice: BoundedLattice
-    space: SpaceModel
-    sets: tuple
+    __slots__ = ("lattice", "space", "sets")
 
-    def __post_init__(self):
-        object.__setattr__(self, "sets", tuple(self.sets))
-        if len(self.sets) != self.lattice.size:
+    def __init__(self, lattice: BoundedLattice, space: SpaceModel, sets):
+        sets = tuple(sets)
+        if len(sets) != lattice.size:
             raise ValueError("family must assign one subset per lattice index")
-        full = self.space.full_mask
-        for s in self.sets:
-            if not isinstance(s, int) or s < 0 or s & ~full:
+        masks = space.full_mask + 1  # a mask of X is an index in [0, 2^|X|)
+        for s in sets:
+            if not _is_index(s, masks):
                 raise ValueError(f"subset mask {s!r} out of range")
+        setfield(self, "lattice", lattice)
+        setfield(self, "space", space)
+        setfield(self, "sets", sets)
+
+    def _key(self) -> tuple:
+        return self.lattice, self.space, self.sets
 
 
 def _pairwise_compatible(lat: BoundedLattice, sets: tuple) -> bool:

@@ -11,8 +11,6 @@ so sandwich_witness decides the question in closed form from J_min alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .fdalgebra import AlgebraSpec
 from .function_algebra import (
     FunctionAlgebra,
@@ -22,6 +20,7 @@ from .function_algebra import (
 )
 from .lattice import SpaceModel
 from .linalg import Subspace, annihilator, rref
+from .value import Frozen, setfield
 
 # Candidates the sandwich suite draws per ideal, and outside every bound.
 SANDWICH_PER_IDEAL = 20
@@ -87,8 +86,7 @@ def commutator_ideal_span(alg: FunctionAlgebra, ideal) -> Subspace:
     return span
 
 
-@dataclass(frozen=True)
-class LieCandidate:
+class LieCandidate(Frozen):
     """A closed subspace L of B offered as a potential Lie ideal.
 
     `space` is L itself (width dim B) or, for a complex L, its realification:
@@ -96,16 +94,15 @@ class LieCandidate:
     real, so every test below reads the same answer off either form.
     """
 
-    alg: FunctionAlgebra
-    space: Subspace
-    # [v, e_b] rows over L's basis rows v, computed once for every test of L.
-    brackets: tuple = field(init=False, compare=False, repr=False)
+    # brackets: the [v, e_b] rows over L's basis rows v, computed once for every test of L
+    __slots__ = ("alg", "space", "brackets")
 
-    def __post_init__(self):
-        if self.space.ambient_dim not in (self.alg.dim, 2 * self.alg.dim):
+    def __init__(self, alg: FunctionAlgebra, space: Subspace):
+        if space.ambient_dim not in (alg.dim, 2 * alg.dim):
             raise ValueError("candidate does not live in the algebra's coordinate space")
-        rows = tuple(row for v in self.space.basis for row in _brackets(self.alg, v))
-        object.__setattr__(self, "brackets", rows)
+        setfield(self, "alg", alg)
+        setfield(self, "space", space)
+        setfield(self, "brackets", tuple(row for v in space.basis for row in _brackets(alg, v)))
 
 
 def is_lie_ideal(candidate: LieCandidate) -> bool:

@@ -20,10 +20,11 @@ is safe to use from multiple threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+
+from .value import Value, setfield
 
 
 def _rational(x):
@@ -97,8 +98,7 @@ def _echelon(work: list, width: int) -> list:
     ]
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Value):
     """Linear subspace given by its reduced row-echelon basis.
 
     Invariants, checked because membership relies on them: basis rows are
@@ -106,25 +106,28 @@ class Subspace:
     column is zero in every other row.
     """
 
-    ambient_dim: int
-    basis: tuple
-    pivots: tuple = field(init=False, compare=False, repr=False)
+    __slots__ = ("ambient_dim", "basis", "pivots")
 
-    def __post_init__(self):
+    def __init__(self, ambient_dim: int, basis: tuple):
         # rref passes a tuple of tuples; rebuilding one only churns tuples (see rref)
-        if type(self.basis) is not tuple or not all(type(r) is tuple for r in self.basis):
-            object.__setattr__(self, "basis", tuple(tuple(r) for r in self.basis))
-        for row in self.basis:
-            if len(row) != self.ambient_dim or not any(row):
+        if type(basis) is not tuple or not all(type(r) is tuple for r in basis):
+            basis = tuple(tuple(r) for r in basis)
+        for row in basis:
+            if len(row) != ambient_dim or not any(row):
                 raise ValueError("basis rows must be nonzero and of the ambient length")
-        pivots = tuple(next(c for c, v in enumerate(row) if v) for row in self.basis)
-        for k, (row, p) in enumerate(zip(self.basis, pivots)):
+        pivots = tuple(next(c for c, v in enumerate(row) if v) for row in basis)
+        for k, (row, p) in enumerate(zip(basis, pivots)):
             if row[p] != 1 or k and p <= pivots[k - 1]:
                 raise ValueError("basis must be in reduced row-echelon form")
-            for above in self.basis[:k]:  # rows below are zero at p: their pivots lie right of it
+            for above in basis[:k]:  # rows below are zero at p: their pivots lie right of it
                 if above[p]:
                     raise ValueError("basis must be in reduced row-echelon form")
-        object.__setattr__(self, "pivots", pivots)
+        setfield(self, "ambient_dim", ambient_dim)
+        setfield(self, "basis", basis)
+        setfield(self, "pivots", pivots)
+
+    def _key(self) -> tuple:
+        return self.ambient_dim, self.basis
 
     @property
     def dim(self) -> int:

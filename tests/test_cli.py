@@ -148,6 +148,18 @@ def test_closed_stdout_exits_1_without_a_traceback():
     assert (proc.returncode, err) == (1, b"")
 
 
+def test_cli_start_up_imports_no_heavy_modules():
+    """`python -S` skips the .pth hooks of site-packages, which may preload some
+    of these: what is left is what `fnideals.cli` itself imports."""
+    heavy = ("dataclasses", "inspect", "importlib.resources", "typing")
+    code = f"import sys, fnideals.cli; print(*[m for m in {heavy!r} if m in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(SRC_DIR)),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
+
+
 # sl_2 at point 0 and all of M_2 at point 1 (a Lie ideal); e_12 at point 0 alone (not one)
 SL2_THEN_M2 = [[1, 0, 0, -1, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0, 0]] + [
     [int(c == k) for c in range(8)] for k in range(4, 8)

@@ -63,6 +63,10 @@ def test_decomposition_validates_terms():
         Decomposition(B4, SpaceModel(2), ((0, 0),))  # bottom index not allowed
     with pytest.raises(ValueError):
         Decomposition(B4, SpaceModel(2), ((9, 1),))  # mask out of range
+    with pytest.raises(ValueError, match="^term index True must be a non-bottom lattice index$"):
+        Decomposition(B4, SpaceModel(2), ((0, True),))
+    with pytest.raises(ValueError, match="^term mask False out of range$"):
+        Decomposition(B4, SpaceModel(2), ((False, 1),))
 
 
 def test_chain_decomposition_uses_previous_set():

@@ -18,7 +18,7 @@ from fnideals.function_algebra import (
     recover_S,
     theta,
 )
-from fnideals.lattice import ClosedFamily, LimitExceeded, SpaceModel, is_compatible
+from fnideals.lattice import ClosedFamily, LimitExceeded, SpaceModel, chain_lattice, is_compatible
 from fnideals.linalg import Subspace, rref
 from oracles import basis_element, closures_of_unit_subsets, commutator, element_from_vector
 
@@ -67,6 +67,15 @@ def test_recover_boolean_example():
     alg = alg11(2)
     ideal = PointwiseIdeal(alg.lattice, SpaceModel(2), (1, 2))
     assert recover_S(ideal).sets == (0b00, 0b01, 0b10, 0b11)
+
+
+def test_pointwise_ideal_validation():
+    lat = chain_lattice(2)
+    with pytest.raises(ValueError, match="^one stalk per point is required$"):
+        PointwiseIdeal(lat, SpaceModel(2), (0,))
+    for stalk in (True, 1.0, 2, -1):
+        with pytest.raises(ValueError, match=f"^stalk index {stalk!r} out of range$"):
+            PointwiseIdeal(lat, SpaceModel(1), (stalk,))
 
 
 def test_recover_bottom_stalks_gives_full_everywhere():

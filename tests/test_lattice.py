@@ -74,6 +74,9 @@ def test_malformed_tables_raise():
     ]:
         with pytest.raises(ValueError, match=f"^{message}$"):
             BoundedLattice(**dict(chain, **bad))
+    for points in (True, 2.5, -1):
+        with pytest.raises(ValueError, match=f"^point count {points!r} must be a nonnegative integer$"):
+            SpaceModel(points)
 
 
 def test_lattice_dict_roundtrip():
@@ -115,8 +118,15 @@ def test_compatibility_requires_full_top():
 def test_family_shape_validation():
     with pytest.raises(ValueError):
         ClosedFamily(B4, SpaceModel(1), (0, 0, 0))
-    with pytest.raises(ValueError):
-        ClosedFamily(B4, SpaceModel(1), (0, 0, 0, 4))
+    for sets, message in [
+        ((0, 0, 0, 4), "subset mask 4 out of range"),
+        ((0, 0, 0, -1), "subset mask -1 out of range"),
+        ((0, 0, 0, 1.0), "subset mask 1.0 out of range"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ClosedFamily(B4, SpaceModel(1), sets)
+    with pytest.raises(ValueError, match="^subset mask False out of range$"):
+        ClosedFamily(chain_lattice(2), SpaceModel(1), (False, True))
 
 
 @pytest.mark.parametrize("lat", POOL)
