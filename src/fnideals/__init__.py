@@ -12,10 +12,9 @@ from .fdalgebra import (
     Element,
     block_ideal_subspace,
     centre,
-    commutator_span,
     enumerate_ideals,
 )
-from .fixtures import Fixture, bh2_fixture, block_fixture, chain_fixture, load_fixture
+from .fixtures import load_fixture
 from .function_algebra import (
     FunctionAlgebra,
     FunctionElement,

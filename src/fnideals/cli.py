@@ -1,10 +1,10 @@
 """Command-line surface: load a problem, run a suite, print a stable report.
 
-Problems are JSON documents (see README.md for the schema); a bundled fixture
-can stand in for the lattice via --fixture.  All indices in JSON are
-0-based; printed reports label ideals 1-based to match the usual I_1..I_n
-numbering.  Exit codes: 0 all checks passed, 1 a checked identity failed
-or stdout was closed before the report was written, 2 invalid input.
+Problems are JSON documents (see README.md for the schema); --fixture lays
+the problem file over a bundled one (see fixtures.py).  All indices in JSON
+are 0-based; printed reports label ideals 1-based to match the usual
+I_1..I_n numbering.  Exit codes: 0 all checks passed, 1 a checked identity
+failed or stdout was closed before the report was written, 2 invalid input.
 """
 
 from __future__ import annotations
@@ -83,6 +83,11 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _shown(n: int):
+    """n as a message prints it: str() refuses an int of over 4,300 digits."""
+    return n if n < 1 << 64 else "over 2^64"
+
+
 def _parse_scalar(text: str) -> tuple:
     """Parse "p/q", "r/s i" or "p/q+r/s i" (signs and spaces allowed) into
     (re, im), each in canonical form.  An exponent is refused: Fraction("1e9999999")
@@ -150,38 +155,35 @@ def _load_document(path: str) -> dict:
 
 def _resolve_problem(args) -> Problem:
     doc = _load_document(args.problem) if getattr(args, "problem", None) else {}
-    fixture = None
+    name = "problem"
     if getattr(args, "fixture", None):
         try:
-            fixture = fixtures_mod.load_fixture(args.fixture)
+            name, bundled = fixtures_mod.load_fixture(args.fixture)
         except ValueError as exc:
             raise InputError(str(exc)) from None
-    name = fixture.name if fixture else "problem"
+        if "blocks" in doc or "lattice" in doc:
+            raise InputError("the problem file and --fixture both provide a lattice")
+        points = doc.get("points")
+        if points is None:
+            points = bundled.get("points", 2)
+        if points != bundled.get("points"):
+            bundled.pop("family", None)  # it lists the bundled points only
+        doc = {**bundled, **doc, "points": points}
 
     lattice = None
     spec = None
-    if "blocks" in doc or "lattice" in doc:
-        if fixture is not None:
-            raise InputError("the problem file and --fixture both provide a lattice")
-        if "blocks" in doc:
-            try:
-                spec = AlgebraSpec(tuple(doc["blocks"]))
-            except (TypeError, ValueError) as exc:
-                raise InputError(f"bad blocks member: {exc}") from None
-        if "lattice" in doc:
-            try:
-                lattice = lattice_from_dict(doc["lattice"])
-            except (TypeError, ValueError) as exc:
-                raise InputError(f"bad lattice member: {exc}") from None
-    elif fixture is not None:
-        lattice = fixture.lattice
-        spec = fixture.spec
+    if "blocks" in doc:
+        try:
+            spec = AlgebraSpec(tuple(doc["blocks"]))
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"bad blocks member: {exc}") from None
+    if "lattice" in doc:
+        try:
+            lattice = lattice_from_dict(doc["lattice"])
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"bad lattice member: {exc}") from None
 
     points = doc.get("points")
-    if points is None and fixture is not None and fixture.family is not None:
-        points = fixture.family.space.point_count
-    if points is None and fixture is not None:
-        points = 2
     if points is not None and (not _is_int(points) or points < 0):
         raise InputError(f"points must be a nonnegative integer, got {points!r}")
 
@@ -189,15 +191,13 @@ def _resolve_problem(args) -> Problem:
     if lattice is not None and lattice.size > MAX_LATTICE_SIZE:
         raise InputError(f"lattice size {lattice.size} exceeds the limit {MAX_LATTICE_SIZE}")
     if spec is not None and 1 << spec.num_blocks > MAX_LATTICE_SIZE:
-        raise InputError(
-            f"ideal lattice size {1 << spec.num_blocks} exceeds the limit {MAX_LATTICE_SIZE}"
-        )
+        size = _shown(1 << spec.num_blocks)
+        raise InputError(f"ideal lattice size {size} exceeds the limit {MAX_LATTICE_SIZE}")
     if points is not None and points > MAX_POINTS:
         raise InputError(f"points = {points} exceeds the limit {MAX_POINTS}")
     if spec is not None and spec.total_dim > MAX_POINT_DIM:
-        raise InputError(
-            f"algebra dimension {spec.total_dim} exceeds the per-point limit {MAX_POINT_DIM}"
-        )
+        dim = _shown(spec.total_dim)
+        raise InputError(f"algebra dimension {dim} exceeds the per-point limit {MAX_POINT_DIM}")
 
     if "blocks" in doc:
         block_lat = enumerate_ideals(spec)
@@ -214,9 +214,6 @@ def _resolve_problem(args) -> Problem:
             problem.family = family_from_lists(lattice, SpaceModel(points), doc["family"])
         except (TypeError, ValueError) as exc:
             raise InputError(f"bad family member: {exc}") from None
-    elif fixture is not None and fixture.family is not None:
-        if points == fixture.family.space.point_count:
-            problem.family = fixture.family
 
     if "ideal" in doc:
         stalks = doc["ideal"]

@@ -257,20 +257,6 @@ def centre(spec: AlgebraSpec) -> Subspace:
 
 
 @lru_cache(maxsize=None)
-def commutator_span(spec: AlgebraSpec) -> Subspace:
-    """Span of all commutators of basis pairs; the trace-zero part blockwise."""
-    d = spec.total_dim
-    rows = []
-    for row in unit_commutators(unit_products(spec)):
-        for terms in row:
-            vec = [0] * d
-            for k, c in terms:
-                vec[k] = c
-            rows.append(vec)
-    return rref(rows, d)
-
-
-@lru_cache(maxsize=None)
 def block_ideal_subspace(spec: AlgebraSpec, mask: int) -> Subspace:
     """The two-sided ideal of A that is the sum of the blocks in the bitmask."""
     if not 0 <= mask < 1 << spec.num_blocks:

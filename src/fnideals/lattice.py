@@ -249,14 +249,18 @@ def is_compatible(family: ClosedFamily, exhaustive: bool = False) -> bool:
 
 
 def compat_oracles_agree(lat: BoundedLattice, space: SpaceModel) -> bool:
-    """True iff the pairwise and exhaustive compatibility checks agree on
-    every assignment of a subset of X to each lattice index.  They can
-    differ only on a meet table that is not commutative.
+    """True iff enumerate_compatible_families returns exactly the families
+    found by brute force: every assignment of a subset of X to each lattice
+    index that puts X at the top and passes the exhaustive check.
     """
-    return all(
-        _pairwise_compatible(lat, sets) == _exhaustive_compatible(lat, sets)
-        for sets in itertools.product(range(space.full_mask + 1), repeat=lat.size)
-    )
+    full = space.full_mask
+    brute = [
+        sets
+        for sets in itertools.product(range(full + 1), repeat=lat.size)
+        if sets[lat.top] == full and _exhaustive_compatible(lat, sets)
+    ]
+    found = enumerate_compatible_families(lat, space, bound=lat.size * space.point_count)
+    return sorted(f.sets for f in found) == brute
 
 
 def compute_gamma(lat: BoundedLattice, j: int) -> frozenset:
@@ -295,6 +299,16 @@ def family_from_lists(lat: BoundedLattice, space: SpaceModel, lists) -> ClosedFa
     return ClosedFamily(lat, space, sets)
 
 
+def _meet_triggers(lat: BoundedLattice) -> list:
+    """triggers[p]: the pairs (i, j, meet(i, j)) with i <= j whose largest index is p."""
+    triggers = [[] for _ in range(lat.size)]
+    for i in range(lat.size):
+        for j in range(i, lat.size):
+            m = lat.meet[i][j]
+            triggers[max(i, j, m)].append((i, j, m))
+    return triggers
+
+
 def enumerate_compatible_families(
     lat: BoundedLattice, space: SpaceModel, bound: int = 16
 ) -> list:
@@ -308,11 +322,7 @@ def enumerate_compatible_families(
         raise LimitExceeded(
             f"lattice size * points = {n * space.point_count} exceeds bound {bound}"
         )
-    triggers = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            m = lat.meet[i][j]
-            triggers[max(i, j, m)].append((i, j, m))
+    triggers = _meet_triggers(lat)
     full = space.full_mask
     all_masks = range(full + 1)
     sets = [0] * n

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from fnideals import lie
+from fnideals import lattice, lie
 from fnideals.lattice import BoundedLattice, ClosedFamily, SpaceModel
 from fnideals.linalg import rref
 
@@ -18,6 +18,17 @@ def corrupt_normalizer(monkeypatch):
         return rref(normalizer(alg, ideal).basis[:-1], alg.dim)
 
     monkeypatch.setattr(lie, "lie_normalizer", corrupted)
+
+
+@pytest.fixture
+def drop_meet_trigger(monkeypatch):
+    """Seeded fault: enumerate_compatible_families never checks the pair (1, 2)."""
+    triggers = lattice._meet_triggers
+
+    def corrupted(lat):
+        return [[t for t in at_p if t[:2] != (1, 2)] for at_p in triggers(lat)]
+
+    monkeypatch.setattr(lattice, "_meet_triggers", corrupted)
 
 
 def diamond_lattice() -> BoundedLattice:

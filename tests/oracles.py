@@ -8,7 +8,7 @@ import sympy
 from fnideals.fdalgebra import Element, unit_translates
 from fnideals.function_algebra import FunctionElement
 from fnideals.lattice import BoundedLattice, LimitExceeded, mask_to_points
-from fnideals.linalg import Subspace, rref, vector
+from fnideals.linalg import Subspace, annihilator, rref, vector
 
 # Largest algebra dimension whose 2^dim unit subsets the closure oracle closes.
 BRUTE_FORCE_DIM_LIMIT = 5
@@ -92,6 +92,11 @@ def tracial_state_basis(spec) -> tuple:
             row[spec.coord(b, p, p)] = Fraction(1, n)
         out.append(vector(row))
     return tuple(out)
+
+
+def trace_zero_subspace(spec) -> Subspace:
+    """The common kernel of the tracial states: [A, A], trace zero in every block."""
+    return annihilator(rref(tracial_state_basis(spec), spec.total_dim))
 
 
 def basis_element(alg, index: int) -> FunctionElement:

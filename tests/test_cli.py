@@ -14,10 +14,11 @@ import pytest
 from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
-from fnideals import cli, decomposition
+from fnideals import cli, decomposition, fdalgebra
 from fnideals.cli import _parse_scalar, main
 from fnideals.fdalgebra import AlgebraSpec, enumerate_ideals
 from fnideals.function_algebra import PointwiseIdeal, enumerate_all_ideals
+from fnideals.lattice import chain_lattice
 from fnideals.lie import commutator_ideal_span, lie_normalizer
 from oracles import dense_brackets, gaussian_text, lattice_to_dict
 
@@ -117,19 +118,142 @@ def _one_entry(entry):
          "bad lattice member: lattice size True must be a positive integer"),
         (("gamma",), {"lattice": dict(BOOLEAN_2, meet=[[False] * 4] * 4)},
          "bad lattice member: meet table entry False out of range"),
+        # a fixture is a problem document; the file may not replace its lattice
+        (("gamma", "--fixture", "bh2"), {"lattice": BOOLEAN_2},
+         "the problem file and --fixture both provide a lattice"),
+        (("gamma", "--fixture", "block_1_2"), {"blocks": [2]},
+         "the problem file and --fixture both provide a lattice"),
+        (("gamma", "--fixture", "nonesuch"), None, "unknown fixture 'nonesuch'"),
+        (("gamma", "--fixture", "chain9"), None, "chain length 9 outside bundled range [2, 8]"),
+        (("gamma", "--fixture", "block_0"), None, "block dimension 0 must be a positive integer"),
+        # limits, a block fixture's among them
+        (("gamma",), {"lattice": lattice_to_dict(chain_lattice(13))}, "lattice size 13 exceeds the limit 12"),
+        (("gamma",), {"blocks": [1, 1, 1, 1]}, "ideal lattice size 16 exceeds the limit 12"),
+        (("gamma", "--fixture", "block_1_1_1_1_1_1_1"), None, "ideal lattice size 128 exceeds the limit 12"),
+        (("gamma",), {"blocks": [1] * 20000}, "ideal lattice size over 2^64 exceeds the limit 12"),
+        (("gamma",), {"blocks": [10 ** 4000]}, "algebra dimension over 2^64 exceeds the per-point limit 32"),
+        (("gamma", "--fixture", "block_30"), None, "algebra dimension 900 exceeds the per-point limit 32"),
+        (("gamma",), {"blocks": [1], "points": 5}, "points = 5 exceeds the limit 4"),
+        (("gamma", "--fixture", "bh2"), {"points": 5}, "points = 5 exceeds the limit 4"),
+        (("gamma",), {"blocks": [0]}, "bad blocks member: block dimension 0 must be a positive integer"),
+        # members that need a lattice, points or the right length
+        (("theta",), {"points": 1, "family": [[0]]}, "family requires a lattice and points"),
+        (("theta",), {"lattice": BOOLEAN_2, "points": 1, "family": [[0]]},
+         "bad family member: family must list one subset per lattice index"),
+        (("normalizer",), {"points": 1, "ideal": [0]}, "ideal requires a lattice and points"),
+        (("normalizer",), {"blocks": [1, 1], "points": 2, "ideal": [0]},
+         "ideal must list one stalk index per point"),
+        (("ideal-from-y",), {"blocks": [2], "Y": [0]}, "Y requires points"),
+        (("ideal-from-y",), {"blocks": [2], "points": 1, "Y": [0], "ideal_index": 2},
+         "ideal_index 2 out of range"),
+        (("validate",), b"[1, 2]", "problem file must contain a JSON object"),
+        (("validate",), b"{", "malformed JSON at line 1 column 2: "
+         "Expecting property name enclosed in double quotes"),
+        (("validate", "no/such/problem.json"), None,
+         "cannot read no/such/problem.json: No such file or directory"),
+        # a command missing what it reads
+        (("theta",), {"lattice": BOOLEAN_2}, "this command needs a family member"),
+        (("cqp",), {"lattice": BOOLEAN_2, "points": 1},
+         "this command needs a concrete block algebra (blocks member or fixture)"),
+        (("theta", "--fixture", "bh2"), {"points": 3}, "this command needs a family member"),
+        # a family whose top is not X, or that is not compatible
+        (("compat",), {"lattice": BOOLEAN_2, "points": 1, "family": [[], [], [], []]},
+         "family must assign the full point set to the top index"),
+        (("theta",), {"lattice": BOOLEAN_2, "points": 1, "family": [[0], [], [], [0]]},
+         "family is not compatible with the lattice"),
+        (("decompose",), {"lattice": BOOLEAN_2, "points": 1, "family": [[0], [], [], [0]]},
+         "family is not compatible with the lattice"),
+        # scalars JSON can write that are not exact rationals
+        (("sandwich",), _one_entry(0.5), "scalar entry 0.5 is not exact; use a rational string"),
+        (("sandwich",), _one_entry(True), "scalar entry True is not a number"),
+        (("sandwich",), _one_entry({}), "scalar entry {} has unsupported type"),
     ],
     ids=["huge-block", "bool-points", "lattice-not-object", "meet-not-list",
          "subspace-row-not-list", "bool-point", "bool-stalk", "family-top-not-X",
          "subspace-bad-literal", "subspace-zero-denominator", "subspace-empty-entry",
          "subspace-exponent", "subspace-exponent-in-i-part", "subspace-short-row",
          "not-utf8", "int-too-long", "nested-too-deep", "lattice-not-block-numbered",
-         "bool-bottom-top", "bool-top", "bool-size", "bool-table-entry"],
+         "bool-bottom-top", "bool-top", "bool-size", "bool-table-entry",
+         "fixture-and-lattice", "fixture-and-blocks", "unknown-fixture", "chain-out-of-range",
+         "zero-block-fixture", "lattice-size", "ideal-lattice-size", "ideal-lattice-size-fixture",
+         "ideal-lattice-size-huge", "algebra-dimension-huge", "algebra-dimension-fixture",
+         "points-limit", "points-limit-fixture", "zero-block",
+         "family-without-lattice", "family-wrong-length", "ideal-without-lattice", "ideal-short",
+         "Y-without-points", "ideal-index-out-of-range", "not-an-object", "malformed-json",
+         "unreadable-file", "needs-family", "needs-algebra", "fixture-family-at-other-points",
+         "compat-top-not-X", "theta-incompatible", "decompose-incompatible",
+         "scalar-float", "scalar-bool", "scalar-object"],
 )
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv, doc, message):
     code, out, err = run_cli(tmp_path, capsys, argv, doc)
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_unknown_command_exits_2_with_usage(capsys):
+    assert main(["nonesuch"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "invalid choice: 'nonesuch'" in err
+
+
+def test_over_limit_block_fixture_fails_before_building_anything(capsys, monkeypatch):
+    """Every ideal-lattice enumeration builds block_ideal_subspace; the limit
+    must stop the run first."""
+    def refuse(spec, mask):
+        raise AssertionError("an ideal was built before the limits were checked")
+
+    monkeypatch.setattr(fdalgebra, "block_ideal_subspace", refuse)
+    assert main(["gamma", "--fixture", "block_9_9_9_9_9_9"]) == 2
+    assert capsys.readouterr() == ("", "error: ideal lattice size 64 exceeds the limit 12\n")
+
+
+def test_fixture_is_a_problem_document_under_the_file(tmp_path, capsys):
+    """A missing or null points falls back to the fixture's count, and the
+    bundled family applies only at the bundled point count."""
+    alone = run_cli(tmp_path, capsys, ["theta", "--fixture", "bh2"], None)
+    assert alone[0] == 0 and alone[1].count("stalk[") == 4 and alone[2] == ""
+    for doc in ({}, {"points": None}, {"points": 4}):
+        assert run_cli(tmp_path, capsys, ["theta", "--fixture", "bh2"], doc) == alone
+    family = [[0]] * 8 + [[0, 1, 2]]
+    code, out, _ = run_cli(tmp_path, capsys, ["theta", "--fixture", "bh2"], {"points": 3, "family": family})
+    assert code == 0 and out.count("stalk[") == 3
+    # chain fixtures default to 2 points; the printed name is canonical
+    code, out, _ = run_cli(tmp_path, capsys, ["verify-fin-sum", "--fixture", "chain08"], {"points": None})
+    assert code == 0 and out.splitlines()[0] == "PASS chain8 0 evaluate-equals-theta"
+    assert out.splitlines()[-1] == "64/64 families PASS"  # a level in 8 per point
+
+
+@pytest.mark.parametrize(
+    "doc, code, out",
+    [
+        ({"lattice": BOOLEAN_2}, 0, "ok\n"),
+        ({"lattice": dict(BOOLEAN_2, meet=[[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 2, 2], [0, 1, 2, 3]])},
+         1, "FAIL meet commutativity violated at (1,2)\n"),
+    ],
+    ids=["lattice", "not-commutative"],
+)
+def test_validate_reports_the_first_violation(tmp_path, capsys, doc, code, out):
+    assert run_cli(tmp_path, capsys, ["validate"], doc) == (code, out, "")
+
+
+@pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["pairwise", "exhaustive"])
+@pytest.mark.parametrize(
+    "family, code, out",
+    [([[], [0], [], [0]], 0, "compatible\n"), ([[0], [], [], [0]], 1, "incompatible\n")],
+    ids=["compatible", "incompatible"],
+)
+def test_compat_in_both_modes(tmp_path, capsys, oracle, family, code, out):
+    doc = {"lattice": BOOLEAN_2, "points": 1, "family": family}
+    assert run_cli(tmp_path, capsys, ["compat"] + oracle, doc) == (code, out, "")
+
+
+def test_integral_float_scalars_read_as_integers(tmp_path, capsys):
+    rows = [[1, 0, 0, -1], [0, 1, 0, 0]]
+    floats = [[float(v) for v in row] for row in rows]
+    ints = run_cli(tmp_path, capsys, ["sandwich"], {"blocks": [2], "points": 1, "subspace": rows})
+    assert ints[0] == 0
+    assert run_cli(tmp_path, capsys, ["sandwich"], {"blocks": [2], "points": 1, "subspace": floats}) == ints
 
 
 def test_closed_stdout_exits_1_without_a_traceback():

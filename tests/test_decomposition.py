@@ -12,7 +12,7 @@ from fnideals.decomposition import (
     union_reduction_holds,
     verify_theorem,
 )
-from fnideals.fixtures import bh2_fixture
+from fnideals.fixtures import load_fixture
 from fnideals.function_algebra import PointwiseIdeal, recover_S, theta
 from fnideals.lattice import (
     ClosedFamily,
@@ -20,6 +20,8 @@ from fnideals.lattice import (
     boolean_lattice,
     chain_lattice,
     enumerate_compatible_families,
+    family_from_lists,
+    lattice_from_dict,
     union_over_gamma,
 )
 
@@ -94,8 +96,7 @@ def test_verify_theorem_reports_stable_names():
 
 
 def test_bh2_nested_family_targeted_run():
-    fx = bh2_fixture()
-    fam = level_family(fx.lattice, BH2_NESTED_LEVELS)
+    fam = level_family(lattice_from_dict(load_fixture("bh2")[1]["lattice"]), BH2_NESTED_LEVELS)
     sets = fam.sets
     assert len(set(sets)) == 9 and all(sets)  # distinct and nonempty
     assert all(ok for _, ok in verify_theorem(fam))
@@ -109,8 +110,9 @@ def test_bh2_nested_family_targeted_run():
 
 
 def test_bundled_bh2_family_passes():
-    fx = bh2_fixture()
-    assert all(ok for _, ok in verify_theorem(fx.family))
+    _, doc = load_fixture("bh2")
+    family = family_from_lists(lattice_from_dict(doc["lattice"]), SpaceModel(doc["points"]), doc["family"])
+    assert all(ok for _, ok in verify_theorem(family))
 
 
 @pytest.mark.parametrize("lat", [B4, chain_lattice(4), boolean_lattice(3)])

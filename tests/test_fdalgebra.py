@@ -12,16 +12,24 @@ from fnideals.fdalgebra import (
     Element,
     block_ideal_subspace,
     centre,
-    commutator_span,
     enumerate_ideals,
     is_invariant,
     unit_product,
     unit_products,
     unit_translates,
 )
+from fnideals.function_algebra import function_algebra
 from fnideals.lattice import LimitExceeded, boolean_lattice
+from fnideals.lie import commutator_ideal_span
 from fnideals.linalg import Subspace, intersect, rref
-from oracles import closures_of_unit_subsets, commutator, sympy_kernel, tracial_state_basis, vec_dot
+from oracles import (
+    closures_of_unit_subsets,
+    commutator,
+    sympy_kernel,
+    trace_zero_subspace,
+    tracial_state_basis,
+    vec_dot,
+)
 
 M1 = AlgebraSpec((1,))
 M2 = AlgebraSpec((2,))
@@ -166,16 +174,21 @@ def test_centre_members_commute_with_basis(spec):
 # commutator span
 # ---------------------------------------------------------------------------
 
+def commutator_span(spec) -> Subspace:
+    """[A, A] from the package's commutator routine: span[A, B] for B = A at one point."""
+    return commutator_ideal_span(function_algebra(spec, 1), Subspace.full(spec.total_dim))
+
+
 def test_commutator_span_commutative_is_zero():
-    assert commutator_span(M1) == Subspace.zero(1)
-    assert commutator_span(M11) == Subspace.zero(2)
+    assert commutator_span(M1) == trace_zero_subspace(M1) == Subspace.zero(1)
+    assert commutator_span(M11) == trace_zero_subspace(M11) == Subspace.zero(2)
 
 
 def test_commutator_span_m2_is_trace_zero():
     got = commutator_span(M2)
     assert got.dim == 3
     trace_zero = rref([(1, 0, 0, -1), (0, 1, 0, 0), (0, 0, 1, 0)], 4)
-    assert got == trace_zero
+    assert got == trace_zero == trace_zero_subspace(M2)
 
 
 def test_commutator_span_block_sum():
@@ -185,6 +198,12 @@ def test_commutator_span_block_sum():
 @pytest.mark.parametrize("spec", SAMPLE_SPECS)
 def test_commutator_span_dimension_formula(spec):
     assert commutator_span(spec).dim == sum(n * n - 1 for n in spec.block_dims)
+
+
+@pytest.mark.parametrize("dims", [(1,), (2,), (3,), (1, 2), (2, 2), (1, 1, 1), (3, 3, 3), (1, 1, 5)])
+def test_commutator_span_is_the_kernel_of_the_tracial_states(dims):
+    spec = AlgebraSpec(dims)
+    assert commutator_span(spec) == trace_zero_subspace(spec)
 
 
 @pytest.mark.parametrize("spec", SAMPLE_SPECS)

@@ -1,4 +1,5 @@
-"""Bundled fixtures: the 9-element lattice, chains and block lattices."""
+"""Bundled fixtures: problem documents for the 9-element lattice, chains and
+block algebras."""
 
 import itertools
 
@@ -6,17 +7,14 @@ import pytest
 
 from conftest import BH2_NESTED_LEVELS, level_family
 from fnideals.fdalgebra import AlgebraSpec, enumerate_ideals
-from fnideals.fixtures import (
-    bh2_fixture,
-    block_fixture,
-    bundled_fixture_names,
-    chain_fixture,
-    load_fixture,
-)
+from fnideals.fixtures import bundled_fixture_names, load_fixture
 from fnideals.lattice import (
+    SpaceModel,
     chain_lattice,
     compute_gamma,
+    family_from_lists,
     is_compatible,
+    lattice_from_dict,
     union_over_gamma,
     validate_lattice,
 )
@@ -35,14 +33,27 @@ BH2_GAMMA_1BASED = {
 }
 
 
+def fixture_lattice(name):
+    """The lattice a fixture's document describes: its `lattice` member, or
+    the ideal lattice of its `blocks`."""
+    _, doc = load_fixture(name)
+    if "blocks" in doc:
+        return enumerate_ideals(AlgebraSpec(doc["blocks"]))
+    return lattice_from_dict(doc["lattice"])
+
+
+def bh2_family():
+    _, doc = load_fixture("bh2")
+    return family_from_lists(lattice_from_dict(doc["lattice"]), SpaceModel(doc["points"]), doc["family"])
+
+
 def test_every_bundled_fixture_has_a_valid_lattice():
     for name in bundled_fixture_names():
-        fx = load_fixture(name)
-        assert validate_lattice(fx.lattice) is None, name
+        assert validate_lattice(fixture_lattice(name)) is None, name
 
 
 def test_bh2_gamma_table_is_exactly_the_published_one():
-    lat = bh2_fixture().lattice
+    lat = fixture_lattice("bh2")
     got = {
         j + 1: {i + 1 for i in compute_gamma(lat, j)}
         for j in range(lat.size)
@@ -52,14 +63,14 @@ def test_bh2_gamma_table_is_exactly_the_published_one():
 
 
 def test_bh2_specific_meets_and_joins():
-    lat = bh2_fixture().lattice
+    lat = fixture_lattice("bh2")
     assert lat.meet[6][7] == 4  # I7 meet I8 = I5
     assert lat.join[3][5] == 8  # I4 join I6 = I9
     assert lat.bottom == 0 and lat.top == 8
 
 
 def test_bh2_is_the_square_of_a_three_chain():
-    lat = bh2_fixture().lattice
+    lat = fixture_lattice("bh2")
     square = product_lattice(chain_lattice(3), chain_lattice(3))
     # I_i of bh2 -> the pair (row, column) of the square, as row * 3 + column
     to_square = (0, 1, 3, 2, 4, 6, 5, 7, 8)
@@ -70,67 +81,69 @@ def test_bh2_is_the_square_of_a_three_chain():
 
 
 def test_bh2_is_distributive():
-    lat = bh2_fixture().lattice
+    lat = fixture_lattice("bh2")
     for i, j, k in itertools.product(range(lat.size), repeat=3):
         assert lat.meet[i][lat.join[j][k]] == lat.join[lat.meet[i][j]][lat.meet[i][k]]
 
 
 def test_bh2_bundled_family_is_compatible_with_nested_order():
-    fx = bh2_fixture()
-    fam = fx.family
-    assert fam is not None
+    fam = bh2_family()
+    assert fam.space == SpaceModel(4)
     assert is_compatible(fam, exhaustive=True)
     for i in range(9):
         for j in range(9):
-            if fx.lattice.leq(i, j):
+            if fam.lattice.leq(i, j):
                 assert fam.sets[i] & ~fam.sets[j] == 0  # S_i inside S_j
 
 
 def test_bh2_nested_family_distinct_nonempty():
-    fam = level_family(bh2_fixture().lattice, BH2_NESTED_LEVELS)
+    fam = level_family(fixture_lattice("bh2"), BH2_NESTED_LEVELS)
     assert is_compatible(fam, exhaustive=True)
     assert len(set(fam.sets)) == 9
     assert all(fam.sets)
 
 
 def test_chain_fixture_basics():
-    fx = chain_fixture(3)
-    assert fx.lattice == chain_lattice(3)
-    assert fx.spec is None
-    assert compute_gamma(fx.lattice, 1) == frozenset({0})
-    with pytest.raises(ValueError):
-        chain_fixture(1)
+    name, doc = load_fixture("chain3")
+    assert (name, list(doc)) == ("chain3", ["lattice"])
+    lat = fixture_lattice("chain3")
+    assert lat == chain_lattice(3)
+    assert compute_gamma(lat, 1) == frozenset({0})
+    with pytest.raises(ValueError, match=r"^chain length 1 outside bundled range \[2, 8\]$"):
+        load_fixture("chain1")
 
 
 def test_chain_two_matches_the_m2_ideal_lattice():
-    fx = chain_fixture(2)
-    assert fx.spec == AlgebraSpec((2,))
-    assert fx.lattice == enumerate_ideals(fx.spec)
+    assert load_fixture("chain2") == ("chain2", {"blocks": [2]})
+    assert fixture_lattice("chain2") == chain_lattice(2) == enumerate_ideals(AlgebraSpec((2,)))
 
 
 def test_chain_union_over_gamma_reduction():
-    fx = chain_fixture(5)
+    lat = fixture_lattice("chain5")
     for levels in itertools.product(range(5), repeat=2):
-        fam = level_family(fx.lattice, levels)
+        fam = level_family(lat, levels)
         for j in range(1, 5):
             assert union_over_gamma(fam, j) == fam.sets[j - 1]
 
 
 @pytest.mark.parametrize("dims", [(2,), (1, 1), (1, 2), (1, 1, 1)])
 def test_block_fixture_lattice_matches_enumeration(dims):
-    fx = block_fixture(dims)
-    lat = enumerate_ideals(AlgebraSpec(dims))
-    assert fx.lattice == lat
+    name = "block_" + "_".join(str(n) for n in dims)
+    assert load_fixture(name) == (name, {"blocks": list(dims)})
+    assert fixture_lattice(name) == enumerate_ideals(AlgebraSpec(dims))
 
 
 def test_block_fixture_names():
-    assert block_fixture((1, 2)).name == "block_1_2"
+    assert load_fixture("block_01_2")[0] == "block_1_2"
+    with pytest.raises(ValueError, match="^block dimension 0 must be a positive integer$"):
+        load_fixture("block_0")
 
 
 def test_load_fixture_names():
-    assert load_fixture("bh2").name == "bh2"
-    assert load_fixture("chain5").lattice.size == 5
-    assert load_fixture("block_1_2").spec == AlgebraSpec((1, 2))
+    assert load_fixture("bh2")[0] == "bh2"
+    assert load_fixture("chain08")[0] == "chain8"
+    assert fixture_lattice("chain5").size == 5
+    assert load_fixture("block_1_2")[1] == {"blocks": [1, 2]}
     with pytest.raises(ValueError):
         load_fixture("chain99")
     with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import level_family
-from fnideals.fdalgebra import AlgebraSpec, commutator_span
+from fnideals.fdalgebra import AlgebraSpec
 from fnideals.function_algebra import (
     FunctionAlgebra,
     FunctionElement,
@@ -20,7 +20,13 @@ from fnideals.function_algebra import (
 )
 from fnideals.lattice import ClosedFamily, LimitExceeded, SpaceModel, chain_lattice, is_compatible
 from fnideals.linalg import Subspace, rref
-from oracles import basis_element, closures_of_unit_subsets, commutator, element_from_vector
+from oracles import (
+    basis_element,
+    closures_of_unit_subsets,
+    commutator,
+    element_from_vector,
+    trace_zero_subspace,
+)
 
 M2 = AlgebraSpec((2,))
 M11 = AlgebraSpec((1, 1))
@@ -219,7 +225,7 @@ def test_product_subspace_empty_y_full_c():
 
 def test_product_subspace_commutator_span_example():
     alg = function_algebra(M2, 2)
-    sl = commutator_span(M2)
+    sl = trace_zero_subspace(M2)
     ps = product_subspace(alg, 0b01, sl)
     assert ps == pointwise_subspace(alg, [Subspace.zero(4), sl])
     # vanishes at point 0, equals sl at point 1

@@ -139,8 +139,9 @@ def test_pairwise_agrees_with_exhaustive(lat, points):
 
 
 def test_oracle_agreement_check_can_fail():
-    """Negative control: a meet table that is not commutative splits the two
-    checks, because the pairwise one never reads meet[2][1]."""
+    """Negative control: a meet table that is not commutative splits the
+    enumerator from the exhaustive check, because the enumerator and the
+    pairwise check never read meet[2][1]."""
     b = boolean_lattice(2)
     meet = [list(row) for row in b.meet]
     meet[2][1] = 1
@@ -148,6 +149,22 @@ def test_oracle_agreement_check_can_fail():
     assert _pairwise_compatible(lat, (0, 1, 0, 3))
     assert not _exhaustive_compatible(lat, (0, 1, 0, 3))
     assert not compat_oracles_agree(lat, SpaceModel(2))
+
+
+@pytest.mark.parametrize(
+    "lat, points",
+    [(boolean_lattice(2), 3), (chain_lattice(3), 4), (chain_lattice(6), 2), (boolean_lattice(3), 1)],
+)
+def test_enumerator_agrees_with_brute_force(lat, points):
+    assert compat_oracles_agree(lat, SpaceModel(points))
+
+
+@pytest.mark.parametrize("points", [1, 2])
+def test_oracle_agreement_fails_when_the_enumerator_drops_a_trigger(drop_meet_trigger, points):
+    """On a valid lattice: unchecked, S_1 and S_2 may meet outside S_0."""
+    lat = boolean_lattice(2)
+    assert (0, 1, 1, 1) in [f.sets for f in enumerate_compatible_families(lat, SpaceModel(1))]
+    assert not compat_oracles_agree(lat, SpaceModel(points))
 
 
 @given(st.sampled_from(POOL), st.data())

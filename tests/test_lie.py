@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fnideals import lie
-from fnideals.fdalgebra import AlgebraSpec, commutator_span
+from fnideals.fdalgebra import AlgebraSpec
 from fnideals.function_algebra import (
     FunctionAlgebra,
     PointwiseIdeal,
@@ -39,6 +39,7 @@ from oracles import (
     dense_brackets,
     element_from_vector,
     sympy_kernel,
+    trace_zero_subspace,
     tracial_state_basis,
     vec_dot,
 )
@@ -188,7 +189,7 @@ def test_commutator_ideal_of_whole_m2_is_trace_zero():
     alg = function_algebra(M2, 1)
     got = commutator_ideal_span(alg, ideal_of(alg, 1))
     assert got.dim == 3
-    assert got == commutator_span(M2)
+    assert got == trace_zero_subspace(M2)
 
 
 def test_commutator_ideal_commutative_algebra_is_zero():
@@ -266,7 +267,7 @@ def test_zero_subspace_is_lie_ideal():
 
 def test_commutator_span_is_lie_ideal_with_top_witness():
     alg = function_algebra(M2, 1)
-    sl = commutator_span(M2)
+    sl = trace_zero_subspace(M2)
     cand = LieCandidate(alg, sl)
     assert is_lie_ideal(cand)
     assert sandwich_witness(cand).stalks == (1,)
@@ -311,7 +312,7 @@ def test_sl_type_subspace_is_not_ideal_plus_centre():
     """In one matrix block the trace-zero Lie ideal escapes the ideal+centre form,
     which is why tracelessness matters for that representation."""
     alg = function_algebra(M2, 1)
-    sl = commutator_span(M2)
+    sl = trace_zero_subspace(M2)
     assert is_lie_ideal(LieCandidate(alg, sl))
     centre_subs = [Subspace.zero(4), alg.centre_subspace]
     for ideal in enumerate_all_ideals(alg, verify=False):

@@ -5,8 +5,8 @@ import pickle
 
 import pytest
 
+from fnideals.decomposition import Decomposition
 from fnideals.fdalgebra import AlgebraSpec, Element
-from fnideals.fixtures import bh2_fixture
 from fnideals.function_algebra import PointwiseIdeal, function_algebra
 from fnideals.lattice import BoundedLattice, ClosedFamily, SpaceModel, chain_lattice
 from fnideals.linalg import Subspace, rref
@@ -61,11 +61,14 @@ def test_hashed_values_refuse_assignment(value, field):
 
 
 def test_values_survive_copy_and_pickle():
-    fixture = bh2_fixture()
+    # Decomposition is Frozen only, so compare its fields one by one
+    dec = Decomposition(chain_lattice(3), SpaceModel(2), ((0b01, 1), (0b11, 2)))
     for clone in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
-        again = clone(fixture)
-        assert (again.name, again.lattice, again.spec, again.family) == (
-            fixture.name, fixture.lattice, fixture.spec, fixture.family)
+        again = clone(dec)
+        assert type(again) is Decomposition
+        assert (again.lattice, again.space, again.terms) == (dec.lattice, dec.space, dec.terms)
+        with pytest.raises(AttributeError):
+            again.terms = ()
         space = clone(Subspace(3, ((1, 0, 2), (0, 1, 0))))
         assert space == Subspace(3, ((1, 0, 2), (0, 1, 0))) and space.pivots == (0, 1)
         with pytest.raises(AttributeError):
