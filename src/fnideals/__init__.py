@@ -31,7 +31,6 @@ from .lattice import (
     BoundedLattice,
     ClosedFamily,
     LimitExceeded,
-    SpaceModel,
     compute_gamma,
     enumerate_compatible_families,
     is_compatible,

@@ -28,7 +28,6 @@ from .function_algebra import (
 )
 from .lattice import (
     LimitExceeded,
-    SpaceModel,
     compat_oracles_agree,
     compute_gamma,
     enumerate_compatible_families,
@@ -211,7 +210,7 @@ def _resolve_problem(args) -> Problem:
         if lattice is None or points is None:
             raise InputError("family requires a lattice and points")
         try:
-            problem.family = family_from_lists(lattice, SpaceModel(points), doc["family"])
+            problem.family = family_from_lists(lattice, points, doc["family"])
         except (TypeError, ValueError) as exc:
             raise InputError(f"bad family member: {exc}") from None
 
@@ -319,7 +318,7 @@ def cmd_recover(problem: Problem, args) -> int:
     lat = _need(problem, "lattice", "a lattice")
     stalks = _need(problem, "stalks", "an ideal member (stalk list)")
     points = _need(problem, "points", "a points member")
-    family = recover_S(PointwiseIdeal(lat, SpaceModel(points), stalks))
+    family = recover_S(PointwiseIdeal(lat, stalks))
     for i, mask in enumerate(family.sets):
         print(f"S[{i + 1}] = {_fmt_points(mask)}")
     return 0
@@ -331,7 +330,7 @@ def cmd_decompose(problem: Problem, args) -> int:
         dec = decompose(family)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    full = family.space.full_mask
+    full = (1 << family.points) - 1
     for y, j in dec.terms:
         if args.minimal and y == full:
             continue
@@ -343,7 +342,7 @@ def cmd_verify_fin_sum(problem: Problem, args) -> int:
     lat = _need(problem, "lattice", "a lattice")
     points = _need(problem, "points", "a points member")
     bound = args.bound if args.bound is not None else DEFAULT_FAMILY_BOUND
-    families = enumerate_compatible_families(lat, SpaceModel(points), bound=bound)
+    families = enumerate_compatible_families(lat, points, bound=bound)
     passed = 0
     for idx, family in enumerate(families):
         report = verify_theorem(family)
@@ -359,7 +358,7 @@ def cmd_ideal_from_y(problem: Problem, args) -> int:
     alg = _need_algebra(problem)
     y_points = _need(problem, "y_points", "a Y member")
     t = _need(problem, "ideal_index", "an ideal_index member")
-    y_mask = points_to_mask(y_points, alg.space.point_count)
+    y_mask = points_to_mask(y_points, alg.points)
     ideal, matches = ideal_from_Y_and_I(alg, y_mask, t)
     for x, s in enumerate(ideal.stalks):
         print(f"stalk[{x}] = {s + 1}")
@@ -370,7 +369,7 @@ def cmd_ideal_from_y(problem: Problem, args) -> int:
 def cmd_normalizer(problem: Problem, args) -> int:
     alg = _need_algebra(problem)
     stalks = _need(problem, "stalks", "an ideal member (stalk list)")
-    ideal = PointwiseIdeal(alg.lattice, alg.space, stalks)
+    ideal = PointwiseIdeal(alg.lattice, stalks)
     nj, summed = cqp_sides(alg, ideal)
     print(f"dim N(J) = {nj.dim}")
     # N(J) = J + C(X, C1) needs a unique maximal ideal in A: one block.
@@ -444,7 +443,6 @@ def _verify_all_lines(problem: Problem, args) -> list:
     lat = _need(problem, "lattice", "a lattice")
     points = _need(problem, "points", "a points member")
     bound = args.bound if args.bound is not None else DEFAULT_FAMILY_BOUND
-    space = SpaceModel(points)
     lines = []
 
     def record(name, ok):
@@ -453,14 +451,14 @@ def _verify_all_lines(problem: Problem, args) -> list:
     record("lattice-laws", validate_lattice(lat) is None)
 
     if lat.size * points <= bound:
-        families = enumerate_compatible_families(lat, space, bound=bound)
+        families = enumerate_compatible_families(lat, points, bound=bound)
         fin_ok = all(all(g for _, g in verify_theorem(f)) for f in families)
         record(f"fin-sum ({len(families)} families)", fin_ok)
     else:
         lines.append("SKIP fin-sum (enumeration bound)")
 
     if lat.size * points <= min(bound, 12):
-        record("compat-oracle-agreement", compat_oracles_agree(lat, space))
+        record("compat-oracle-agreement", compat_oracles_agree(lat, points))
     else:
         lines.append("SKIP compat-oracle-agreement (enumeration bound)")
 
@@ -480,13 +478,13 @@ def _verify_all_lines(problem: Problem, args) -> list:
         if args.bound is not None and work > args.bound:
             lines.append("SKIP bijection-count (enumeration bound)")
         else:
-            families = enumerate_compatible_families(alg.lattice, space, bound=max(bound, work))
+            families = enumerate_compatible_families(alg.lattice, points, bound=max(bound, work))
             bij = len(families) == len(ideals) and all(recover_S(theta(f)) == f for f in families)
             record(f"bijection-count ({len(families)} = {len(ideals)})", bij)
 
         sweep_ok = all(
             ideal_from_Y_and_I(alg, y_mask, t)[1]
-            for y_mask in range(space.full_mask + 1)
+            for y_mask in range(1 << points)
             for t in range(alg.lattice.size)
         )
         record("ideal-from-y-sweep", sweep_ok)
@@ -505,7 +503,7 @@ def _verify_all_lines(problem: Problem, args) -> list:
         wc_ok = weak_centrality(alg)
         record("cqp", cqp_ok)
         record("weak-central", wc_ok)
-        transfer_ok, transfer_lines = cqp_transfer_check(problem.spec, space, cqp_ok, wc_ok)
+        transfer_ok, transfer_lines = cqp_transfer_check(problem.spec, points, cqp_ok, wc_ok)
         lines.extend(transfer_lines)
 
     return lines

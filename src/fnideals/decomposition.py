@@ -12,8 +12,8 @@ from .function_algebra import PointwiseIdeal, recover_S, theta
 from .lattice import (
     BoundedLattice,
     ClosedFamily,
-    SpaceModel,
     _is_index,
+    check_points,
     is_compatible,
     union_over_gamma,
 )
@@ -23,18 +23,18 @@ from .value import Frozen, setfield
 class Decomposition(Frozen):
     """Terms (Y_j, j) for every non-bottom index j, ascending in j."""
 
-    __slots__ = ("lattice", "space", "terms")
+    __slots__ = ("lattice", "points", "terms")
 
-    def __init__(self, lattice: BoundedLattice, space: SpaceModel, terms):
+    def __init__(self, lattice: BoundedLattice, points: int, terms):
+        masks = 1 << check_points(points)
         terms = tuple(tuple(t) for t in terms)
-        masks = space.full_mask + 1
         for y, j in terms:
             if not _is_index(j, lattice.size) or j == lattice.bottom:
                 raise ValueError(f"term index {j} must be a non-bottom lattice index")
             if not _is_index(y, masks):
                 raise ValueError(f"term mask {y} out of range")
         setfield(self, "lattice", lattice)
-        setfield(self, "space", space)
+        setfield(self, "points", points)
         setfield(self, "terms", terms)
 
 
@@ -46,17 +46,17 @@ def decompose(family: ClosedFamily) -> Decomposition:
     terms = tuple(
         (union_over_gamma(family, j), j) for j in range(lat.size) if j != lat.bottom
     )
-    return Decomposition(lat, family.space, terms)
+    return Decomposition(lat, family.points, terms)
 
 
 def evaluate(dec: Decomposition) -> PointwiseIdeal:
     """Pointwise ideal of the term sum: stalk(x) joins I_j over terms off Y_j."""
     lat = dec.lattice
     stalks = []
-    for x in dec.space.points():
+    for x in range(dec.points):
         bit = 1 << x
         stalks.append(lat.join_all(j for y, j in dec.terms if not y & bit))
-    return PointwiseIdeal(lat, dec.space, tuple(stalks))
+    return PointwiseIdeal(lat, stalks)
 
 
 def union_reduction_holds(family: ClosedFamily) -> bool:
@@ -70,7 +70,7 @@ def union_reduction_holds(family: ClosedFamily) -> bool:
     unions = {
         j: union_over_gamma(family, j) for j in range(lat.size) if j != lat.bottom
     }
-    full = family.space.full_mask
+    full = (1 << family.points) - 1
     for i in range(lat.size):
         if i == lat.top:
             continue
@@ -84,11 +84,13 @@ def union_reduction_holds(family: ClosedFamily) -> bool:
 
 
 def verify_theorem(family: ClosedFamily) -> list:
-    """Check the decomposition identities for one compatible family.
+    """Check the decomposition identities for one family.
 
     Returns (identity-name, passed) pairs in a stable order; failures are
-    reported, never raised.
+    reported, never raised, and an incompatible family fails as one pair.
     """
+    if not is_compatible(family):
+        return [("family-compatible", False)]
     target = theta(family)
     dec = decompose(family)
     evaluated = evaluate(dec)

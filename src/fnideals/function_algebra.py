@@ -25,8 +25,8 @@ from .lattice import (
     BoundedLattice,
     ClosedFamily,
     LimitExceeded,
-    SpaceModel,
     _is_index,
+    check_points,
     is_compatible,
 )
 from .linalg import Subspace, rref
@@ -37,23 +37,21 @@ MAX_IDEALS = 4096
 
 
 class PointwiseIdeal(Value):
-    """Ideal of A^X as a map point -> index into the ideal lattice of A."""
+    """Ideal of A^X as a map point -> index into the ideal lattice of A;
+    stalks[x] is the index at point x, so len(stalks) = |X|."""
 
-    __slots__ = ("lattice", "space", "stalks")
+    __slots__ = ("lattice", "stalks")
 
-    def __init__(self, lattice: BoundedLattice, space: SpaceModel, stalks):
+    def __init__(self, lattice: BoundedLattice, stalks):
         stalks = tuple(stalks)
-        if len(stalks) != space.point_count:
-            raise ValueError("one stalk per point is required")
         for s in stalks:
             if not _is_index(s, lattice.size):
                 raise ValueError(f"stalk index {s!r} out of range")
         setfield(self, "lattice", lattice)
-        setfield(self, "space", space)
         setfield(self, "stalks", stalks)
 
     def _key(self) -> tuple:
-        return self.lattice, self.space, self.stalks
+        return self.lattice, self.stalks
 
 
 def theta(family: ClosedFamily) -> PointwiseIdeal:
@@ -66,10 +64,10 @@ def theta(family: ClosedFamily) -> PointwiseIdeal:
         raise ValueError("family is not compatible with the lattice")
     lat = family.lattice
     stalks = []
-    for x in family.space.points():
+    for x in range(family.points):
         bit = 1 << x
         stalks.append(lat.meet_all(i for i, s in enumerate(family.sets) if s & bit))
-    return PointwiseIdeal(lat, family.space, tuple(stalks))
+    return PointwiseIdeal(lat, stalks)
 
 
 def recover_S(ideal: PointwiseIdeal) -> ClosedFamily:
@@ -82,7 +80,7 @@ def recover_S(ideal: PointwiseIdeal) -> ClosedFamily:
             if lat.leq(s, i):
                 mask |= 1 << x
         sets.append(mask)
-    return ClosedFamily(lat, ideal.space, tuple(sets))
+    return ClosedFamily(lat, len(ideal.stalks), sets)
 
 
 class FunctionAlgebra:
@@ -92,16 +90,16 @@ class FunctionAlgebra:
     subspaces) is computed once and cached; instances are immutable.
     """
 
-    def __init__(self, spec: AlgebraSpec, space: SpaceModel):
+    def __init__(self, spec: AlgebraSpec, points: int):
         self.spec = spec
-        self.space = space
-        self.dim = space.point_count * spec.total_dim
+        self.points = check_points(points)
+        self.dim = points * spec.total_dim
         self._ideal_subspaces: dict = {}
         # span[J, B] per stalk tuple, filled by lie.commutator_ideal_span
         self.commutator_spans: dict = {}
 
     def __repr__(self):
-        return f"FunctionAlgebra({self.spec.block_dims}, points={self.space.point_count})"
+        return f"FunctionAlgebra({self.spec.block_dims}, points={self.points})"
 
     @property
     def lattice(self) -> BoundedLattice:
@@ -125,7 +123,7 @@ class FunctionAlgebra:
             d = self.spec.total_dim
             self._products = tuple(
                 tuple((x * d + j, x * d + k) for j, k in row)
-                for x in self.space.points()
+                for x in range(self.points)
                 for row in unit_products(self.spec)
             )
         return self._products
@@ -141,7 +139,7 @@ class FunctionAlgebra:
     def centre_subspace(self) -> Subspace:
         """Central functions: pointwise multiples of the block identities."""
         if not hasattr(self, "_centre"):
-            self._centre = pointwise_subspace(self, [centre(self.spec)] * self.space.point_count)
+            self._centre = pointwise_subspace(self, [centre(self.spec)] * self.points)
         return self._centre
 
     def ideal_subspace(self, ideal: PointwiseIdeal) -> Subspace:
@@ -157,46 +155,37 @@ class FunctionAlgebra:
 @lru_cache(maxsize=None)
 def function_algebra(spec: AlgebraSpec, points: int) -> FunctionAlgebra:
     """Shared FunctionAlgebra instances so caches are reused."""
-    return FunctionAlgebra(spec, SpaceModel(points))
+    return FunctionAlgebra(spec, points)
 
 
 class FunctionElement(Frozen):
-    """Member of A^X: one Element per point."""
+    """Member of A^X: one Element per point, so len(values) = |X|."""
 
-    __slots__ = ("spec", "space", "values")
+    __slots__ = ("spec", "values")
 
-    def __init__(self, spec: AlgebraSpec, space: SpaceModel, values):
+    def __init__(self, spec: AlgebraSpec, values):
         values = tuple(values)
-        if len(values) != space.point_count:
-            raise ValueError("one value per point is required")
         for v in values:
             if v.spec != spec:
                 raise ValueError("value belongs to a different algebra")
         setfield(self, "spec", spec)
-        setfield(self, "space", space)
         setfield(self, "values", values)
 
     def _check(self, other: "FunctionElement"):
-        if self.spec != other.spec or self.space != other.space:
+        if self.spec != other.spec or len(self.values) != len(other.values):
             raise ValueError("elements belong to different function algebras")
 
     def __add__(self, other):
         self._check(other)
-        return FunctionElement(
-            self.spec, self.space, tuple(a + b for a, b in zip(self.values, other.values))
-        )
+        return FunctionElement(self.spec, (a + b for a, b in zip(self.values, other.values)))
 
     def __sub__(self, other):
         self._check(other)
-        return FunctionElement(
-            self.spec, self.space, tuple(a - b for a, b in zip(self.values, other.values))
-        )
+        return FunctionElement(self.spec, (a - b for a, b in zip(self.values, other.values)))
 
     def __mul__(self, other):
         self._check(other)
-        return FunctionElement(
-            self.spec, self.space, tuple(a * b for a, b in zip(self.values, other.values))
-        )
+        return FunctionElement(self.spec, (a * b for a, b in zip(self.values, other.values)))
 
     def to_vector(self) -> tuple:
         out = []
@@ -212,12 +201,12 @@ def enumerate_all_ideals(alg: FunctionAlgebra, verify: bool = True) -> list:
     invariant under multiplication by every basis element of B.
     """
     lat = alg.lattice
-    count = lat.size ** alg.space.point_count
+    count = lat.size ** alg.points
     if count > MAX_IDEALS:
         raise LimitExceeded(f"{count} stalk assignments exceed the bound {MAX_IDEALS}")
     out = []
-    for stalks in itertools.product(range(lat.size), repeat=alg.space.point_count):
-        ideal = PointwiseIdeal(lat, alg.space, stalks)
+    for stalks in itertools.product(range(lat.size), repeat=alg.points):
+        ideal = PointwiseIdeal(lat, stalks)
         if verify and not is_invariant(alg.ideal_subspace(ideal), alg.unit_products):
             raise AssertionError(f"stalks {ideal.stalks} give a non-invariant subspace")
         out.append(ideal)
@@ -227,7 +216,7 @@ def enumerate_all_ideals(alg: FunctionAlgebra, verify: bool = True) -> list:
 def pointwise_subspace(alg: FunctionAlgebra, parts) -> Subspace:
     """The subspace of B whose value at point x lies in parts[x], a subspace of A."""
     d = alg.spec.total_dim
-    if len(parts) != alg.space.point_count or any(p.ambient_dim != d for p in parts):
+    if len(parts) != alg.points or any(p.ambient_dim != d for p in parts):
         raise ValueError("one subspace of A per point is required")
     rows = []
     for x, part in enumerate(parts):
@@ -247,7 +236,7 @@ def product_subspace(alg: FunctionAlgebra, y_mask: int, c: Subspace) -> Subspace
     if c.ambient_dim != alg.spec.total_dim:
         raise ValueError("subspace must live in the coordinate space of A")
     zero = Subspace.zero(alg.spec.total_dim)
-    return pointwise_subspace(alg, [zero if y_mask >> x & 1 else c for x in alg.space.points()])
+    return pointwise_subspace(alg, [zero if y_mask >> x & 1 else c for x in range(alg.points)])
 
 
 def ideal_from_Y_and_I(alg: FunctionAlgebra, y_mask: int, t: int) -> tuple:
@@ -260,8 +249,8 @@ def ideal_from_Y_and_I(alg: FunctionAlgebra, y_mask: int, t: int) -> tuple:
     lat = alg.lattice
     if not 0 <= t < lat.size:
         raise ValueError(f"ideal index {t} out of range")
-    stalks = tuple(t if y_mask >> x & 1 else lat.top for x in alg.space.points())
-    ideal = PointwiseIdeal(lat, alg.space, stalks)
+    stalks = tuple(t if y_mask >> x & 1 else lat.top for x in range(alg.points))
+    ideal = PointwiseIdeal(lat, stalks)
     full = Subspace.full(alg.spec.total_dim)
     summed = product_subspace(alg, 0, block_ideal_subspace(alg.spec, t)) + product_subspace(
         alg, y_mask, full

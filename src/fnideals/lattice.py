@@ -1,10 +1,11 @@
 """Finite bounded lattices, compatible closed-set families and gamma sets.
 
 The point space X is finite and discrete (every finite Hausdorff space is),
-so "closed subset of X" means "any subset", stored as a bitmask over the
-points 0..|X|-1.  A family assigns one subset to every lattice index; it is
-compatible when every meet relation among indices is mirrored by the
-intersection of the assigned subsets.
+so X is given by its point count |X|, a plain int, and "closed subset of X"
+means "any subset", stored as a bitmask over the points 0..|X|-1.  A family
+assigns one subset to every lattice index; it is compatible when every meet
+relation among indices is mirrored by the intersection of the assigned
+subsets.
 """
 
 from __future__ import annotations
@@ -139,25 +140,11 @@ def validate_lattice(lat: BoundedLattice) -> str | None:
     return None
 
 
-class SpaceModel(Value):
-    """Finite discrete point space; subsets of X are bitmasks over the points."""
-
-    __slots__ = ("point_count",)
-
-    def __init__(self, point_count: int):
-        if isinstance(point_count, bool) or not isinstance(point_count, int) or point_count < 0:
-            raise ValueError(f"point count {point_count!r} must be a nonnegative integer")
-        setfield(self, "point_count", point_count)
-
-    def _key(self) -> tuple:
-        return (self.point_count,)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.point_count) - 1
-
-    def points(self) -> range:
-        return range(self.point_count)
+def check_points(points) -> int:
+    """The point count |X|: a nonnegative int; true and false are not counts."""
+    if isinstance(points, bool) or not isinstance(points, int) or points < 0:
+        raise ValueError(f"point count {points!r} must be a nonnegative integer")
+    return points
 
 
 def mask_to_points(mask: int) -> tuple:
@@ -174,7 +161,7 @@ def mask_to_points(mask: int) -> tuple:
 def points_to_mask(points: Iterable[int], point_count: int) -> int:
     mask = 0
     for p in points:
-        if isinstance(p, bool) or not isinstance(p, int) or not 0 <= p < point_count:
+        if not _is_index(p, point_count):
             raise ValueError(f"point {p!r} out of range [0, {point_count})")
         mask |= 1 << p
     return mask
@@ -183,22 +170,22 @@ def points_to_mask(points: Iterable[int], point_count: int) -> int:
 class ClosedFamily(Value):
     """Assignment of a subset of X to every lattice index."""
 
-    __slots__ = ("lattice", "space", "sets")
+    __slots__ = ("lattice", "points", "sets")
 
-    def __init__(self, lattice: BoundedLattice, space: SpaceModel, sets):
+    def __init__(self, lattice: BoundedLattice, points: int, sets):
         sets = tuple(sets)
+        masks = 1 << check_points(points)  # a mask of X is an index in [0, 2^|X|)
         if len(sets) != lattice.size:
             raise ValueError("family must assign one subset per lattice index")
-        masks = space.full_mask + 1  # a mask of X is an index in [0, 2^|X|)
         for s in sets:
             if not _is_index(s, masks):
                 raise ValueError(f"subset mask {s!r} out of range")
         setfield(self, "lattice", lattice)
-        setfield(self, "space", space)
+        setfield(self, "points", points)
         setfield(self, "sets", sets)
 
     def _key(self) -> tuple:
-        return self.lattice, self.space, self.sets
+        return self.lattice, self.points, self.sets
 
 
 def _pairwise_compatible(lat: BoundedLattice, sets: tuple) -> bool:
@@ -216,7 +203,6 @@ def _exhaustive_compatible(lat: BoundedLattice, sets: tuple) -> bool:
     """Check every nonempty subset gamma of indices, not just pairs."""
     n = lat.size
     meet = lat.meet
-    full_space = None
     meet_of = [0] * (1 << n)
     inter_of = [0] * (1 << n)
     for gamma in range(1, 1 << n):
@@ -241,25 +227,25 @@ def is_compatible(family: ClosedFamily, exhaustive: bool = False) -> bool:
     The exhaustive mode re-checks every subset of indices directly.
     """
     lat, sets = family.lattice, family.sets
-    if sets[lat.top] != family.space.full_mask:
+    if sets[lat.top] != (1 << family.points) - 1:
         raise ValueError("family must assign the full point set to the top index")
     if exhaustive:
         return _exhaustive_compatible(lat, sets)
     return _pairwise_compatible(lat, sets)
 
 
-def compat_oracles_agree(lat: BoundedLattice, space: SpaceModel) -> bool:
+def compat_oracles_agree(lat: BoundedLattice, points: int) -> bool:
     """True iff enumerate_compatible_families returns exactly the families
     found by brute force: every assignment of a subset of X to each lattice
     index that puts X at the top and passes the exhaustive check.
     """
-    full = space.full_mask
+    found = enumerate_compatible_families(lat, points, bound=lat.size * points)
+    full = (1 << points) - 1
     brute = [
         sets
         for sets in itertools.product(range(full + 1), repeat=lat.size)
         if sets[lat.top] == full and _exhaustive_compatible(lat, sets)
     ]
-    found = enumerate_compatible_families(lat, space, bound=lat.size * space.point_count)
     return sorted(f.sets for f in found) == brute
 
 
@@ -291,12 +277,12 @@ def lattice_from_dict(doc: dict) -> BoundedLattice:
         raise ValueError(f"lattice object is missing member {exc.args[0]!r}") from None
 
 
-def family_from_lists(lat: BoundedLattice, space: SpaceModel, lists) -> ClosedFamily:
+def family_from_lists(lat: BoundedLattice, points: int, lists) -> ClosedFamily:
     """Build a family from per-index sorted point lists."""
     if len(lists) != lat.size:
         raise ValueError("family must list one subset per lattice index")
-    sets = tuple(points_to_mask(pts, space.point_count) for pts in lists)
-    return ClosedFamily(lat, space, sets)
+    sets = tuple(points_to_mask(pts, points) for pts in lists)
+    return ClosedFamily(lat, points, sets)
 
 
 def _meet_triggers(lat: BoundedLattice) -> list:
@@ -309,28 +295,24 @@ def _meet_triggers(lat: BoundedLattice) -> list:
     return triggers
 
 
-def enumerate_compatible_families(
-    lat: BoundedLattice, space: SpaceModel, bound: int = 16
-) -> list:
+def enumerate_compatible_families(lat: BoundedLattice, points: int, bound: int = 16) -> list:
     """All compatible families with S_top = X, lexicographic in the mask tuple.
 
     Backtracks index by index; a pair (i, j) is checked as soon as i, j and
     meet(i, j) are all assigned, which prunes incompatible prefixes early.
     """
     n = lat.size
-    if n * space.point_count > bound:
-        raise LimitExceeded(
-            f"lattice size * points = {n * space.point_count} exceeds bound {bound}"
-        )
+    if n * check_points(points) > bound:
+        raise LimitExceeded(f"lattice size * points = {n * points} exceeds bound {bound}")
     triggers = _meet_triggers(lat)
-    full = space.full_mask
+    full = (1 << points) - 1
     all_masks = range(full + 1)
     sets = [0] * n
     out = []
 
     def assign(pos: int):
         if pos == n:
-            out.append(ClosedFamily(lat, space, tuple(sets)))
+            out.append(ClosedFamily(lat, points, tuple(sets)))
             return
         candidates = (full,) if pos == lat.top else all_masks
         for mask in candidates:

@@ -18,7 +18,6 @@ from .function_algebra import (
     enumerate_all_ideals,
     function_algebra,
 )
-from .lattice import SpaceModel
 from .linalg import Subspace, annihilator, rref
 from .value import Frozen, setfield
 
@@ -115,13 +114,13 @@ def least_normalizing_ideal(candidate: LieCandidate) -> PointwiseIdeal:
     stalk at x masks the blocks where some [v, e_b], v in L's basis, is nonzero
     (in its real or its imaginary part)."""
     alg = candidate.alg
-    masks = [0] * alg.space.point_count
+    masks = [0] * alg.points
     for row in candidate.brackets:
         for i, c in enumerate(row):
             if c:
                 x, b, _, _ = alg.coord_info(i % alg.dim)
                 masks[x] |= 1 << b
-    return PointwiseIdeal(alg.lattice, alg.space, tuple(masks))
+    return PointwiseIdeal(alg.lattice, masks)
 
 
 def sandwich_witness(candidate: LieCandidate):
@@ -236,11 +235,11 @@ def maximal_ideals(alg: FunctionAlgebra) -> list:
     """Maximal pointwise ideals: one stalk drops to a coatom, the rest stay top."""
     lat = alg.lattice
     out = []
-    for x in alg.space.points():
+    for x in range(alg.points):
         for c in lat.coatoms():
-            stalks = [lat.top] * alg.space.point_count
+            stalks = [lat.top] * alg.points
             stalks[x] = c
-            out.append(PointwiseIdeal(lat, alg.space, tuple(stalks)))
+            out.append(PointwiseIdeal(lat, stalks))
     out.sort(key=lambda ideal: ideal.stalks)
     return out
 
@@ -257,14 +256,14 @@ def weak_centrality(alg: FunctionAlgebra) -> bool:
     return True
 
 
-def cqp_transfer_check(spec: AlgebraSpec, space: SpaceModel, cqp_b: bool, wc_b: bool) -> tuple:
+def cqp_transfer_check(spec: AlgebraSpec, points: int, cqp_b: bool, wc_b: bool) -> tuple:
     """CQP passes between A and A^X in both directions (A is unital here),
     and agrees with weak centrality on every algebra tested.
 
     cqp_b and wc_b are the verdicts of check_cqp and weak_centrality on
     B = A^X; only A's are computed here.  Returns (ok, report_lines).
     """
-    if space.point_count == 0:
+    if points == 0:
         return True, ["SKIP points=0 function algebra is the zero algebra"]
     alg_a = function_algebra(spec, 1)
     cqp_a, _ = check_cqp(alg_a)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from fnideals import lattice, lie
-from fnideals.lattice import BoundedLattice, ClosedFamily, SpaceModel
+from fnideals.lattice import BoundedLattice, ClosedFamily
 from fnideals.linalg import rref
 
 
@@ -89,7 +89,6 @@ BH2_NESTED_LEVELS = (0, 1, 2, 3, 5)
 
 def level_family(lat: BoundedLattice, levels) -> ClosedFamily:
     """Compatible family from a per-point stalk level: S_i = {x : level(x) <= i}."""
-    space = SpaceModel(len(levels))
     sets = []
     for i in range(lat.size):
         mask = 0
@@ -97,4 +96,4 @@ def level_family(lat: BoundedLattice, levels) -> ClosedFamily:
             if lat.leq(lev, i):
                 mask |= 1 << x
         sets.append(mask)
-    return ClosedFamily(lat, space, tuple(sets))
+    return ClosedFamily(lat, len(levels), sets)

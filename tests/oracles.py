@@ -102,9 +102,9 @@ def trace_zero_subspace(spec) -> Subspace:
 def basis_element(alg, index: int) -> FunctionElement:
     """The matrix unit of B = A^X at flat coordinate index."""
     x, b, p, q = alg.coord_info(index)
-    values = [Element.zero(alg.spec)] * alg.space.point_count
+    values = [Element.zero(alg.spec)] * alg.points
     values[x] = Element.matrix_unit(alg.spec, b, p, q)
-    return FunctionElement(alg.spec, alg.space, tuple(values))
+    return FunctionElement(alg.spec, tuple(values))
 
 
 def element_from_vector(alg, vec) -> FunctionElement:
@@ -113,9 +113,9 @@ def element_from_vector(alg, vec) -> FunctionElement:
     if len(vec) != alg.dim:
         raise ValueError("vector length differs from the algebra dimension")
     values = tuple(
-        Element.from_vector(alg.spec, vec[x * d : (x + 1) * d]) for x in alg.space.points()
+        Element.from_vector(alg.spec, vec[x * d : (x + 1) * d]) for x in range(alg.points)
     )
-    return FunctionElement(alg.spec, alg.space, values)
+    return FunctionElement(alg.spec, values)
 
 
 def product_lattice(a: BoundedLattice, b: BoundedLattice) -> BoundedLattice:

@@ -503,7 +503,7 @@ def test_ideal_from_y_fails_on_product_dropping_the_last_point(tmp_path, capsys,
     product = function_algebra.product_subspace
 
     def corrupted(alg, y_mask, c):
-        return product(alg, y_mask | 1 << (alg.space.point_count - 1), c)
+        return product(alg, y_mask | 1 << (alg.points - 1), c)
 
     monkeypatch.setattr(function_algebra, "product_subspace", corrupted)
     doc = {"blocks": [2], "points": 2, "Y": [0], "ideal_index": 0}
@@ -518,7 +518,7 @@ def test_ideal_from_y_fails_on_product_dropping_the_last_point(tmp_path, capsys,
 def _top_at_last_point(ideal):
     """The pointwise ideal with its stalk at the last point moved to the top."""
     stalks = ideal.stalks[:-1] + (ideal.lattice.top,)
-    return PointwiseIdeal(ideal.lattice, ideal.space, stalks)
+    return PointwiseIdeal(ideal.lattice, stalks)
 
 
 @pytest.mark.parametrize(
@@ -548,6 +548,22 @@ def test_verify_all_fails_on_lattice_side_faults(tmp_path, capsys, monkeypatch, 
     assert code == 1
     for check in failed:
         assert any(line.startswith(f"FAIL {check}") for line in lines), (check, out)
+
+
+
+def test_incompatible_enumerated_family_fails_without_a_traceback(tmp_path, capsys, drop_meet_trigger):
+    doc = {"lattice": BOOLEAN_2, "points": 1}
+    code, out, err = run_cli(tmp_path, capsys, ["verify-all"], doc)
+    assert (code, err) == (1, "")
+    assert out.splitlines()[1:] == [
+        "FAIL fin-sum (5 families)",
+        "FAIL compat-oracle-agreement",
+        "verify-all: FAIL",
+    ]
+    code, out, err = run_cli(tmp_path, capsys, ["verify-fin-sum"], doc)
+    assert (code, err) == (1, "")
+    assert "FAIL problem 3 family-compatible" in out.splitlines()
+    assert out.splitlines()[-1] == "4/5 families PASS"
 
 
 # ---------------------------------------------------------------------------

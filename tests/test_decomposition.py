@@ -16,7 +16,6 @@ from fnideals.fixtures import load_fixture
 from fnideals.function_algebra import PointwiseIdeal, recover_S, theta
 from fnideals.lattice import (
     ClosedFamily,
-    SpaceModel,
     boolean_lattice,
     chain_lattice,
     enumerate_compatible_families,
@@ -29,7 +28,7 @@ B4 = boolean_lattice(2)
 
 
 def test_decompose_boolean_example():
-    fam = ClosedFamily(B4, SpaceModel(2), (0b00, 0b01, 0b10, 0b11))
+    fam = ClosedFamily(B4, 2, (0b00, 0b01, 0b10, 0b11))
     dec = decompose(fam)
     assert dec.terms == ((0b10, 1), (0b01, 2), (0b11, 3))
     assert evaluate(dec).stalks == (1, 2)
@@ -37,20 +36,20 @@ def test_decompose_boolean_example():
 
 
 def test_decompose_rejects_incompatible():
-    fam = ClosedFamily(B4, SpaceModel(2), (0b00, 0b01, 0b01, 0b11))
+    fam = ClosedFamily(B4, 2, (0b00, 0b01, 0b01, 0b11))
     with pytest.raises(ValueError):
         decompose(fam)
 
 
 def test_all_full_family_gives_all_zero_terms():
-    fam = ClosedFamily(B4, SpaceModel(2), (3, 3, 3, 3))
+    fam = ClosedFamily(B4, 2, (3, 3, 3, 3))
     dec = decompose(fam)
     assert all(y == 3 for y, _ in dec.terms)
     assert evaluate(dec).stalks == (0, 0)
 
 
 def test_single_top_term_evaluates_to_top():
-    dec = Decomposition(B4, SpaceModel(2), ((0, 3),))
+    dec = Decomposition(B4, 2, ((0, 3),))
     assert evaluate(dec).stalks == (3, 3)
 
 
@@ -62,13 +61,13 @@ def test_term_count_is_size_minus_one():
 
 def test_decomposition_validates_terms():
     with pytest.raises(ValueError):
-        Decomposition(B4, SpaceModel(2), ((0, 0),))  # bottom index not allowed
+        Decomposition(B4, 2, ((0, 0),))  # bottom index not allowed
     with pytest.raises(ValueError):
-        Decomposition(B4, SpaceModel(2), ((9, 1),))  # mask out of range
+        Decomposition(B4, 2, ((9, 1),))  # mask out of range
     with pytest.raises(ValueError, match="^term index True must be a non-bottom lattice index$"):
-        Decomposition(B4, SpaceModel(2), ((0, True),))
+        Decomposition(B4, 2, ((0, True),))
     with pytest.raises(ValueError, match="^term mask False out of range$"):
-        Decomposition(B4, SpaceModel(2), ((False, 1),))
+        Decomposition(B4, 2, ((False, 1),))
 
 
 def test_chain_decomposition_uses_previous_set():
@@ -84,15 +83,20 @@ def test_chain_decomposition_uses_previous_set():
     [(B4, 1), (B4, 2), (chain_lattice(3), 1), (chain_lattice(3), 2), (chain_lattice(3), 3)],
 )
 def test_verify_theorem_exhaustive(lat, points):
-    families = enumerate_compatible_families(lat, SpaceModel(points))
+    families = enumerate_compatible_families(lat, points)
     for fam in families:
         assert all(ok for _, ok in verify_theorem(fam))
 
 
 def test_verify_theorem_reports_stable_names():
-    fam = ClosedFamily(B4, SpaceModel(1), (0, 0, 0, 1))
+    fam = ClosedFamily(B4, 1, (0, 0, 0, 1))
     names = [name for name, _ in verify_theorem(fam)]
     assert names == ["evaluate-equals-theta", "recover-roundtrip", "union-reduction"]
+
+
+def test_verify_theorem_reports_an_incompatible_family():
+    fam = ClosedFamily(B4, 1, (0, 1, 1, 1))  # S_1 and S_2 meet outside S_0
+    assert verify_theorem(fam) == [("family-compatible", False)]
 
 
 def test_bh2_nested_family_targeted_run():
@@ -111,13 +115,13 @@ def test_bh2_nested_family_targeted_run():
 
 def test_bundled_bh2_family_passes():
     _, doc = load_fixture("bh2")
-    family = family_from_lists(lattice_from_dict(doc["lattice"]), SpaceModel(doc["points"]), doc["family"])
+    family = family_from_lists(lattice_from_dict(doc["lattice"]), doc["points"], doc["family"])
     assert all(ok for _, ok in verify_theorem(family))
 
 
 @pytest.mark.parametrize("lat", [B4, chain_lattice(4), boolean_lattice(3)])
 def test_union_reduction_identity(lat):
-    families = enumerate_compatible_families(lat, SpaceModel(2))
+    families = enumerate_compatible_families(lat, 2)
     for fam in families:
         assert union_reduction_holds(fam)
 
@@ -128,12 +132,11 @@ def test_idempotence_of_decompose_after_recover(data):
     """decompose(recover_S(evaluate(d))) evaluates to evaluate(d) for any terms."""
     lat = data.draw(st.sampled_from([B4, chain_lattice(3), boolean_lattice(3)]))
     points = data.draw(st.integers(1, 2))
-    space = SpaceModel(points)
-    full = space.full_mask
+    full = (1 << points) - 1
     terms = tuple(
         (data.draw(st.integers(0, full)), j) for j in range(lat.size) if j != lat.bottom
     )
-    dec = Decomposition(lat, space, terms)
+    dec = Decomposition(lat, points, terms)
     ideal = evaluate(dec)
     again = evaluate(decompose(recover_S(ideal)))
     assert again == ideal

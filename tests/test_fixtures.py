@@ -9,7 +9,6 @@ from conftest import BH2_NESTED_LEVELS, level_family
 from fnideals.fdalgebra import AlgebraSpec, enumerate_ideals
 from fnideals.fixtures import bundled_fixture_names, load_fixture
 from fnideals.lattice import (
-    SpaceModel,
     chain_lattice,
     compute_gamma,
     family_from_lists,
@@ -44,7 +43,7 @@ def fixture_lattice(name):
 
 def bh2_family():
     _, doc = load_fixture("bh2")
-    return family_from_lists(lattice_from_dict(doc["lattice"]), SpaceModel(doc["points"]), doc["family"])
+    return family_from_lists(lattice_from_dict(doc["lattice"]), doc["points"], doc["family"])
 
 
 def test_every_bundled_fixture_has_a_valid_lattice():
@@ -88,7 +87,7 @@ def test_bh2_is_distributive():
 
 def test_bh2_bundled_family_is_compatible_with_nested_order():
     fam = bh2_family()
-    assert fam.space == SpaceModel(4)
+    assert fam.points == 4
     assert is_compatible(fam, exhaustive=True)
     for i in range(9):
         for j in range(9):

@@ -18,7 +18,8 @@ from fnideals.function_algebra import (
     recover_S,
     theta,
 )
-from fnideals.lattice import ClosedFamily, LimitExceeded, SpaceModel, chain_lattice, is_compatible
+from fnideals.lattice import ClosedFamily, LimitExceeded, chain_lattice, is_compatible
+from fnideals.lie import lie_normalizer
 from fnideals.linalg import Subspace, rref
 from oracles import (
     basis_element,
@@ -42,25 +43,25 @@ def alg11(points=2):
 
 def test_theta_all_full_family_gives_bottom_stalks():
     alg = alg11(2)
-    fam = ClosedFamily(alg.lattice, SpaceModel(2), (3, 3, 3, 3))
+    fam = ClosedFamily(alg.lattice, 2, (3, 3, 3, 3))
     assert theta(fam).stalks == (0, 0)
 
 
 def test_theta_boolean_example():
     alg = alg11(2)
-    fam = ClosedFamily(alg.lattice, SpaceModel(2), (0b00, 0b01, 0b10, 0b11))
+    fam = ClosedFamily(alg.lattice, 2, (0b00, 0b01, 0b10, 0b11))
     assert theta(fam).stalks == (1, 2)
 
 
 def test_theta_only_top_nonempty_gives_top_stalks():
     alg = alg11(2)
-    fam = ClosedFamily(alg.lattice, SpaceModel(2), (0, 0, 0, 0b11))
+    fam = ClosedFamily(alg.lattice, 2, (0, 0, 0, 0b11))
     assert theta(fam).stalks == (3, 3)
 
 
 def test_theta_rejects_incompatible_family():
     alg = alg11(2)
-    fam = ClosedFamily(alg.lattice, SpaceModel(2), (0b00, 0b01, 0b01, 0b11))
+    fam = ClosedFamily(alg.lattice, 2, (0b00, 0b01, 0b01, 0b11))
     with pytest.raises(ValueError):
         theta(fam)
 
@@ -71,28 +72,36 @@ def test_theta_rejects_incompatible_family():
 
 def test_recover_boolean_example():
     alg = alg11(2)
-    ideal = PointwiseIdeal(alg.lattice, SpaceModel(2), (1, 2))
+    ideal = PointwiseIdeal(alg.lattice, (1, 2))
     assert recover_S(ideal).sets == (0b00, 0b01, 0b10, 0b11)
 
 
 def test_pointwise_ideal_validation():
     lat = chain_lattice(2)
-    with pytest.raises(ValueError, match="^one stalk per point is required$"):
-        PointwiseIdeal(lat, SpaceModel(2), (0,))
     for stalk in (True, 1.0, 2, -1):
         with pytest.raises(ValueError, match=f"^stalk index {stalk!r} out of range$"):
-            PointwiseIdeal(lat, SpaceModel(1), (stalk,))
+            PointwiseIdeal(lat, (stalk,))
+
+
+def test_wrong_length_ideal_fails_where_it_is_used():
+    """An ideal's point count is len(stalks); an algebra refuses any other."""
+    alg = function_algebra(M2, 2)
+    ideal = PointwiseIdeal(alg.lattice, (0,))
+    with pytest.raises(ValueError, match="^one subspace of A per point is required$"):
+        alg.ideal_subspace(ideal)
+    with pytest.raises(ValueError, match="^one subspace of A per point is required$"):
+        lie_normalizer(alg, ideal)
 
 
 def test_recover_bottom_stalks_gives_full_everywhere():
     alg = alg11(2)
-    ideal = PointwiseIdeal(alg.lattice, SpaceModel(2), (0, 0))
+    ideal = PointwiseIdeal(alg.lattice, (0, 0))
     assert recover_S(ideal).sets == (3, 3, 3, 3)
 
 
 def test_recover_top_stalks_gives_empty_except_top():
     alg = alg11(2)
-    ideal = PointwiseIdeal(alg.lattice, SpaceModel(2), (3, 3))
+    ideal = PointwiseIdeal(alg.lattice, (3, 3))
     assert recover_S(ideal).sets == (0, 0, 0, 3)
 
 
@@ -113,7 +122,7 @@ def test_enumeration_is_lexicographic():
 
 def test_enumeration_bound():
     """8^5 = 32,768 stalk assignments: refused before any ideal is built."""
-    alg = FunctionAlgebra(AlgebraSpec((1, 1, 1)), SpaceModel(5))
+    alg = FunctionAlgebra(AlgebraSpec((1, 1, 1)), 5)
     with pytest.raises(LimitExceeded):
         enumerate_all_ideals(alg)
     assert alg._ideal_subspaces == {}
@@ -127,7 +136,7 @@ def test_theta_recover_mutually_inverse(spec, points):
     alg = function_algebra(spec, points)
     from fnideals.lattice import enumerate_compatible_families
 
-    families = enumerate_compatible_families(alg.lattice, SpaceModel(points))
+    families = enumerate_compatible_families(alg.lattice, points)
     ideals = enumerate_all_ideals(alg)
     assert len(families) == len(ideals)
     for ideal in ideals:
@@ -142,7 +151,7 @@ def test_theta_is_order_reversing_in_the_sets_and_preserving_in_the_ideal():
     lat = alg.lattice
     from fnideals.lattice import enumerate_compatible_families
 
-    families = enumerate_compatible_families(lat, SpaceModel(2))
+    families = enumerate_compatible_families(lat, 2)
     for fam_a in families:
         for fam_b in families:
             if all(sa & sb == sb for sa, sb in zip(fam_a.sets, fam_b.sets)):
@@ -164,7 +173,7 @@ def test_brute_force_closure_matches_enumeration(spec, points):
 def test_verified_enumeration_fails_on_a_non_invariant_subspace(monkeypatch):
     """Negative control: a corrupted ideal subspace (one off-diagonal unit of
     M_2) must fail the invariance check of enumerate_all_ideals."""
-    alg = FunctionAlgebra(M2, SpaceModel(1))
+    alg = FunctionAlgebra(M2, 1)
     e12 = rref([(0, 1, 0, 0)], 4)
     monkeypatch.setattr(alg, "ideal_subspace", lambda ideal: e12)
     assert len(enumerate_all_ideals(alg, verify=False)) == 2

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import diamond_lattice, level_family, pentagon_lattice
+from fnideals.decomposition import Decomposition
+from fnideals.fdalgebra import AlgebraSpec
+from fnideals.function_algebra import FunctionAlgebra
 from fnideals.lattice import (
     BoundedLattice,
     ClosedFamily,
     LimitExceeded,
-    SpaceModel,
     _exhaustive_compatible,
     _pairwise_compatible,
     boolean_lattice,
@@ -74,9 +76,22 @@ def test_malformed_tables_raise():
     ]:
         with pytest.raises(ValueError, match=f"^{message}$"):
             BoundedLattice(**dict(chain, **bad))
-    for points in (True, 2.5, -1):
-        with pytest.raises(ValueError, match=f"^point count {points!r} must be a nonnegative integer$"):
-            SpaceModel(points)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda points: ClosedFamily(chain_lattice(2), points, (0, 0)),
+        lambda points: Decomposition(chain_lattice(2), points, ()),
+        lambda points: FunctionAlgebra(AlgebraSpec((1,)), points),
+        lambda points: enumerate_compatible_families(chain_lattice(2), points),
+    ],
+    ids=["ClosedFamily", "Decomposition", "FunctionAlgebra", "enumerate_compatible_families"],
+)
+@pytest.mark.parametrize("points", [True, 2.5, -1])
+def test_point_count_must_be_a_nonnegative_int(build, points):
+    with pytest.raises(ValueError, match=f"^point count {points!r} must be a nonnegative integer$"):
+        build(points)
 
 
 def test_lattice_dict_roundtrip():
@@ -91,7 +106,7 @@ def test_lattice_dict_roundtrip():
 # ---------------------------------------------------------------------------
 
 def family(lat, sets, points=2):
-    return ClosedFamily(lat, SpaceModel(points), tuple(sets))
+    return ClosedFamily(lat, points, tuple(sets))
 
 
 def test_all_full_family_is_compatible():
@@ -117,16 +132,16 @@ def test_compatibility_requires_full_top():
 
 def test_family_shape_validation():
     with pytest.raises(ValueError):
-        ClosedFamily(B4, SpaceModel(1), (0, 0, 0))
+        ClosedFamily(B4, 1, (0, 0, 0))
     for sets, message in [
         ((0, 0, 0, 4), "subset mask 4 out of range"),
         ((0, 0, 0, -1), "subset mask -1 out of range"),
         ((0, 0, 0, 1.0), "subset mask 1.0 out of range"),
     ]:
         with pytest.raises(ValueError, match=f"^{message}$"):
-            ClosedFamily(B4, SpaceModel(1), sets)
+            ClosedFamily(B4, 1, sets)
     with pytest.raises(ValueError, match="^subset mask False out of range$"):
-        ClosedFamily(chain_lattice(2), SpaceModel(1), (False, True))
+        ClosedFamily(chain_lattice(2), 1, (False, True))
 
 
 @pytest.mark.parametrize("lat", POOL)
@@ -135,7 +150,7 @@ def test_pairwise_agrees_with_exhaustive(lat, points):
     full = (1 << points) - 1
     for assignment in itertools.product(range(full + 1), repeat=lat.size):
         assert _pairwise_compatible(lat, assignment) == _exhaustive_compatible(lat, assignment)
-    assert compat_oracles_agree(lat, SpaceModel(points))
+    assert compat_oracles_agree(lat, points)
 
 
 def test_oracle_agreement_check_can_fail():
@@ -148,7 +163,7 @@ def test_oracle_agreement_check_can_fail():
     lat = BoundedLattice(b.size, meet, b.join, b.bottom, b.top)
     assert _pairwise_compatible(lat, (0, 1, 0, 3))
     assert not _exhaustive_compatible(lat, (0, 1, 0, 3))
-    assert not compat_oracles_agree(lat, SpaceModel(2))
+    assert not compat_oracles_agree(lat, 2)
 
 
 @pytest.mark.parametrize(
@@ -156,15 +171,15 @@ def test_oracle_agreement_check_can_fail():
     [(boolean_lattice(2), 3), (chain_lattice(3), 4), (chain_lattice(6), 2), (boolean_lattice(3), 1)],
 )
 def test_enumerator_agrees_with_brute_force(lat, points):
-    assert compat_oracles_agree(lat, SpaceModel(points))
+    assert compat_oracles_agree(lat, points)
 
 
 @pytest.mark.parametrize("points", [1, 2])
 def test_oracle_agreement_fails_when_the_enumerator_drops_a_trigger(drop_meet_trigger, points):
     """On a valid lattice: unchecked, S_1 and S_2 may meet outside S_0."""
     lat = boolean_lattice(2)
-    assert (0, 1, 1, 1) in [f.sets for f in enumerate_compatible_families(lat, SpaceModel(1))]
-    assert not compat_oracles_agree(lat, SpaceModel(points))
+    assert (0, 1, 1, 1) in [f.sets for f in enumerate_compatible_families(lat, 1)]
+    assert not compat_oracles_agree(lat, points)
 
 
 @given(st.sampled_from(POOL), st.data())
@@ -235,18 +250,18 @@ def test_union_over_gamma_on_chain_is_previous_set():
 # ---------------------------------------------------------------------------
 
 def test_enumerate_two_chain_single_point():
-    fams = enumerate_compatible_families(chain_lattice(2), SpaceModel(1))
+    fams = enumerate_compatible_families(chain_lattice(2), 1)
     assert [f.sets for f in fams] == [(0, 1), (1, 1)]
 
 
 def test_enumerate_counts_match_lattice_size_power():
     for lat, points in [(B4, 1), (B4, 2), (chain_lattice(3), 2), (diamond_lattice(), 2)]:
-        fams = enumerate_compatible_families(lat, SpaceModel(points))
+        fams = enumerate_compatible_families(lat, points)
         assert len(fams) == lat.size**points
 
 
 def test_enumerate_is_lexicographic_and_all_compatible():
-    fams = enumerate_compatible_families(B4, SpaceModel(2))
+    fams = enumerate_compatible_families(B4, 2)
     tuples = [f.sets for f in fams]
     assert tuples == sorted(tuples)
     assert all(is_compatible(f) for f in fams)
@@ -254,11 +269,11 @@ def test_enumerate_is_lexicographic_and_all_compatible():
 
 def test_enumerate_bound():
     with pytest.raises(LimitExceeded):
-        enumerate_compatible_families(boolean_lattice(3), SpaceModel(3))
+        enumerate_compatible_families(boolean_lattice(3), 3)
 
 
 def test_enumerate_zero_points():
-    fams = enumerate_compatible_families(B4, SpaceModel(0))
+    fams = enumerate_compatible_families(B4, 0)
     assert len(fams) == 1
     assert fams[0].sets == (0, 0, 0, 0)
 
@@ -275,7 +290,7 @@ def test_mask_helpers():
 
 
 def test_family_list_roundtrip():
-    fam = family_from_lists(B4, SpaceModel(2), [[], [0], [1], [0, 1]])
+    fam = family_from_lists(B4, 2, [[], [0], [1], [0, 1]])
     assert fam.sets == (0, 1, 2, 3)
     assert family_to_lists(fam) == [[], [0], [1], [0, 1]]
 

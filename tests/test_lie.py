@@ -17,7 +17,7 @@ from fnideals.function_algebra import (
     pointwise_subspace,
     theta,
 )
-from fnideals.lattice import ClosedFamily, SpaceModel, enumerate_compatible_families
+from fnideals.lattice import ClosedFamily, enumerate_compatible_families
 from fnideals.lie import (
     LieCandidate,
     check_cqp,
@@ -51,7 +51,7 @@ M12 = AlgebraSpec((1, 2))
 
 
 def ideal_of(alg, *stalks):
-    return PointwiseIdeal(alg.lattice, alg.space, stalks)
+    return PointwiseIdeal(alg.lattice, stalks)
 
 
 # ---------------------------------------------------------------------------
@@ -111,10 +111,10 @@ def test_pointwise_normalizer_formula(spec, points):
     alg = function_algebra(spec, points)
     alg1 = function_algebra(spec, 1)
     per_stalk = {
-        s: lie_normalizer(alg1, PointwiseIdeal(alg1.lattice, alg1.space, (s,)))
+        s: lie_normalizer(alg1, PointwiseIdeal(alg1.lattice, (s,)))
         for s in range(alg.lattice.size)
     }
-    for fam in enumerate_compatible_families(alg.lattice, SpaceModel(points)):
+    for fam in enumerate_compatible_families(alg.lattice, points):
         ideal = theta(fam)
         direct = lie_normalizer(alg, ideal)
         assembled = pointwise_subspace(alg, [per_stalk[s] for s in ideal.stalks])
@@ -201,7 +201,7 @@ def test_commutator_ideal_commutative_algebra_is_zero():
 def test_commutator_ideal_span_is_memoized_per_stalk_tuple(monkeypatch):
     """A second call for the same ideal runs no rref.  A fresh instance is
     used, so the patched rref never fills the memo of a shared algebra."""
-    alg = FunctionAlgebra(M12, SpaceModel(2))
+    alg = FunctionAlgebra(M12, 2)
     calls = []
 
     def counted(rows, dim):
@@ -420,14 +420,14 @@ def test_maximal_ideals_shape():
 )
 def test_cqp_transfer_both_directions(spec, points):
     alg = function_algebra(spec, points)
-    ok, lines = cqp_transfer_check(spec, SpaceModel(points), check_cqp(alg)[0], weak_centrality(alg))
+    ok, lines = cqp_transfer_check(spec, points, check_cqp(alg)[0], weak_centrality(alg))
     assert ok
     assert len(lines) == 4
     assert all(line.startswith("PASS") for line in lines)
 
 
 def test_cqp_transfer_zero_points_skips():
-    ok, lines = cqp_transfer_check(M2, SpaceModel(0), True, True)
+    ok, lines = cqp_transfer_check(M2, 0, True, True)
     assert ok
     assert lines == ["SKIP points=0 function algebra is the zero algebra"]
 
@@ -443,7 +443,7 @@ def test_check_cqp_fails_on_corrupted_normalizer(corrupt_normalizer):
 
 
 def test_cqp_transfer_fails_when_function_algebra_lacks_cqp():
-    ok, lines = cqp_transfer_check(M2, SpaceModel(2), False, True)
+    ok, lines = cqp_transfer_check(M2, 2, False, True)
     assert not ok
     assert lines == [
         "PASS cqp-function-algebra-implies-base",
@@ -455,7 +455,7 @@ def test_cqp_transfer_fails_when_function_algebra_lacks_cqp():
 
 def test_cqp_transfer_fails_when_base_lacks_cqp(monkeypatch):
     monkeypatch.setattr(lie, "check_cqp", lambda alg: (False, []))
-    ok, lines = cqp_transfer_check(M2, SpaceModel(2), True, True)
+    ok, lines = cqp_transfer_check(M2, 2, True, True)
     assert not ok
     assert lines == [
         "FAIL cqp-function-algebra-implies-base",

@@ -8,7 +8,7 @@ import pytest
 from fnideals.decomposition import Decomposition
 from fnideals.fdalgebra import AlgebraSpec, Element
 from fnideals.function_algebra import PointwiseIdeal, function_algebra
-from fnideals.lattice import BoundedLattice, ClosedFamily, SpaceModel, chain_lattice
+from fnideals.lattice import BoundedLattice, ClosedFamily, chain_lattice
 from fnideals.linalg import Subspace, rref
 
 
@@ -20,9 +20,9 @@ def test_equal_specs_are_one_cache_key():
 
 
 def test_values_of_different_classes_with_equal_fields_are_unequal():
-    lat, space = chain_lattice(2), SpaceModel(2)
-    ideal, family = PointwiseIdeal(lat, space, (0, 1)), ClosedFamily(lat, space, (0, 1))
-    assert ideal.lattice == family.lattice and ideal.space == family.space
+    lat = chain_lattice(2)
+    ideal, family = PointwiseIdeal(lat, (0, 1)), ClosedFamily(lat, 2, (0, 1))
+    assert ideal.lattice == family.lattice
     assert ideal.stalks == family.sets
     assert ideal != family and family != ideal
 
@@ -31,7 +31,7 @@ def test_equality_reads_every_field():
     lat = chain_lattice(2)
     assert BoundedLattice(2, lat.meet, lat.join, 0, 1) == lat
     assert BoundedLattice(2, lat.meet, lat.join, 0, 0) != lat
-    assert PointwiseIdeal(lat, SpaceModel(1), (0,)) != PointwiseIdeal(lat, SpaceModel(1), (1,))
+    assert PointwiseIdeal(lat, (0,)) != PointwiseIdeal(lat, (1,))
     assert rref([(2, 4)], 2) == Subspace(2, ((1, 2),))
     assert len({rref([(2, 4)], 2), Subspace(2, ((1, 2),)), Subspace.zero(2)}) == 2
 
@@ -41,11 +41,10 @@ def test_equality_reads_every_field():
     [
         (Subspace.full(2), "basis"),
         (chain_lattice(2), "top"),
-        (SpaceModel(1), "point_count"),
-        (ClosedFamily(chain_lattice(2), SpaceModel(1), (0, 1)), "sets"),
+        (ClosedFamily(chain_lattice(2), 1, (0, 1)), "sets"),
         (AlgebraSpec((2,)), "block_dims"),
         (Element.zero(AlgebraSpec((1,))), "blocks"),
-        (PointwiseIdeal(chain_lattice(2), SpaceModel(1), (1,)), "stalks"),
+        (PointwiseIdeal(chain_lattice(2), (1,)), "stalks"),
     ],
     ids=lambda v: type(v).__name__ if not isinstance(v, str) else v,
 )
@@ -62,11 +61,11 @@ def test_hashed_values_refuse_assignment(value, field):
 
 def test_values_survive_copy_and_pickle():
     # Decomposition is Frozen only, so compare its fields one by one
-    dec = Decomposition(chain_lattice(3), SpaceModel(2), ((0b01, 1), (0b11, 2)))
+    dec = Decomposition(chain_lattice(3), 2, ((0b01, 1), (0b11, 2)))
     for clone in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
         again = clone(dec)
         assert type(again) is Decomposition
-        assert (again.lattice, again.space, again.terms) == (dec.lattice, dec.space, dec.terms)
+        assert (again.lattice, again.points, again.terms) == (dec.lattice, dec.points, dec.terms)
         with pytest.raises(AttributeError):
             again.terms = ()
         space = clone(Subspace(3, ((1, 0, 2), (0, 1, 0))))
