@@ -8,7 +8,7 @@ a pointwise ideal, and verify_theorem checks the round trip exactly.
 
 from __future__ import annotations
 
-from .function_algebra import PointwiseIdeal, recover_S, theta
+from .function_algebra import PointwiseIdeal, _theta, recover_S
 from .lattice import (
     BoundedLattice,
     ClosedFamily,
@@ -42,6 +42,11 @@ def decompose(family: ClosedFamily) -> Decomposition:
     """Terms (union over gamma_j of S_k, j) for every non-bottom j."""
     if not is_compatible(family):
         raise ValueError("family is not compatible with the lattice")
+    return _decompose(family)
+
+
+def _decompose(family: ClosedFamily) -> Decomposition:
+    """decompose of a family the caller has already found compatible."""
     lat = family.lattice
     terms = tuple(
         (union_over_gamma(family, j), j) for j in range(lat.size) if j != lat.bottom
@@ -91,8 +96,8 @@ def verify_theorem(family: ClosedFamily) -> list:
     """
     if not is_compatible(family):
         return [("family-compatible", False)]
-    target = theta(family)
-    dec = decompose(family)
+    target = _theta(family)
+    dec = _decompose(family)
     evaluated = evaluate(dec)
     return [
         ("evaluate-equals-theta", evaluated == target),

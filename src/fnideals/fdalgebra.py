@@ -125,9 +125,8 @@ def unit_translates(row, products) -> list:
 
 def is_invariant(sub: Subspace, products) -> bool:
     """True iff e_a * v and v * e_a stay in sub for every basis row v and unit e_a."""
-    return all(
-        sub._reduces_to_zero(t) for row in sub.basis for t in unit_translates(row, products)
-    )
+    test = sub.membership()
+    return all(test(t) for row in sub.basis for t in unit_translates(row, products))
 
 
 class Element(Value):

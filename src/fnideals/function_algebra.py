@@ -62,6 +62,11 @@ def theta(family: ClosedFamily) -> PointwiseIdeal:
     """
     if not is_compatible(family):
         raise ValueError("family is not compatible with the lattice")
+    return _theta(family)
+
+
+def _theta(family: ClosedFamily) -> PointwiseIdeal:
+    """theta of a family the caller has already found compatible."""
     lat = family.lattice
     stalks = []
     for x in range(family.points):
@@ -111,6 +116,15 @@ class FunctionAlgebra:
         x, rem = divmod(index, d)
         b, p, q = self.spec.coord_info(rem)
         return x, b, p, q
+
+    @property
+    def coord_blocks(self) -> tuple:
+        """(point, 1 << block) of every flat coordinate of B."""
+        if not hasattr(self, "_coord_blocks"):
+            self._coord_blocks = tuple(
+                (x, 1 << b) for x, b, _, _ in map(self.coord_info, range(self.dim))
+            )
+        return self._coord_blocks
 
     @property
     def unit_products(self) -> tuple:

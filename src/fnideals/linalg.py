@@ -10,6 +10,9 @@ arithmetic only and divides each pivot row by its pivot once, at the end, as
 an exact Fraction, so no float arises.  Subspaces are stored as reduced
 row-echelon bases, which makes RREF a true canonical form: two subspaces are
 equal as sets iff their Subspace values compare equal field-for-field.
+Membership is fraction-free too: `Subspace.membership` scales the basis rows
+by their common denominator and each tested row by its own, keeps only the
+nonzero terms of each basis row, and compares integers.
 
 There is one elimination layout: `rref` reduces rows of the ambient width.
 Sums concatenate bases and reduce them; the annihilator is read off an RREF
@@ -22,7 +25,10 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from functools import reduce
+from itertools import chain, compress
 from math import gcd, lcm
+from operator import attrgetter
 
 from .value import Value, setfield
 
@@ -38,13 +44,20 @@ def _rational(x):
 
 Vector = tuple  # tuple of canonical values: int or Fraction
 
+_denominator = attrgetter("denominator")  # 1 for an int
+
+
+def _scaled(entries, den: int) -> list:
+    """den * x for each int or Fraction x, as ints; den must clear every denominator."""
+    return [x.numerator * (den // x.denominator) for x in entries]
+
 
 def vector(entries: Iterable) -> Vector:
     """Coerce numbers Fraction() accepts into a tuple of canonical values."""
     return tuple(map(_rational, entries))
 
 
-def _echelon(work: list, width: int) -> list:
+def _echelon(work: list, width: int) -> tuple:
     """Reduced row echelon form of integer rows over `width` columns.
 
     Fraction-free (integer-preserving, after Bareiss): the pivot row clears an
@@ -53,7 +66,7 @@ def _echelon(work: list, width: int) -> list:
     gcd of its entries, which keeps the integers small; when a = 1 it is
     updated in place, with no copy and no gcd.  Each finished row is divided
     by its pivot at the end, leaving canonical entries.  `work` is consumed;
-    the nonzero rows are returned as tuples.
+    returns the nonzero rows, as tuples, and their pivot columns.
     """
     nrows = len(work)
     prow = 0
@@ -91,11 +104,11 @@ def _echelon(work: list, width: int) -> list:
             break
     # tuple() of a list, not of a generator, whose tuple is built by growing and
     # shrinking: that form measured a third more traced peak memory in verify-all
-    return [
+    return tuple([
         tuple(row) if (pv := row[col]) == 1
         else tuple([x // pv if x % pv == 0 else Fraction(x, pv) for x in row])
         for row, col in zip(work, pivots)
-    ]
+    ]), tuple(pivots)
 
 
 class Subspace(Value):
@@ -109,7 +122,7 @@ class Subspace(Value):
     __slots__ = ("ambient_dim", "basis", "pivots")
 
     def __init__(self, ambient_dim: int, basis: tuple):
-        # rref passes a tuple of tuples; rebuilding one only churns tuples (see rref)
+        # a tuple of tuples is kept: rebuilding one only churns tuples (see rref)
         if type(basis) is not tuple or not all(type(r) is tuple for r in basis):
             basis = tuple(tuple(r) for r in basis)
         for row in basis:
@@ -122,6 +135,9 @@ class Subspace(Value):
             for above in basis[:k]:  # rows below are zero at p: their pivots lie right of it
                 if above[p]:
                     raise ValueError("basis must be in reduced row-echelon form")
+        self._fill(ambient_dim, basis, pivots)
+
+    def _fill(self, ambient_dim: int, basis: tuple, pivots: tuple):
         setfield(self, "ambient_dim", ambient_dim)
         setfield(self, "basis", basis)
         setfield(self, "pivots", pivots)
@@ -137,23 +153,47 @@ class Subspace(Value):
         v = vector(vec)
         if len(v) != self.ambient_dim:
             raise ValueError("vector length differs from ambient dimension")
-        return self._reduces_to_zero(v)
+        return self.membership()(v)
 
-    def _reduces_to_zero(self, vec: Sequence) -> bool:
-        """Membership of a row of ints and Fractions of the ambient length.
+    def integer_rows(self) -> tuple:
+        """(D, rows): D is the lcm of the basis denominators, and each basis row
+        scaled by D is (pivot, columns, values), its nonzero integer entries."""
+        # parallel column and value lists, not (column, value) pairs, and
+        # reduce(lcm, ...), not lcm(*iterator): either kind of throwaway tuple
+        # raised the peak RSS of verify-all on [1,2]x3 and [3]x2 by 0.2-0.4 MB
+        columns = range(self.ambient_dim)
+        rows = [(p, list(compress(columns, row)), list(compress(row, row)))
+                for row, p in zip(self.basis, self.pivots)]
+        den = 1
+        if Fraction in map(type, chain.from_iterable(self.basis)):
+            den = reduce(lcm, map(_denominator, chain.from_iterable(v for _, _, v in rows)))
+            for _, _, values in rows:
+                values[:] = _scaled(values, den)
+        return den, rows
 
-        The package's own rows (basis rows, brackets, translates) already are,
-        so they skip the coercion and length check of `contains`.
+    def membership(self):
+        """The test v -> (v in self), for rows of ints and Fractions of the
+        ambient length; build it once and apply it to a batch of rows.
+
+        Fraction-free: with the basis rows R_k scaled to integers by D (see
+        `integer_rows`), a row's coordinates at the pivots p_k are its only
+        possible coefficients, so v (scaled to integers) lies in the span iff
+        D*v = sum_k v[p_k]*R_k.
         """
-        v = list(vec)
-        n = self.ambient_dim
-        for row, p in zip(self.basis, self.pivots):
-            f = v[p]
-            if f:
-                for c in range(p, n):
-                    if row[c]:
-                        v[c] = v[c] - f * row[c]
-        return not any(v)
+        den, rows = self.integer_rows()
+
+        def test(vec) -> bool:
+            if Fraction in map(type, vec):
+                vec = _scaled(vec, reduce(lcm, map(_denominator, vec)))
+            acc = [den * x for x in vec] if den != 1 else list(vec)
+            for p, cols, values in rows:
+                f = vec[p]
+                if f:
+                    for c, r in zip(cols, values):
+                        acc[c] -= f * r
+            return not any(acc)
+
+        return test
 
     def __contains__(self, vec) -> bool:
         return self.contains(vec)
@@ -161,7 +201,7 @@ class Subspace(Value):
     def __le__(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return all(other._reduces_to_zero(row) for row in self.basis)
+        return all(map(other.membership(), self.basis))
 
     def __add__(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
@@ -203,11 +243,15 @@ def rref(rows: Iterable[Sequence], ambient_dim: int) -> Subspace:
                     den = lcm(den, x.denominator)
             row.append(x)
         if den != 1:
-            row = [x.numerator * (den // x.denominator) if type(x) is Fraction else x * den
-                   for x in row]
+            row = _scaled(row, den)
         if any(row):
             work.append(row)
-    return Subspace(ambient_dim, tuple(_echelon(work, ambient_dim)))
+    # _echelon's output is in RREF by construction, so the checks of
+    # Subspace.__init__ are skipped: they took about 5% of the CPU time of
+    # verify-all on [1,2]x3, [2,2]x2 and [3]x2
+    sub = object.__new__(Subspace)
+    sub._fill(ambient_dim, *_echelon(work, ambient_dim))
+    return sub
 
 
 def intersect(u: Subspace, v: Subspace) -> Subspace:

@@ -455,6 +455,17 @@ def test_verify_all_bound_skips_bijection_count(tmp_path, capsys):
     assert not any(line.startswith("PASS bijection-count") for line in lines)
 
 
+def test_verify_all_reports_a_vacuous_outside_check_and_passes(tmp_path, capsys):
+    """[1,1,1] is commutative, so every interval is [0, B]: no subspace lies
+    outside every bound, and the line says so instead of a bare PASS."""
+    code, out, _ = run_cli(tmp_path, capsys, ["verify-all"], {"blocks": [1, 1, 1], "points": 2})
+    lines = out.splitlines()
+    assert code == 0
+    assert "VACUOUS sandwich-outside-bounds (every subspace lies in [0, B])" in lines
+    assert "PASS sandwich-between-bounds (1280 subspaces, 0 discrepancies)" in lines
+    assert lines[-1] == "verify-all: PASS"
+
+
 def test_options_may_come_before_or_after_the_problem_file(tmp_path, capsys):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps({"blocks": [1, 2], "points": 2}))
@@ -526,7 +537,8 @@ def _top_at_last_point(ideal):
     [
         ("evaluate", lambda f: lambda dec: _top_at_last_point(f(dec)), ["fin-sum"]),
         (
-            "theta",
+            # the unchecked builder behind theta, which verify_theorem calls
+            "_theta",
             lambda f: lambda family: _top_at_last_point(f(family)),
             ["fin-sum", "bijection-count", "theta-recover-roundtrip"],
         ),

@@ -1,10 +1,13 @@
 """Finite-sum decomposition: terms, evaluation and the full round trip."""
 
+import importlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BH2_NESTED_LEVELS, level_family
+from fnideals import decomposition, lattice
 from fnideals.decomposition import (
     Decomposition,
     decompose,
@@ -25,6 +28,8 @@ from fnideals.lattice import (
 )
 
 B4 = boolean_lattice(2)
+# the package exports a function of the same name
+function_algebra = importlib.import_module("fnideals.function_algebra")
 
 
 def test_decompose_boolean_example():
@@ -97,6 +102,29 @@ def test_verify_theorem_reports_stable_names():
 def test_verify_theorem_reports_an_incompatible_family():
     fam = ClosedFamily(B4, 1, (0, 1, 1, 1))  # S_1 and S_2 meet outside S_0
     assert verify_theorem(fam) == [("family-compatible", False)]
+
+
+def test_verify_theorem_decides_compatibility_once(monkeypatch):
+    """verify_theorem builds theta and the terms unchecked after its own guard;
+    theta and decompose still check when called alone."""
+    calls = []
+
+    def counted(family):
+        calls.append(family)
+        return lattice.is_compatible(family)
+
+    for module in (decomposition, function_algebra):
+        monkeypatch.setattr(module, "is_compatible", counted)
+    fam = ClosedFamily(B4, 2, (0b00, 0b01, 0b10, 0b11))
+    assert all(ok for _, ok in verify_theorem(fam))
+    assert len(calls) == 1
+    theta(fam)
+    decompose(fam)
+    assert len(calls) == 3
+    bad = ClosedFamily(B4, 2, (0b00, 0b01, 0b01, 0b11))
+    for build in (theta, decompose):
+        with pytest.raises(ValueError, match="^family is not compatible with the lattice$"):
+            build(bad)
 
 
 def test_bh2_nested_family_targeted_run():

@@ -335,6 +335,46 @@ def test_sandwich_suite_catches_witness_without_lower_bound_test(monkeypatch):
     assert lines[1].startswith("FAIL sandwich-outside-bounds"), lines
 
 
+def test_sandwich_suite_counts_every_draw_of_a_shared_interval(monkeypatch):
+    """Each distinct candidate is decided once, but a rejected verdict still
+    counts once per draw: 20 per ideal, whichever interval the ideal shares.
+    The outside scan is switched off, since a draw of it that lands in an
+    interval adds a discrepancy too."""
+    alg = function_algebra(M2, 2)
+    monkeypatch.setattr(lie, "is_lie_ideal", lambda candidate: False)
+    monkeypatch.setattr(lie, "SANDWICH_FREE_COUNT", 0)
+    ok, lines = sandwich_random_suite(alg, seed=11)
+    n = lie.SANDWICH_PER_IDEAL * len(enumerate_all_ideals(alg, verify=False))
+    assert not ok
+    assert lines[0] == f"FAIL sandwich-between-bounds ({n} subspaces, {n} discrepancies)"
+
+
+@pytest.mark.parametrize("spec", [M11, AlgebraSpec((1,))])
+def test_sandwich_suite_outside_check_is_vacuous_on_a_commutative_algebra(spec):
+    """Every interval is [0, B], so no subspace lies outside every bound."""
+    alg = function_algebra(spec, 2)
+    ok, lines = sandwich_random_suite(alg, seed=11)
+    assert ok
+    assert lines[1] == "VACUOUS sandwich-outside-bounds (every subspace lies in [0, B])"
+
+
+def test_sandwich_suite_reports_an_outside_scan_that_checked_nothing(monkeypatch):
+    """The zero subspace lies in [span[0, B], N(0)], so a scan that draws only
+    it checks no subspace in all its attempts."""
+    monkeypatch.setattr(lie, "random_subspace", lambda dim, rng: Subspace.zero(dim))
+    ok, lines = sandwich_random_suite(function_algebra(M2, 1), seed=11)
+    attempts = lie.SANDWICH_FREE_COUNT * 50
+    assert ok
+    assert lines[1] == f"VACUOUS sandwich-outside-bounds (0 subspaces in {attempts} attempts)"
+
+
+def test_coord_blocks_match_coord_info():
+    alg = function_algebra(M12, 2)
+    assert alg.coord_blocks == tuple(
+        (x, 1 << b) for x, b, _, _ in map(alg.coord_info, range(alg.dim))
+    )
+
+
 @lru_cache(maxsize=None)
 def sandwich_bounds(alg):
     """(ideal, span[J,B], N(J)) for every ideal, in canonical stalk order."""

@@ -1,6 +1,7 @@
 """Exact subspace arithmetic over the rationals, cross-checked against sympy as
 an independent oracle, and the CLI's parser of Gaussian-rational entries."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -175,7 +176,10 @@ def rows_strategy(dim, max_rows=4):
 @settings(max_examples=120, deadline=None)
 def test_rref_matches_sympy(case):
     dim, rows = case
-    assert rref(rows, dim).basis == oracle_rref(rows, dim)
+    sub = rref(rows, dim)
+    assert sub.basis == oracle_rref(rows, dim)
+    # rref skips the checks of Subspace(); its output must pass them
+    assert Subspace(dim, sub.basis).pivots == sub.pivots
 
 
 # Rows up to 8 wide with numerators up to 10^6 over denominators up to 12:
@@ -199,8 +203,10 @@ wide_entries = st.one_of(
 @settings(max_examples=120, deadline=None)
 def test_rref_matches_sympy_on_wide_rows_with_large_entries(case):
     dim, rows = case
-    basis = rref(rows, dim).basis
+    sub = rref(rows, dim)
+    basis = sub.basis
     assert basis == oracle_rref(rows, dim)
+    assert Subspace(dim, basis).pivots == sub.pivots
     for row in basis:
         for x in row:
             assert_canonical(x)
@@ -382,3 +388,106 @@ def test_exactness_guard_every_basis_entry_is_canonical(case):
         assert u.contains(row)
     for row in u.basis:
         assert (u + v).contains(row)
+
+
+# ---------------------------------------------------------------------------
+# fraction-free membership, against a sympy rank oracle
+# ---------------------------------------------------------------------------
+
+def oracle_contains(basis, vec) -> bool:
+    """vec lies in the span iff appending it leaves the rank unchanged."""
+    if not basis:
+        return not any(vec)
+    return to_sympy_matrix(list(basis) + [vec], len(vec)).rank() == len(basis)
+
+
+def _realified(rows):
+    """The rational span of (Re v, Im v) and (-Im v, Re v), as `sandwich` builds it."""
+    out = []
+    for re, im in rows:
+        out.append(re + im)
+        out.append([-y for y in im] + re)
+    return out
+
+
+def fraction_membership_cases(seed, count=6):
+    """(subspace, vectors) pairs: seeded subspaces whose RREF basis holds
+    Fractions, every other one realified (width 2d), each with members, near
+    misses and random vectors, all with Fraction entries; one copy of each
+    member holds only Fractions, integral ones included."""
+    rng = random.Random(seed)
+
+    def small():
+        return rng.randint(-3, 3)
+
+    def frac():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+    cases = []
+    while len(cases) < count:
+        d = rng.randint(2, 6)
+        k = rng.randint(1, d - 1)
+        if len(cases) % 2:
+            width = 2 * d
+            rows = _realified([([small() for _ in range(d)], [small() for _ in range(d)])
+                               for _ in range(k)])
+        else:
+            width = d
+            rows = [[small() for _ in range(d)] for _ in range(k)]
+        sub = rref(rows, width)
+        if not any(type(x) is Fraction for row in sub.basis for x in row):
+            continue
+        vecs = []
+        for _ in range(2):
+            coeffs = [frac() for _ in sub.basis]
+            member = vector(sum(c * row[i] for c, row in zip(coeffs, sub.basis)) for i in range(width))
+            near = list(member)
+            near[rng.randrange(width)] += Fraction(1, 3)
+            vecs += [member, tuple(map(Fraction, member)), vector(near),
+                     vector(frac() for _ in range(width))]
+        cases.append((sub, vecs))
+    return cases
+
+
+def membership_disagreements(seeds) -> tuple:
+    """(disagreements with the rank oracle, oracle verdicts seen)."""
+    bad, seen = [], set()
+    for seed in seeds:
+        for sub, vecs in fraction_membership_cases(seed):
+            contains = sub.membership()
+            for v in vecs:
+                expected = oracle_contains(sub.basis, v)
+                seen.add(expected)
+                if contains(v) != expected or sub.contains(v) != expected:
+                    bad.append((sub, v))
+    return bad, seen
+
+
+def test_membership_matches_rank_oracle_on_fraction_bases():
+    bad, seen = membership_disagreements(range(4))
+    assert not bad
+    assert seen == {True, False}
+
+
+@pytest.fixture(params=["unscaled-rows", "dropped-row"])
+def broken_integer_rows(request, monkeypatch):
+    """Seeded fault in the integer form membership tests against: the basis rows
+    keep their Fractions while D stays, or the last basis row is left out."""
+    integer_rows = Subspace.integer_rows
+
+    def unscaled(self):
+        den, rows = integer_rows(self)
+        return den, [(p, cols, [row[c] for c in cols])
+                     for row, (p, cols, _) in zip(self.basis, rows)]
+
+    def dropped(self):
+        den, rows = integer_rows(self)
+        return den, rows[:-1]
+
+    fault = unscaled if request.param == "unscaled-rows" else dropped
+    monkeypatch.setattr(Subspace, "integer_rows", fault)
+
+
+def test_membership_oracle_check_catches_a_broken_integer_form(broken_integer_rows):
+    bad, _ = membership_disagreements(range(4))
+    assert bad
