@@ -91,8 +91,9 @@ def recover_S(ideal: PointwiseIdeal) -> ClosedFamily:
 class FunctionAlgebra:
     """B = A^X for a block algebra A and a finite discrete point set X.
 
-    Heavy derived data (the ideal lattice of A, commutator tables, ideal
-    subspaces) is computed once and cached; instances are immutable.
+    Heavy derived data (ideal subspaces, commutator tables, and the span[J, B]
+    that lie.commutator_ideal_span fills in) is cached on first use, so an
+    instance is not immutable, though no answer it gives ever changes.
     """
 
     def __init__(self, spec: AlgebraSpec, points: int):

@@ -87,15 +87,6 @@ class BoundedLattice(Value):
         return tuple(out)
 
 
-def chain_lattice(m: int) -> BoundedLattice:
-    """Total order 0 < 1 < ... < m-1."""
-    if m < 1:
-        raise ValueError("chain length must be positive")
-    meet = tuple(tuple(min(i, j) for j in range(m)) for i in range(m))
-    join = tuple(tuple(max(i, j) for j in range(m)) for i in range(m))
-    return BoundedLattice(m, meet, join, 0, m - 1)
-
-
 def boolean_lattice(k: int) -> BoundedLattice:
     """Subsets of a k-set, indexed by bitmask."""
     n = 1 << k

@@ -10,8 +10,8 @@ so sandwich_witness decides the question in closed form from J_min alone.
 
 The randomized sandwich suite groups the ideals by their interval
 (span[J, B], N(J)), which many ideals share, and draws each interval's
-candidates together; a memo of verdicts keyed by the candidate's basis,
-kept only while its interval is drawn, decides each distinct candidate once.
+candidates together.  Most repeated draws are one of the interval's two ends,
+so those two are decided once per interval and every other draw directly.
 """
 
 from __future__ import annotations
@@ -171,14 +171,21 @@ def _random_combination_rows(terms: list, width: int, rng, count: int) -> list:
     return rows
 
 
+def _sandwiched(alg: FunctionAlgebra, space: Subspace) -> bool:
+    """True iff the subspace is a Lie ideal with a sandwich witness."""
+    cand = LieCandidate(alg, space)
+    return is_lie_ideal(cand) and sandwich_witness(cand) is not None
+
+
 def sandwich_random_suite(alg: FunctionAlgebra, seed: int) -> tuple:
     """Randomized check that the sandwich bounds characterize Lie ideals.
 
     Part one: subspaces between span[J,B] and N(J) must all be Lie ideals
     with a witness.  Ideals sharing the interval (span[J,B], N(J)) are
     grouped, in first-seen order: an interval shared by m ideals gets
-    SANDWICH_PER_IDEAL * m draws, and each distinct draw is decided once,
-    its verdict kept until the interval is done.  Every draw counts.
+    SANDWICH_PER_IDEAL * m draws.  Each end is decided when first drawn and
+    its verdict reused for every later draw equal to it; any other draw is
+    decided directly.  Every draw counts.
     Part two: seeded random subspaces lying in no interval (a scan
     independent of sandwich_witness) must fail both tests.  When some
     interval is [0, B] no subspace lies outside, and the part is VACUOUS.
@@ -194,17 +201,18 @@ def sandwich_random_suite(alg: FunctionAlgebra, seed: int) -> tuple:
     bad_between = 0
     checked_between = 0
     for (lower, upper), m in intervals.items():
-        verdicts: dict = {}  # candidate basis -> Lie ideal with a witness
+        ends: dict = {}  # lower.dim or upper.dim -> that end's verdict, once drawn
         _, terms = upper.integer_rows()
         for _ in range(SANDWICH_PER_IDEAL * m):
             extra = _random_combination_rows(terms, alg.dim, rng, rng.randint(0, upper.dim))
             space = rref(list(lower.basis) + extra, alg.dim) if extra else lower
-            good = verdicts.get(space.basis)
-            if good is None:
-                cand = LieCandidate(alg, space)
-                good = verdicts[space.basis] = (
-                    is_lie_ideal(cand) and sandwich_witness(cand) is not None
-                )
+            # lower <= space <= upper, so it is an end iff it has an end's dimension
+            if space.dim not in (lower.dim, upper.dim):
+                good = _sandwiched(alg, space)
+            elif space.dim in ends:
+                good = ends[space.dim]
+            else:
+                good = ends[space.dim] = _sandwiched(alg, space)
             checked_between += 1
             bad_between += not good
     bad_free = 0

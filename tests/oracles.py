@@ -118,6 +118,15 @@ def element_from_vector(alg, vec) -> FunctionElement:
     return FunctionElement(alg.spec, values)
 
 
+def chain_lattice(m: int) -> BoundedLattice:
+    """Total order 0 < 1 < ... < m-1."""
+    if m < 1:
+        raise ValueError("chain length must be positive")
+    meet = tuple(tuple(min(i, j) for j in range(m)) for i in range(m))
+    join = tuple(tuple(max(i, j) for j in range(m)) for i in range(m))
+    return BoundedLattice(m, meet, join, 0, m - 1)
+
+
 def product_lattice(a: BoundedLattice, b: BoundedLattice) -> BoundedLattice:
     """Componentwise product; index of (i, j) is i * b.size + j."""
     pairs = list(itertools.product(range(a.size), range(b.size)))

@@ -18,9 +18,8 @@ from fnideals import cli, decomposition, fdalgebra
 from fnideals.cli import _parse_scalar, main
 from fnideals.fdalgebra import AlgebraSpec, enumerate_ideals
 from fnideals.function_algebra import PointwiseIdeal, enumerate_all_ideals
-from fnideals.lattice import chain_lattice
 from fnideals.lie import commutator_ideal_span, lie_normalizer
-from oracles import dense_brackets, gaussian_text, lattice_to_dict
+from oracles import chain_lattice, dense_brackets, gaussian_text, lattice_to_dict
 
 # The package re-exports a function of the same name over the module.
 function_algebra = importlib.import_module("fnideals.function_algebra")

@@ -20,12 +20,12 @@ from fnideals.function_algebra import PointwiseIdeal, recover_S, theta
 from fnideals.lattice import (
     ClosedFamily,
     boolean_lattice,
-    chain_lattice,
     enumerate_compatible_families,
     family_from_lists,
     lattice_from_dict,
     union_over_gamma,
 )
+from oracles import chain_lattice
 
 B4 = boolean_lattice(2)
 # the package exports a function of the same name

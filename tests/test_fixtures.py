@@ -9,7 +9,6 @@ from conftest import BH2_NESTED_LEVELS, level_family
 from fnideals.fdalgebra import AlgebraSpec, enumerate_ideals
 from fnideals.fixtures import bundled_fixture_names, load_fixture
 from fnideals.lattice import (
-    chain_lattice,
     compute_gamma,
     family_from_lists,
     is_compatible,
@@ -17,7 +16,7 @@ from fnideals.lattice import (
     union_over_gamma,
     validate_lattice,
 )
-from oracles import product_lattice
+from oracles import chain_lattice, product_lattice
 
 # the printed gamma table (1-based labels), frozen from the source example
 BH2_GAMMA_1BASED = {

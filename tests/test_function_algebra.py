@@ -18,11 +18,12 @@ from fnideals.function_algebra import (
     recover_S,
     theta,
 )
-from fnideals.lattice import ClosedFamily, LimitExceeded, chain_lattice, is_compatible
+from fnideals.lattice import ClosedFamily, LimitExceeded, is_compatible
 from fnideals.lie import lie_normalizer
 from fnideals.linalg import Subspace, rref
 from oracles import (
     basis_element,
+    chain_lattice,
     closures_of_unit_subsets,
     commutator,
     element_from_vector,

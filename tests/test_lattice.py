@@ -17,7 +17,6 @@ from fnideals.lattice import (
     _exhaustive_compatible,
     _pairwise_compatible,
     boolean_lattice,
-    chain_lattice,
     compat_oracles_agree,
     compute_gamma,
     enumerate_compatible_families,
@@ -29,7 +28,7 @@ from fnideals.lattice import (
     union_over_gamma,
     validate_lattice,
 )
-from oracles import family_to_lists, lattice_to_dict, product_lattice
+from oracles import chain_lattice, family_to_lists, lattice_to_dict, product_lattice
 
 B4 = boolean_lattice(2)
 POOL = [chain_lattice(2), chain_lattice(3), chain_lattice(5), B4, boolean_lattice(3),

@@ -1,6 +1,8 @@
 """Lie normalizers, sandwich characterization, CQP and weak centrality."""
 
 import random
+import re
+import tracemalloc
 from functools import lru_cache
 
 import pytest
@@ -336,9 +338,9 @@ def test_sandwich_suite_catches_witness_without_lower_bound_test(monkeypatch):
 
 
 def test_sandwich_suite_counts_every_draw_of_a_shared_interval(monkeypatch):
-    """Each distinct candidate is decided once, but a rejected verdict still
-    counts once per draw: 20 per ideal, whichever interval the ideal shares.
-    The outside scan is switched off, since a draw of it that lands in an
+    """A rejected verdict counts once per draw, 20 per ideal, whichever interval
+    the ideal shares, including the draws that reuse an end's verdict.  The
+    outside scan is switched off, since a draw of it that lands in an
     interval adds a discrepancy too."""
     alg = function_algebra(M2, 2)
     monkeypatch.setattr(lie, "is_lie_ideal", lambda candidate: False)
@@ -347,6 +349,48 @@ def test_sandwich_suite_counts_every_draw_of_a_shared_interval(monkeypatch):
     n = lie.SANDWICH_PER_IDEAL * len(enumerate_all_ideals(alg, verify=False))
     assert not ok
     assert lines[0] == f"FAIL sandwich-between-bounds ({n} subspaces, {n} discrepancies)"
+
+
+@pytest.mark.parametrize("end", ["lower", "upper"])
+def test_sandwich_suite_decides_an_end_once_and_counts_it_per_draw(monkeypatch, end):
+    """On M2 x 2 the interval of J = 0 is [span[0, B], N(0)] = [0, Z(B)], and
+    no other interval has either end.  A fault that rejects only that end is
+    decided once, yet fails every draw equal to the end."""
+    alg = function_algebra(M2, 2)
+    bad = Subspace.zero(alg.dim) if end == "lower" else alg.centre_subspace
+    decided = []
+    honest = lie.is_lie_ideal
+
+    def faulty(candidate):
+        decided.append(candidate.space == bad)
+        return candidate.space != bad and honest(candidate)
+
+    monkeypatch.setattr(lie, "is_lie_ideal", faulty)
+    monkeypatch.setattr(lie, "SANDWICH_FREE_COUNT", 0)
+    ok, lines = sandwich_random_suite(alg, seed=11)
+    found = re.fullmatch(r"FAIL sandwich-between-bounds \((\d+) subspaces, (\d+) discrepancies\)", lines[0])
+    assert not ok and found
+    assert int(found[2]) > 1
+    assert decided.count(True) == 1
+
+
+def test_sandwich_suite_memory_does_not_grow_with_its_draws():
+    """[1,1,1] x 2 is commutative, so its 64 ideals share one interval, [0, B],
+    and its 1,280 draws hold over 900 distinct subspaces; the suite keeps none.
+    A fresh algebra keeps the peak independent of what earlier tests cached."""
+    alg = FunctionAlgebra(AlgebraSpec((1, 1, 1)), 2)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    base, _ = tracemalloc.get_traced_memory()
+    try:
+        ok, _ = sandwich_random_suite(alg, 11)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert ok
+    assert peak - base < 0.25 * 2**20
 
 
 @pytest.mark.parametrize("spec", [M11, AlgebraSpec((1,))])

@@ -8,8 +8,9 @@ import pytest
 from fnideals.decomposition import Decomposition
 from fnideals.fdalgebra import AlgebraSpec, Element
 from fnideals.function_algebra import PointwiseIdeal, function_algebra
-from fnideals.lattice import BoundedLattice, ClosedFamily, chain_lattice
+from fnideals.lattice import BoundedLattice, ClosedFamily
 from fnideals.linalg import Subspace, rref
+from oracles import chain_lattice
 
 
 def test_equal_specs_are_one_cache_key():
