@@ -264,9 +264,8 @@ def _need_algebra(problem: Problem) -> FunctionAlgebra:
     return function_algebra(spec, points)
 
 
-def _fmt_points(mask_or_points) -> str:
-    pts = mask_to_points(mask_or_points) if isinstance(mask_or_points, int) else mask_or_points
-    return "{" + ",".join(str(p) for p in pts) + "}"
+def _fmt_points(mask: int) -> str:
+    return "{" + ",".join(str(p) for p in mask_to_points(mask)) + "}"
 
 
 def _fmt_indices(indices) -> str:
@@ -317,7 +316,6 @@ def cmd_theta(problem: Problem, args) -> int:
 def cmd_recover(problem: Problem, args) -> int:
     lat = _need(problem, "lattice", "a lattice")
     stalks = _need(problem, "stalks", "an ideal member (stalk list)")
-    points = _need(problem, "points", "a points member")
     family = recover_S(PointwiseIdeal(lat, stalks))
     for i, mask in enumerate(family.sets):
         print(f"S[{i + 1}] = {_fmt_points(mask)}")
@@ -567,6 +565,10 @@ def main(argv=None) -> int:
     except (InputError, LimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        # an invariance check inside the library failed
+        print(f"FAIL {exc}")
+        return 1
     except BrokenPipeError:
         # Python's SIGPIPE recipe: the flush at exit writes what is left to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -17,10 +17,10 @@ from .lattice import (
     is_compatible,
     union_over_gamma,
 )
-from .value import Frozen, setfield
+from .value import Value
 
 
-class Decomposition(Frozen):
+class Decomposition(Value):
     """Terms (Y_j, j) for every non-bottom index j, ascending in j."""
 
     __slots__ = ("lattice", "points", "terms")
@@ -33,9 +33,7 @@ class Decomposition(Frozen):
                 raise ValueError(f"term index {j} must be a non-bottom lattice index")
             if not _is_index(y, masks):
                 raise ValueError(f"term mask {y} out of range")
-        setfield(self, "lattice", lattice)
-        setfield(self, "points", points)
-        setfield(self, "terms", terms)
+        self._fill(lattice, points, terms)
 
 
 def decompose(family: ClosedFamily) -> Decomposition:

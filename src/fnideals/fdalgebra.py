@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .lattice import BoundedLattice, LimitExceeded, boolean_lattice
 from .linalg import Subspace, rref, vector
-from .value import Value, setfield
+from .value import Value
 
 
 class AlgebraSpec(Value):
@@ -31,10 +31,7 @@ class AlgebraSpec(Value):
         for n in block_dims:
             if isinstance(n, bool) or not isinstance(n, int) or n < 1:
                 raise ValueError(f"block dimension {n!r} must be a positive integer")
-        setfield(self, "block_dims", block_dims)
-
-    def _key(self) -> tuple:
-        return (self.block_dims,)
+        self._fill(block_dims)
 
     @property
     def num_blocks(self) -> int:
@@ -142,11 +139,7 @@ class Element(Value):
         for blk, n in zip(blocks, dims):
             if len(blk) != n or any(len(row) != n for row in blk):
                 raise ValueError("block shape differs from algebra layout")
-        setfield(self, "spec", spec)
-        setfield(self, "blocks", blocks)
-
-    def _key(self) -> tuple:
-        return self.spec, self.blocks
+        self._fill(spec, blocks)
 
     @staticmethod
     def zero(spec: AlgebraSpec) -> "Element":

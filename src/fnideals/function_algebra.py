@@ -30,7 +30,7 @@ from .lattice import (
     is_compatible,
 )
 from .linalg import Subspace, rref
-from .value import Frozen, Value, setfield
+from .value import Value
 
 # The CLI limits cap |L|^|X| at 8^4 stalk assignments.
 MAX_IDEALS = 4096
@@ -47,11 +47,7 @@ class PointwiseIdeal(Value):
         for s in stalks:
             if not _is_index(s, lattice.size):
                 raise ValueError(f"stalk index {s!r} out of range")
-        setfield(self, "lattice", lattice)
-        setfield(self, "stalks", stalks)
-
-    def _key(self) -> tuple:
-        return self.lattice, self.stalks
+        self._fill(lattice, stalks)
 
 
 def theta(family: ClosedFamily) -> PointwiseIdeal:
@@ -173,7 +169,7 @@ def function_algebra(spec: AlgebraSpec, points: int) -> FunctionAlgebra:
     return FunctionAlgebra(spec, points)
 
 
-class FunctionElement(Frozen):
+class FunctionElement(Value):
     """Member of A^X: one Element per point, so len(values) = |X|."""
 
     __slots__ = ("spec", "values")
@@ -183,8 +179,7 @@ class FunctionElement(Frozen):
         for v in values:
             if v.spec != spec:
                 raise ValueError("value belongs to a different algebra")
-        setfield(self, "spec", spec)
-        setfield(self, "values", values)
+        self._fill(spec, values)
 
     def _check(self, other: "FunctionElement"):
         if self.spec != other.spec or len(self.values) != len(other.values):

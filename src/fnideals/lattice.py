@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable
 
-from .value import Value, setfield
+from .value import Value
 
 
 class LimitExceeded(ValueError):
@@ -52,14 +52,7 @@ class BoundedLattice(Value):
         for name, idx in (("bottom", bottom), ("top", top)):
             if not _is_index(idx, n):
                 raise ValueError(f"{name} index {idx!r} out of range")
-        setfield(self, "size", size)
-        setfield(self, "meet", meet)
-        setfield(self, "join", join)
-        setfield(self, "bottom", bottom)
-        setfield(self, "top", top)
-
-    def _key(self) -> tuple:
-        return self.size, self.meet, self.join, self.bottom, self.top
+        self._fill(size, meet, join, bottom, top)
 
     def leq(self, i: int, j: int) -> bool:
         return self.meet[i][j] == i
@@ -171,12 +164,7 @@ class ClosedFamily(Value):
         for s in sets:
             if not _is_index(s, masks):
                 raise ValueError(f"subset mask {s!r} out of range")
-        setfield(self, "lattice", lattice)
-        setfield(self, "points", points)
-        setfield(self, "sets", sets)
-
-    def _key(self) -> tuple:
-        return self.lattice, self.points, self.sets
+        self._fill(lattice, points, sets)
 
 
 def _pairwise_compatible(lat: BoundedLattice, sets: tuple) -> bool:

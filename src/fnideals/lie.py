@@ -26,7 +26,7 @@ from .function_algebra import (
     function_algebra,
 )
 from .linalg import Subspace, annihilator, rref
-from .value import Frozen, setfield
+from .value import Value
 
 # Candidates the sandwich suite draws per ideal, and outside every bound.
 SANDWICH_PER_IDEAL = 20
@@ -92,7 +92,7 @@ def commutator_ideal_span(alg: FunctionAlgebra, ideal) -> Subspace:
     return span
 
 
-class LieCandidate(Frozen):
+class LieCandidate(Value):
     """A closed subspace L of B offered as a potential Lie ideal.
 
     `space` is L itself (width dim B) or, for a complex L, its realification:
@@ -100,17 +100,17 @@ class LieCandidate(Frozen):
     real, so every test below reads the same answer off either form.
     """
 
-    # brackets: the [v, e_b] rows over L's basis rows v; contains: the membership
-    # test of L.  Both are built once for every test of L.
+    # brackets: the [v, e_b] rows over L's basis rows v, as lists, so only a
+    # candidate without rows hashes; contains: the membership test of L, a
+    # closure, so candidates built apart never compare equal.  Both are built
+    # once for every test of L.
     __slots__ = ("alg", "space", "brackets", "contains")
 
     def __init__(self, alg: FunctionAlgebra, space: Subspace):
         if space.ambient_dim not in (alg.dim, 2 * alg.dim):
             raise ValueError("candidate does not live in the algebra's coordinate space")
-        setfield(self, "alg", alg)
-        setfield(self, "space", space)
-        setfield(self, "brackets", tuple(row for v in space.basis for row in _brackets(alg, v)))
-        setfield(self, "contains", space.membership())
+        brackets = tuple(row for v in space.basis for row in _brackets(alg, v))
+        self._fill(alg, space, brackets, space.membership())
 
 
 def is_lie_ideal(candidate: LieCandidate) -> bool:
@@ -149,8 +149,8 @@ def sandwich_witness(candidate: LieCandidate):
     return ideal if all(candidate.contains(row + pad) for row in lower.basis) else None
 
 
-def random_subspace(dim: int, rng, max_rows: int | None = None) -> Subspace:
-    count = rng.randint(0, dim if max_rows is None else max_rows)
+def random_subspace(dim: int, rng) -> Subspace:
+    count = rng.randint(0, dim)
     units = [(k, [k], [1]) for k in range(dim)]
     return rref(_random_combination_rows(units, dim, rng, count), dim)
 

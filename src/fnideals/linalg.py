@@ -30,7 +30,7 @@ from itertools import chain, compress
 from math import gcd, lcm
 from operator import attrgetter
 
-from .value import Value, setfield
+from .value import Value
 
 
 def _rational(x):
@@ -136,14 +136,6 @@ class Subspace(Value):
                 if above[p]:
                     raise ValueError("basis must be in reduced row-echelon form")
         self._fill(ambient_dim, basis, pivots)
-
-    def _fill(self, ambient_dim: int, basis: tuple, pivots: tuple):
-        setfield(self, "ambient_dim", ambient_dim)
-        setfield(self, "basis", basis)
-        setfield(self, "pivots", pivots)
-
-    def _key(self) -> tuple:
-        return self.ambient_dim, self.basis
 
     @property
     def dim(self) -> int:

@@ -19,6 +19,7 @@ from fnideals.cli import _parse_scalar, main
 from fnideals.fdalgebra import AlgebraSpec, enumerate_ideals
 from fnideals.function_algebra import PointwiseIdeal, enumerate_all_ideals
 from fnideals.lie import commutator_ideal_span, lie_normalizer
+from fnideals.linalg import rref
 from oracles import chain_lattice, dense_brackets, gaussian_text, lattice_to_dict
 
 # The package re-exports a function of the same name over the module.
@@ -560,6 +561,50 @@ def test_verify_all_fails_on_lattice_side_faults(tmp_path, capsys, monkeypatch, 
     for check in failed:
         assert any(line.startswith(f"FAIL {check}") for line in lines), (check, out)
 
+
+# ---------------------------------------------------------------------------
+# negative controls: a non-invariant ideal subspace FAILs without a traceback
+# ---------------------------------------------------------------------------
+
+def _e12_of_m2(points):
+    """span(e12) at every point of M2^X: not a two-sided ideal."""
+    return rref([[0, 1, 0, 0] * points], 4 * points)
+
+
+def test_verify_all_fails_on_a_non_invariant_pointwise_ideal(tmp_path, capsys, monkeypatch):
+    original = function_algebra.FunctionAlgebra.ideal_subspace
+
+    def corrupted(alg, ideal):
+        return _e12_of_m2(alg.points) if not any(ideal.stalks) else original(alg, ideal)
+
+    monkeypatch.setattr(function_algebra.FunctionAlgebra, "ideal_subspace", corrupted)
+    code, out, err = run_cli(tmp_path, capsys, ["verify-all"], {"blocks": [2], "points": 1})
+    assert (code, out, err) == (1, "FAIL stalks (0,) give a non-invariant subspace\n", "")
+
+
+@pytest.fixture
+def fresh_block_ideals():
+    """Empty the caches of A's block ideals and lattice before and after a test."""
+    caches = (fdalgebra.enumerate_ideals, fdalgebra.block_ideal_subspace)
+    for cached in caches:
+        cached.cache_clear()
+    yield
+    for cached in caches:
+        cached.cache_clear()
+
+
+@pytest.mark.parametrize("command", ["verify-all", "gamma", "cqp"])
+def test_blocks_command_fails_on_a_non_invariant_block_ideal(
+    tmp_path, capsys, monkeypatch, fresh_block_ideals, command
+):
+    original = fdalgebra.block_ideal_subspace
+
+    def corrupted(spec, mask):
+        return _e12_of_m2(1) if mask == 0 else original(spec, mask)
+
+    monkeypatch.setattr(fdalgebra, "block_ideal_subspace", corrupted)
+    code, out, err = run_cli(tmp_path, capsys, [command], {"blocks": [2], "points": 1})
+    assert (code, out, err) == (1, "FAIL ideal mask 0 not two-sided invariant\n", "")
 
 
 def test_incompatible_enumerated_family_fails_without_a_traceback(tmp_path, capsys, drop_meet_trigger):

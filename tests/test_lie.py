@@ -140,11 +140,13 @@ def dense_normalizer(alg, sub) -> Subspace:
 
 
 def core_cases(spec, points, random_count=6):
-    """Every ideal subspace of A^X and seeded random raw subspaces."""
+    """Every ideal subspace of A^X and seeded random subspaces of at most 3 rows."""
     alg = function_algebra(spec, points)
     rng = random.Random(1904)
     subs = [alg.ideal_subspace(i) for i in enumerate_all_ideals(alg, verify=False)]
-    subs += [random_subspace(alg.dim, rng, max_rows=3) for _ in range(random_count)]
+    for _ in range(random_count):
+        rows = [[rng.randint(-2, 2) for _ in range(alg.dim)] for _ in range(rng.randint(0, 3))]
+        subs.append(rref(rows, alg.dim))
     return alg, subs
 
 
