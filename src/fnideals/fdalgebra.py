@@ -84,7 +84,8 @@ def unit_products(spec: AlgebraSpec) -> tuple:
 
 
 def unit_commutators(products) -> tuple:
-    """comm[i][j] = sparse coordinates ((k, c), ...) of [e_i, e_j], ascending in k.
+    """comm[i] = ((j, terms), ...) over the j, ascending, with [e_i, e_j] != 0;
+    terms are its sparse coordinates ((k, c), ...), ascending in k.
 
     e_i * e_j = e_k adds +e_k to [e_i, e_j] and -e_k to [e_j, e_i]; the two
     terms cancel only for i == j.
@@ -95,10 +96,11 @@ def unit_commutators(products) -> tuple:
         for j, k in row:
             table[i][j][k] = table[i][j].get(k, 0) + 1
             table[j][i][k] = table[j][i].get(k, 0) - 1
-    return tuple(
-        tuple(tuple((k, c) for k, c in sorted(terms.items()) if c) for terms in row)
+    sparse = [
+        [(j, tuple((k, c) for k, c in sorted(terms.items()) if c)) for j, terms in enumerate(row)]
         for row in table
-    )
+    ]
+    return tuple(tuple((j, terms) for j, terms in row if terms) for row in sparse)
 
 
 def unit_translates(row, products) -> list:

@@ -141,7 +141,8 @@ class FunctionAlgebra:
 
     @property
     def commutator_table(self) -> tuple:
-        """comm[i][b] = sparse coordinates of [e_i, e_b] for basis pairs."""
+        """comm[i] = ((b, sparse coordinates of [e_i, e_b]), ...) over the b
+        with [e_i, e_b] != 0 (see `unit_commutators`)."""
         if not hasattr(self, "_comm_table"):
             self._comm_table = unit_commutators(self.unit_products)
         return self._comm_table

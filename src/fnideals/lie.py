@@ -10,8 +10,14 @@ so sandwich_witness decides the question in closed form from J_min alone.
 
 The randomized sandwich suite groups the ideals by their interval
 (span[J, B], N(J)), which many ideals share, and draws each interval's
-candidates together.  Most repeated draws are one of the interval's two ends,
-so those two are decided once per interval and every other draw directly.
+candidates together, in the quotient N(J) / span[J, B]: each draw is reduced
+modulo span[J, B] and its RREF taken in the few columns of the quotient, so
+the same seed draws the same subspaces as combining whole rows in B would.
+Most repeated draws are one of the interval's two ends, so those two are
+decided once per interval.  Every other draw's basis is assembled from its
+quotient RREF and decided through a candidate over the interval's base
+candidate for span[J, B], which brackets span[J, B]'s rows once.  An interval
+with span[J, B] outside N(J) holds no subspace: every draw of it FAILs.
 """
 
 from __future__ import annotations
@@ -25,7 +31,14 @@ from .function_algebra import (
     enumerate_all_ideals,
     function_algebra,
 )
-from .linalg import Subspace, annihilator, rref
+from .linalg import (
+    Subspace,
+    annihilator,
+    echelon_subspace,
+    integer_combination,
+    integer_membership,
+    rref,
+)
 from .value import Value
 
 # Candidates the sandwich suite draws per ideal, and outside every bound.
@@ -43,8 +56,11 @@ def _ideal_subspace(alg: FunctionAlgebra, ideal) -> Subspace:
     raise TypeError(f"expected PointwiseIdeal or Subspace, got {type(ideal).__name__}")
 
 
-def _brackets(alg: FunctionAlgebra, v) -> list:
-    """[v, e_b] as dense rows, for each basis e_b whose bracket with v has a term.
+def _brackets(alg: FunctionAlgebra, rows: list, width: int) -> list:
+    """[v, e_b] as dense rows of `width`, as tuples, for each integer row v of
+    `rows` (given by its nonzero entries, as `Subspace.integer_rows` lists
+    them, so no Fraction arithmetic arises) and each basis e_b whose bracket
+    with v has a term.
 
     v may hold several elements of B side by side (a realified row holds
     (Re, Im)); B is real, so each is bracketed with e_b in its own slot.
@@ -52,20 +68,19 @@ def _brackets(alg: FunctionAlgebra, v) -> list:
     """
     comm = alg.commutator_table
     dim = alg.dim
-    width = len(v)
-    rows = [None] * dim
-    for i, f in enumerate(v):
-        if not f:
-            continue
-        offset = i - i % dim
-        for b, terms in enumerate(comm[i - offset]):
-            if terms:
-                row = rows[b]
+    out = []
+    for _, cols, values in rows:
+        brackets = [None] * dim
+        for i, f in zip(cols, values):
+            offset = i - i % dim
+            for b, terms in comm[i - offset]:
+                row = brackets[b]
                 if row is None:
-                    row = rows[b] = [0] * width
+                    row = brackets[b] = [0] * width
                 for c, s in terms:
                     row[offset + c] = row[offset + c] + f * s
-    return [row for row in rows if row is not None]
+        out += [tuple(row) for row in brackets if row is not None]
+    return out
 
 
 def lie_normalizer(alg: FunctionAlgebra, ideal) -> Subspace:
@@ -74,9 +89,8 @@ def lie_normalizer(alg: FunctionAlgebra, ideal) -> Subspace:
     Under the coordinate pairing, phi . [f, e_b] = [phi, e_b^T] . f, so the
     constraint rows are the brackets of the annihilator's basis rows.
     """
-    ann = annihilator(_ideal_subspace(alg, ideal))
-    rows = [row for phi in ann.basis for row in _brackets(alg, phi)]
-    return annihilator(rref(rows, alg.dim))
+    _, rows = annihilator(_ideal_subspace(alg, ideal)).integer_rows()
+    return annihilator(rref(_brackets(alg, rows, alg.dim), alg.dim))
 
 
 def commutator_ideal_span(alg: FunctionAlgebra, ideal) -> Subspace:
@@ -85,8 +99,8 @@ def commutator_ideal_span(alg: FunctionAlgebra, ideal) -> Subspace:
     memo = isinstance(ideal, PointwiseIdeal)
     if memo and ideal.stalks in alg.commutator_spans:
         return alg.commutator_spans[ideal.stalks]
-    sub = _ideal_subspace(alg, ideal)
-    span = rref([row for v in sub.basis for row in _brackets(alg, v)], alg.dim)
+    _, rows = _ideal_subspace(alg, ideal).integer_rows()
+    span = rref(_brackets(alg, rows, alg.dim), alg.dim)
     if memo:
         alg.commutator_spans[ideal.stalks] = span
     return span
@@ -98,19 +112,38 @@ class LieCandidate(Value):
     `space` is L itself (width dim B) or, for a complex L, its realification:
     the rational span of (Re v, Im v) over v in L (width 2 dim B).  B is
     real, so every test below reads the same answer off either form.
+
+    A `base` candidate, for a subspace K of L of the same width, shares its
+    work: L's rows whose pivot is not one of K's span L modulo K, so only they
+    are bracketed, and of K's bracket rows only those outside K can leave L.
+    A base built on a fresh candidate for K itself keeps just those rows, so
+    every candidate over it tests them again at little cost.
     """
 
-    # brackets: the [v, e_b] rows over L's basis rows v, as lists, so only a
-    # candidate without rows hashes; contains: the membership test of L, a
-    # closure, so candidates built apart never compare equal.  Both are built
-    # once for every test of L.
-    __slots__ = ("alg", "space", "brackets", "contains")
+    # brackets: bracket rows [v, e_b], as tuples, that span [L, B] modulo a
+    # part already inside L, each scaled by an integer; support: the columns
+    # where some [v, e_b] over L's basis rows v is nonzero; contains: the
+    # membership test of L, a closure, so candidates built apart never compare
+    # equal.  All are built once for every test of L.
+    __slots__ = ("alg", "space", "brackets", "support", "contains")
 
-    def __init__(self, alg: FunctionAlgebra, space: Subspace):
-        if space.ambient_dim not in (alg.dim, 2 * alg.dim):
+    def __init__(self, alg: FunctionAlgebra, space: Subspace, base: LieCandidate | None = None):
+        width = space.ambient_dim
+        if width not in (alg.dim, 2 * alg.dim):
             raise ValueError("candidate does not live in the algebra's coordinate space")
-        brackets = tuple(row for v in space.basis for row in _brackets(alg, v))
-        self._fill(alg, space, brackets, space.membership())
+        den, rows = space.integer_rows()
+        bracketed, escaping, support = rows, (), frozenset()
+        if base is not None:
+            if base.space.ambient_dim != width:
+                raise ValueError("base candidate has another width")
+            held = set(base.space.pivots)
+            bracketed = [row for row in rows if row[0] not in held]
+            escaping = tuple(row for row in base.brackets if not base.contains(row))
+            support = base.support
+        new = _brackets(alg, bracketed, width)
+        columns = range(width)
+        support = support.union(*(compress(columns, row) for row in new))
+        self._fill(alg, space, escaping + tuple(new), support, integer_membership(den, rows))
 
 
 def is_lie_ideal(candidate: LieCandidate) -> bool:
@@ -121,15 +154,11 @@ def is_lie_ideal(candidate: LieCandidate) -> bool:
 def least_normalizing_ideal(candidate: LieCandidate) -> PointwiseIdeal:
     """J_min, the least ideal J with [L, B] <= J (equivalently L <= N(J)): its
     stalk at x masks the blocks where some [v, e_b], v in L's basis, is nonzero
-    (in its real or its imaginary part)."""
+    (in its real or its imaginary part): the blocks of the candidate's support."""
     alg = candidate.alg
-    columns = range(candidate.space.ambient_dim)
-    support = set()
-    for row in candidate.brackets:
-        support.update(compress(columns, row))
     table = alg.coord_blocks
     masks = [0] * alg.points
-    for i in support:
+    for i in candidate.support:
         x, bit = table[i % alg.dim]
         masks[x] |= bit
     return PointwiseIdeal(alg.lattice, masks)
@@ -156,9 +185,9 @@ def random_subspace(dim: int, rng) -> Subspace:
 
 
 def _random_combination_rows(terms: list, width: int, rng, count: int) -> list:
-    """`count` rows, each a combination of the basis rows given as `terms`
-    (`Subspace.integer_rows`) with coefficients drawn from -2..2.  The rows
-    span what the same combinations of the unscaled basis span."""
+    """`count` rows, each a combination of the rows given as `terms`
+    ((pivot, columns, values), as `Subspace.integer_rows` lists them) with
+    coefficients drawn from -2..2."""
     rows = []
     for _ in range(count):
         row = [0] * width
@@ -171,9 +200,86 @@ def _random_combination_rows(terms: list, width: int, rng, count: int) -> list:
     return rows
 
 
-def _sandwiched(alg: FunctionAlgebra, space: Subspace) -> bool:
+class _Interval:
+    """The draws between lower = span[J, B] and upper = N(J), lower <= upper,
+    decided in the quotient upper / lower.
+
+    A draw is lower plus combinations v of upper's basis rows U_k; v's
+    coordinate at U_k's pivot is its coefficient c_k.  Let Q be the pivots of
+    upper that are not lower's.  Modulo lower, v is w = v - sum_p c_p L_p
+    over lower's rows L_p, p their pivots; w is zero at those pivots, so it
+    is the combination of the U_q, q in Q, with its own entries at Q.  Each
+    draw row is kept as w's entries at Q, and their RREF in |Q| columns has
+    rank 0 at lower and |Q| at upper.  Any other draw's RREF basis in B is
+    assembled from the quotient's RREF with no elimination in B: each
+    quotient row lifted through the U_q, and lower's rows reduced at the
+    lifted rows' pivots, in pivot order.
+    """
+
+    def __init__(self, alg: FunctionAlgebra, lower: Subspace, upper: Subspace):
+        self.alg, self.lower, self.upper = alg, lower, upper
+        self.den, urows = upper.integer_rows()
+        lower_den, lower_rows = lower.integer_rows()
+        at_lower = {p: (cols, values) for p, cols, values in lower_rows}
+        self.q_rows = [row for row in urows if row[0] not in at_lower]
+        q_index = {row[0]: t for t, row in enumerate(self.q_rows)}
+        # one term per upper row, in upper's order, so the RNG stream is that
+        # of whole rows: U_q adds lower_den c_q at its Q position, and U_p, p a
+        # pivot of lower, adds c_p times -(lower's integer row) at Q
+        self.terms = []
+        for p, _, _ in urows:
+            if p in q_index:
+                self.terms.append((p, [q_index[p]], [lower_den]))
+            else:
+                cols, values = at_lower[p]
+                at_q = [(q_index[c], -v) for c, v in zip(cols, values) if c in q_index]
+                self.terms.append((p, [t for t, _ in at_q], [v for _, v in at_q]))
+        # lower's rows: (pivot, row, its entries at Q, upper's integer row there)
+        upper_at = {row[0]: row for row in urows}
+        self.lower_rows = [
+            (p, row, [row[q] for q, _, _ in self.q_rows], upper_at[p])
+            for row, p in zip(lower.basis, lower.pivots)
+        ]
+        # when Q is every column, the quotient RREF is the draw itself
+        self.whole = len(self.q_rows) == alg.dim
+        self.base = LieCandidate(alg, lower, LieCandidate(alg, lower))
+
+    def draw(self, rng) -> Subspace:
+        """The next draw of `rng`: `lower` or `upper` itself at an end."""
+        width = len(self.q_rows)
+        count = rng.randint(0, self.upper.dim)
+        if not count:
+            return self.lower
+        quotient = rref(_random_combination_rows(self.terms, width, rng, count), width)
+        if quotient.dim == 0:
+            return self.lower
+        if quotient.dim == width:
+            return self.upper
+        return quotient if self.whole else self._assemble(quotient)
+
+    def _assemble(self, quotient: Subspace) -> Subspace:
+        dim = self.alg.dim
+        rows = [
+            (self.q_rows[t][0], integer_combination(r, self.q_rows, self.den, dim))
+            for r, t in zip(quotient.basis, quotient.pivots)
+        ]
+        for p, row, at_q, upper_row in self.lower_rows:
+            hits = [(at_q[t], r) for r, t in zip(quotient.basis, quotient.pivots) if at_q[t]]
+            if hits:
+                coords = list(at_q)
+                for f, r in hits:
+                    for k, x in enumerate(r):
+                        if x:
+                            coords[k] -= f * x
+                row = integer_combination([1] + coords, [upper_row] + self.q_rows, self.den, dim)
+            rows.append((p, row))
+        rows.sort()
+        return echelon_subspace(dim, tuple(r for _, r in rows), tuple(p for p, _ in rows))
+
+
+def _sandwiched(alg: FunctionAlgebra, space: Subspace, base: LieCandidate) -> bool:
     """True iff the subspace is a Lie ideal with a sandwich witness."""
-    cand = LieCandidate(alg, space)
+    cand = LieCandidate(alg, space, base)
     return is_lie_ideal(cand) and sandwich_witness(cand) is not None
 
 
@@ -183,9 +289,13 @@ def sandwich_random_suite(alg: FunctionAlgebra, seed: int) -> tuple:
     Part one: subspaces between span[J,B] and N(J) must all be Lie ideals
     with a witness.  Ideals sharing the interval (span[J,B], N(J)) are
     grouped, in first-seen order: an interval shared by m ideals gets
-    SANDWICH_PER_IDEAL * m draws.  Each end is decided when first drawn and
-    its verdict reused for every later draw equal to it; any other draw is
-    decided directly.  Every draw counts.
+    SANDWICH_PER_IDEAL * m draws, decided in the quotient N(J) / span[J, B]
+    (see _Interval), so a seed draws the same subspaces as whole rows
+    combined and reduced in B would.  Each end is decided when first drawn
+    and its verdict reused for every later draw equal to it; any other draw
+    is decided directly, by a candidate over the interval's base candidate
+    for span[J, B].  Every draw counts.  An interval whose span[J, B] is not
+    inside N(J) holds no subspace, so each of its draws is a discrepancy.
     Part two: seeded random subspaces lying in no interval (a scan
     independent of sandwich_witness) must fail both tests.  When some
     interval is [0, B] no subspace lies outside, and the part is VACUOUS.
@@ -201,19 +311,22 @@ def sandwich_random_suite(alg: FunctionAlgebra, seed: int) -> tuple:
     bad_between = 0
     checked_between = 0
     for (lower, upper), m in intervals.items():
+        draws = SANDWICH_PER_IDEAL * m
+        checked_between += draws
+        if not lower <= upper:
+            bad_between += draws
+            continue
+        interval = _Interval(alg, lower, upper)
         ends: dict = {}  # lower.dim or upper.dim -> that end's verdict, once drawn
-        _, terms = upper.integer_rows()
-        for _ in range(SANDWICH_PER_IDEAL * m):
-            extra = _random_combination_rows(terms, alg.dim, rng, rng.randint(0, upper.dim))
-            space = rref(list(lower.basis) + extra, alg.dim) if extra else lower
+        for _ in range(draws):
+            space = interval.draw(rng)
             # lower <= space <= upper, so it is an end iff it has an end's dimension
             if space.dim not in (lower.dim, upper.dim):
-                good = _sandwiched(alg, space)
+                good = _sandwiched(alg, space, interval.base)
             elif space.dim in ends:
                 good = ends[space.dim]
             else:
-                good = ends[space.dim] = _sandwiched(alg, space)
-            checked_between += 1
+                good = ends[space.dim] = _sandwiched(alg, space, interval.base)
             bad_between += not good
     bad_free = 0
     checked_free = 0

@@ -10,7 +10,7 @@ arithmetic only and divides each pivot row by its pivot once, at the end, as
 an exact Fraction, so no float arises.  Subspaces are stored as reduced
 row-echelon bases, which makes RREF a true canonical form: two subspaces are
 equal as sets iff their Subspace values compare equal field-for-field.
-Membership is fraction-free too: `Subspace.membership` scales the basis rows
+Membership is fraction-free too: `integer_membership` scales the basis rows
 by their common denominator and each tested row by its own, keeps only the
 nonzero terms of each basis row, and compares integers.
 
@@ -165,27 +165,8 @@ class Subspace(Value):
 
     def membership(self):
         """The test v -> (v in self), for rows of ints and Fractions of the
-        ambient length; build it once and apply it to a batch of rows.
-
-        Fraction-free: with the basis rows R_k scaled to integers by D (see
-        `integer_rows`), a row's coordinates at the pivots p_k are its only
-        possible coefficients, so v (scaled to integers) lies in the span iff
-        D*v = sum_k v[p_k]*R_k.
-        """
-        den, rows = self.integer_rows()
-
-        def test(vec) -> bool:
-            if Fraction in map(type, vec):
-                vec = _scaled(vec, reduce(lcm, map(_denominator, vec)))
-            acc = [den * x for x in vec] if den != 1 else list(vec)
-            for p, cols, values in rows:
-                f = vec[p]
-                if f:
-                    for c, r in zip(cols, values):
-                        acc[c] -= f * r
-            return not any(acc)
-
-        return test
+        ambient length; build it once and apply it to a batch of rows."""
+        return integer_membership(*self.integer_rows())
 
     def __contains__(self, vec) -> bool:
         return self.contains(vec)
@@ -217,6 +198,55 @@ class Subspace(Value):
         return Subspace(n, tuple(rows))
 
 
+def integer_membership(den: int, rows: list):
+    """The membership test of the subspace whose `Subspace.integer_rows` are
+    (den, rows), for a caller that already holds them.
+
+    Fraction-free: with the basis rows R_k scaled to integers by D, a row's
+    coordinates at the pivots p_k are its only possible coefficients, so v
+    (scaled to integers) lies in the span iff D*v = sum_k v[p_k]*R_k.
+    """
+
+    def test(vec) -> bool:
+        if Fraction in map(type, vec):
+            vec = _scaled(vec, reduce(lcm, map(_denominator, vec)))
+        acc = [den * x for x in vec] if den != 1 else list(vec)
+        for p, cols, values in rows:
+            f = vec[p]
+            if f:
+                for c, r in zip(cols, values):
+                    acc[c] -= f * r
+        return not any(acc)
+
+    return test
+
+
+def integer_combination(coords: Sequence, rows: list, den: int, width: int) -> Vector:
+    """sum_k coords[k] * R_k / den, with canonical entries, for integer rows
+    R_k given as (pivot, columns, values) (see `Subspace.integer_rows`) and
+    coefficients that are ints or Fractions."""
+    if Fraction in map(type, coords):
+        scale = reduce(lcm, map(_denominator, coords))
+        coords, den = _scaled(coords, scale), den * scale
+    acc = [0] * width
+    for x, (_, cols, values) in zip(coords, rows):
+        if x:
+            for c, v in zip(cols, values):
+                acc[c] += x * v
+    if den == 1:
+        return tuple(acc)
+    return tuple([x // den if x % den == 0 else Fraction(x, den) for x in acc])
+
+
+def echelon_subspace(ambient_dim: int, basis: tuple, pivots: tuple) -> Subspace:
+    """The Subspace of a basis its caller built in RREF, as a tuple of tuples,
+    with its pivots: the checks of Subspace.__init__ are skipped.  They took
+    about 5% of the CPU time of verify-all on [1,2]x3, [2,2]x2 and [3]x2."""
+    sub = object.__new__(Subspace)
+    sub._fill(ambient_dim, basis, pivots)
+    return sub
+
+
 def rref(rows: Iterable[Sequence], ambient_dim: int) -> Subspace:
     """Canonical subspace spanned by `rows`."""
     work = []
@@ -238,12 +268,7 @@ def rref(rows: Iterable[Sequence], ambient_dim: int) -> Subspace:
             row = _scaled(row, den)
         if any(row):
             work.append(row)
-    # _echelon's output is in RREF by construction, so the checks of
-    # Subspace.__init__ are skipped: they took about 5% of the CPU time of
-    # verify-all on [1,2]x3, [2,2]x2 and [3]x2
-    sub = object.__new__(Subspace)
-    sub._fill(ambient_dim, *_echelon(work, ambient_dim))
-    return sub
+    return echelon_subspace(ambient_dim, *_echelon(work, ambient_dim))
 
 
 def intersect(u: Subspace, v: Subspace) -> Subspace:

@@ -1,12 +1,14 @@
 """Reference helpers shared by the tests; independent of the package's fast paths."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import sympy
 
+from fnideals import lie
 from fnideals.fdalgebra import Element, unit_translates
-from fnideals.function_algebra import FunctionElement
+from fnideals.function_algebra import FunctionElement, enumerate_all_ideals
 from fnideals.lattice import BoundedLattice, LimitExceeded, mask_to_points
 from fnideals.linalg import Subspace, annihilator, rref, vector
 
@@ -80,6 +82,31 @@ def dense_brackets(alg, v) -> list:
     """[v, e_b] for every basis element e_b of B, from dense function elements."""
     f = element_from_vector(alg, v)
     return [commutator(f, basis_element(alg, b)).to_vector() for b in range(alg.dim)]
+
+
+def sandwich_draws(alg, seed: int) -> list:
+    """The subspaces the sandwich suite decides between its bounds, in order,
+    built from whole rows: each draw's combinations of N(J)'s integer basis
+    rows, joined to span[J, B]'s basis and reduced by rref in B.  An end of
+    an interval is listed only when first drawn, as the suite decides it once."""
+    rng = random.Random(seed)
+    intervals = {}
+    for ideal in enumerate_all_ideals(alg, verify=False):
+        key = (lie.commutator_ideal_span(alg, ideal), lie.lie_normalizer(alg, ideal))
+        intervals[key] = intervals.get(key, 0) + 1
+    out = []
+    for (lower, upper), m in intervals.items():
+        ends = set()
+        _, terms = upper.integer_rows()
+        for _ in range(lie.SANDWICH_PER_IDEAL * m):
+            extra = lie._random_combination_rows(terms, alg.dim, rng, rng.randint(0, upper.dim))
+            space = rref(list(lower.basis) + extra, alg.dim) if extra else lower
+            if space.dim in (lower.dim, upper.dim):
+                if space.dim in ends:
+                    continue
+                ends.add(space.dim)
+            out.append(space)
+    return out
 
 
 def tracial_state_basis(spec) -> tuple:

@@ -499,6 +499,16 @@ def test_verify_all_fails_on_corrupted_normalizer(tmp_path, capsys, corrupt_norm
     assert lines[-1] == "verify-all: FAIL"
 
 
+def test_verify_all_fails_a_sandwich_interval_outside_its_normalizer(tmp_path, capsys, corrupt_normalizer):
+    """With a row of N(J) dropped, span[J, B] leaves N(J) for some J on
+    [2] x 2, and every draw of that interval is a discrepancy."""
+    code, out, err = run_cli(tmp_path, capsys, ["verify-all", "--seed", "11"], {"blocks": [2], "points": 2})
+    lines = out.splitlines()
+    assert code == 1 and err == ""
+    assert "FAIL sandwich-between-bounds (80 subspaces, 40 discrepancies)" in lines
+    assert lines[-1] == "verify-all: FAIL"
+
+
 def test_normalizer_fails_on_corrupted_normalizer(tmp_path, capsys, corrupt_normalizer):
     doc = {"blocks": [2], "points": 1, "ideal": [0]}
     code, out, _ = run_cli(tmp_path, capsys, ["normalizer"], doc)

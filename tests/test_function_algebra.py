@@ -212,7 +212,7 @@ def test_commutator_table_matches_element_commutators():
         for b in range(alg.dim):
             eb = basis_element(alg, b)
             expected = commutator(ei, eb).to_vector()
-            sparse = alg.commutator_table[i][b]
+            sparse = dict(alg.commutator_table[i]).get(b, ())
             dense = [0] * alg.dim
             for c, v in sparse:
                 dense[c] = v

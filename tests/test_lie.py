@@ -4,6 +4,7 @@ import random
 import re
 import tracemalloc
 from functools import lru_cache
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +41,7 @@ from oracles import (
     basis_element,
     dense_brackets,
     element_from_vector,
+    sandwich_draws,
     sympy_kernel,
     trace_zero_subspace,
     tracial_state_basis,
@@ -156,7 +158,10 @@ def test_bracket_core_matches_dense_oracles(spec, points):
     for sub in subs:
         dense = [row for v in sub.basis for row in dense_brackets(alg, v)]
         cand = LieCandidate(alg, sub)
-        assert [tuple(row) for row in cand.brackets if any(row)] == [row for row in dense if any(row)]
+        # the candidate brackets the basis rows scaled to integers by D
+        den, _ = sub.integer_rows()
+        scaled = [tuple(den * x for x in row) for row in dense if any(row)]
+        assert [row for row in cand.brackets if any(row)] == scaled
         assert lie_normalizer(alg, sub) == dense_normalizer(alg, sub)
         assert commutator_ideal_span(alg, sub) == rref(dense, alg.dim)
         assert is_lie_ideal(cand) == all(sub.contains(row) for row in dense)
@@ -412,6 +417,93 @@ def test_sandwich_suite_reports_an_outside_scan_that_checked_nothing(monkeypatch
     attempts = lie.SANDWICH_FREE_COUNT * 50
     assert ok
     assert lines[1] == f"VACUOUS sandwich-outside-bounds (0 subspaces in {attempts} attempts)"
+
+
+# Algebras whose sandwich draws are compared with whole-row draws, and seeds.
+DRAW_CASES = [(M2, 2), (M12, 2), (AlgebraSpec((2, 2)), 2), (M3, 2), (AlgebraSpec((2, 3)), 1),
+              (AlgebraSpec((1, 1, 1)), 2)]
+DRAW_SEEDS = [0, 1, 11]
+
+
+@lru_cache(maxsize=None)
+def decided_candidates(spec, points, seed):
+    """(alg, ok, every candidate the between-bounds part decides, in order)."""
+    alg = function_algebra(spec, points)
+    decided = []
+    honest = lie.is_lie_ideal
+
+    def logged(candidate):
+        decided.append(candidate)
+        return honest(candidate)
+
+    with mock.patch.object(lie, "is_lie_ideal", logged), mock.patch.object(lie, "SANDWICH_FREE_COUNT", 0):
+        ok, _ = sandwich_random_suite(alg, seed)
+    return alg, ok, tuple(decided)
+
+
+@pytest.mark.parametrize("seed", DRAW_SEEDS)
+@pytest.mark.parametrize("spec, points", DRAW_CASES)
+def test_sandwich_suite_decides_the_draws_of_whole_rows(spec, points, seed):
+    """The quotient draws are the subspaces that whole rows, reduced in B,
+    give for the same seed, each end once per interval, and every assembled
+    basis is a valid, canonical RREF."""
+    alg, ok, decided = decided_candidates(spec, points, seed)
+    expected = sandwich_draws(alg, seed)
+    assert ok
+    assert [cand.space for cand in decided] == expected
+    for cand, want in zip(decided, expected):
+        space = cand.space
+        assert space == Subspace(space.ambient_dim, space.basis)
+        assert [list(map(type, row)) for row in space.basis] == [list(map(type, row)) for row in want.basis]
+
+
+@pytest.mark.parametrize("seed", DRAW_SEEDS)
+@pytest.mark.parametrize("spec, points", DRAW_CASES)
+def test_candidates_over_the_interval_base_agree_with_fresh_ones(spec, points, seed):
+    """A candidate over its interval's base decides as a fresh candidate for
+    the same subspace does, and finds the same J_min."""
+    alg, _, decided = decided_candidates(spec, points, seed)
+    verdicts = set()
+    for cand in decided:
+        fresh = LieCandidate(alg, cand.space)
+        verdicts.add(is_lie_ideal(fresh))
+        assert is_lie_ideal(cand) == is_lie_ideal(fresh)
+        assert cand.support == fresh.support
+        assert least_normalizing_ideal(cand) == least_normalizing_ideal(fresh)
+    assert verdicts == {True}
+
+
+def trace_zero_at_first_point(alg):
+    """sl2 at the first point of M2 x points: span(e11 - e22, e12, e21) there."""
+    rows = [(1, 0, 0, -1), (0, 1, 0, 0), (0, 0, 1, 0)]
+    return rref([row + (0,) * (alg.dim - 4) for row in rows], alg.dim)
+
+
+def test_candidates_over_a_base_whose_brackets_leave_it():
+    """span(e12) at one point of M2 x 2 is not Lie-closed: its brackets leave
+    it, so every superspace must test them, whether the base holds all of
+    them or only those outside it."""
+    alg = function_algebra(M2, 2)
+    e12 = rref([(0, 1, 0, 0, 0, 0, 0, 0)], alg.dim)
+    rng = random.Random(5)
+    supers = [e12, e12 + trace_zero_at_first_point(alg), Subspace.full(alg.dim)]
+    for _ in range(20):
+        rows = [[rng.randint(-2, 2) for _ in range(alg.dim)] for _ in range(rng.randint(1, 4))]
+        supers.append(e12 + rref(rows, alg.dim))
+    fresh_base = LieCandidate(alg, e12)
+    escaping = LieCandidate(alg, e12, fresh_base)
+    assert not is_lie_ideal(fresh_base) and escaping.brackets
+    assert len(escaping.brackets) < len(fresh_base.brackets)
+    verdicts = set()
+    for sup in supers:
+        fresh = LieCandidate(alg, sup)
+        verdicts.add(is_lie_ideal(fresh))
+        for base in (fresh_base, escaping):
+            cand = LieCandidate(alg, sup, base)
+            assert is_lie_ideal(cand) == is_lie_ideal(fresh), sup
+            assert cand.support == fresh.support
+            assert least_normalizing_ideal(cand) == least_normalizing_ideal(fresh)
+    assert verdicts == {True, False}
 
 
 def test_coord_blocks_match_coord_info():

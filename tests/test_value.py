@@ -81,8 +81,8 @@ BUILDERS = {
     "PointwiseIdeal": lambda: PointwiseIdeal(chain_lattice(2), (1,)),
     "Decomposition": lambda: Decomposition(chain_lattice(3), 2, ((0b01, 1), (0b11, 2))),
     "FunctionElement": lambda: FunctionElement(M1, [Element.zero(M1)]),
-    # bracket rows are lists, so only a candidate without rows hashes
-    "LieCandidate": lambda: LieCandidate(function_algebra(M2, 1), Subspace.zero(4)),
+    # nonzero bracket rows, which are tuples, so the candidate hashes
+    "LieCandidate": lambda: LieCandidate(function_algebra(M2, 1), Subspace.full(4)),
 }
 
 
