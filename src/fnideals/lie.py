@@ -10,14 +10,15 @@ so sandwich_witness decides the question in closed form from J_min alone.
 
 The randomized sandwich suite groups the ideals by their interval
 (span[J, B], N(J)), which many ideals share, and draws each interval's
-candidates together, in the quotient N(J) / span[J, B]: each draw is reduced
-modulo span[J, B] and its RREF taken in the few columns of the quotient, so
-the same seed draws the same subspaces as combining whole rows in B would.
-Most repeated draws are one of the interval's two ends, so those two are
-decided once per interval.  Every other draw's basis is assembled from its
-quotient RREF and decided through a candidate over the interval's base
-candidate for span[J, B], which brackets span[J, B]'s rows once.  An interval
-with span[J, B] outside N(J) holds no subspace: every draw of it FAILs.
+candidates together, in the quotient N(J) / span[J, B]: each draw is
+span[J, B] plus random rows of the quotient, given by their coefficients on
+N(J)'s basis rows outside span[J, B]'s pivots, and its RREF is taken in the
+few columns of the quotient.  Most repeated draws are one of the interval's
+two ends, so those two are decided once per interval.  Every other draw's
+basis is assembled from its quotient RREF and decided through a candidate
+over the interval's base candidate for span[J, B], which brackets
+span[J, B]'s rows once.  An interval with span[J, B] outside N(J) holds no
+subspace: every draw of it FAILs.
 """
 
 from __future__ import annotations
@@ -179,61 +180,33 @@ def sandwich_witness(candidate: LieCandidate):
 
 
 def random_subspace(dim: int, rng) -> Subspace:
-    count = rng.randint(0, dim)
-    units = [(k, [k], [1]) for k in range(dim)]
-    return rref(_random_combination_rows(units, dim, rng, count), dim)
+    return rref(_random_rows(dim, rng.randint(0, dim), rng), dim)
 
 
-def _random_combination_rows(terms: list, width: int, rng, count: int) -> list:
-    """`count` rows, each a combination of the rows given as `terms`
-    ((pivot, columns, values), as `Subspace.integer_rows` lists them) with
-    coefficients drawn from -2..2."""
-    rows = []
-    for _ in range(count):
-        row = [0] * width
-        for _, cols, values in terms:
-            c = rng.randrange(5) - 2  # randint(-2, 2), one call layer less
-            if c:
-                for k, v in zip(cols, values):
-                    row[k] += c * v
-        rows.append(row)
-    return rows
+def _random_rows(width: int, count: int, rng) -> list:
+    """`count` rows of `width` coefficients drawn from -2..2."""
+    # randrange(5) - 2 is randint(-2, 2), one call layer less
+    return [[rng.randrange(5) - 2 for _ in range(width)] for _ in range(count)]
 
 
 class _Interval:
     """The draws between lower = span[J, B] and upper = N(J), lower <= upper,
-    decided in the quotient upper / lower.
+    made in the quotient upper / lower.
 
-    A draw is lower plus combinations v of upper's basis rows U_k; v's
-    coordinate at U_k's pivot is its coefficient c_k.  Let Q be the pivots of
-    upper that are not lower's.  Modulo lower, v is w = v - sum_p c_p L_p
-    over lower's rows L_p, p their pivots; w is zero at those pivots, so it
-    is the combination of the U_q, q in Q, with its own entries at Q.  Each
-    draw row is kept as w's entries at Q, and their RREF in |Q| columns has
-    rank 0 at lower and |Q| at upper.  Any other draw's RREF basis in B is
-    assembled from the quotient's RREF with no elimination in B: each
-    quotient row lifted through the U_q, and lower's rows reduced at the
-    lifted rows' pivots, in pivot order.
+    Let Q be the pivots of upper that are not lower's; upper's basis rows U_q,
+    q in Q, span upper modulo lower.  A draw is lower plus random rows of
+    coefficients on the U_q, and their RREF in |Q| columns has rank 0 at lower
+    and |Q| at upper.  Any other draw's RREF basis in B is assembled from the
+    quotient's RREF with no elimination in B: each quotient row lifted
+    through the U_q, and lower's rows reduced at the lifted rows' pivots, in
+    pivot order.
     """
 
     def __init__(self, alg: FunctionAlgebra, lower: Subspace, upper: Subspace):
         self.alg, self.lower, self.upper = alg, lower, upper
         self.den, urows = upper.integer_rows()
-        lower_den, lower_rows = lower.integer_rows()
-        at_lower = {p: (cols, values) for p, cols, values in lower_rows}
-        self.q_rows = [row for row in urows if row[0] not in at_lower]
-        q_index = {row[0]: t for t, row in enumerate(self.q_rows)}
-        # one term per upper row, in upper's order, so the RNG stream is that
-        # of whole rows: U_q adds lower_den c_q at its Q position, and U_p, p a
-        # pivot of lower, adds c_p times -(lower's integer row) at Q
-        self.terms = []
-        for p, _, _ in urows:
-            if p in q_index:
-                self.terms.append((p, [q_index[p]], [lower_den]))
-            else:
-                cols, values = at_lower[p]
-                at_q = [(q_index[c], -v) for c, v in zip(cols, values) if c in q_index]
-                self.terms.append((p, [t for t, _ in at_q], [v for _, v in at_q]))
+        held = set(lower.pivots)
+        self.q_rows = [row for row in urows if row[0] not in held]
         # lower's rows: (pivot, row, its entries at Q, upper's integer row there)
         upper_at = {row[0]: row for row in urows}
         self.lower_rows = [
@@ -250,7 +223,7 @@ class _Interval:
         count = rng.randint(0, self.upper.dim)
         if not count:
             return self.lower
-        quotient = rref(_random_combination_rows(self.terms, width, rng, count), width)
+        quotient = rref(_random_rows(width, count, rng), width)
         if quotient.dim == 0:
             return self.lower
         if quotient.dim == width:
@@ -289,13 +262,13 @@ def sandwich_random_suite(alg: FunctionAlgebra, seed: int) -> tuple:
     Part one: subspaces between span[J,B] and N(J) must all be Lie ideals
     with a witness.  Ideals sharing the interval (span[J,B], N(J)) are
     grouped, in first-seen order: an interval shared by m ideals gets
-    SANDWICH_PER_IDEAL * m draws, decided in the quotient N(J) / span[J, B]
-    (see _Interval), so a seed draws the same subspaces as whole rows
-    combined and reduced in B would.  Each end is decided when first drawn
-    and its verdict reused for every later draw equal to it; any other draw
-    is decided directly, by a candidate over the interval's base candidate
-    for span[J, B].  Every draw counts.  An interval whose span[J, B] is not
-    inside N(J) holds no subspace, so each of its draws is a discrepancy.
+    SANDWICH_PER_IDEAL * m draws, each span[J, B] plus random rows of the
+    quotient N(J) / span[J, B] (see _Interval).  Each end is decided when
+    first drawn and its verdict reused for every later draw equal to it; any
+    other draw is decided directly, by a candidate over the interval's base
+    candidate for span[J, B].  Every draw counts.  An interval whose
+    span[J, B] is not inside N(J) holds no subspace, so each of its draws is
+    a discrepancy.
     Part two: seeded random subspaces lying in no interval (a scan
     independent of sandwich_witness) must fail both tests.  When some
     interval is [0, B] no subspace lies outside, and the part is VACUOUS.

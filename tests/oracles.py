@@ -86,9 +86,11 @@ def dense_brackets(alg, v) -> list:
 
 def sandwich_draws(alg, seed: int) -> list:
     """The subspaces the sandwich suite decides between its bounds, in order,
-    built from whole rows: each draw's combinations of N(J)'s integer basis
-    rows, joined to span[J, B]'s basis and reduced by rref in B.  An end of
-    an interval is listed only when first drawn, as the suite decides it once."""
+    built from whole rows of B: each draw's random coefficient rows on N(J)'s
+    basis rows at Q, the pivots of N(J) that are not span[J, B]'s, lifted
+    densely in Fraction arithmetic, joined to span[J, B]'s basis and reduced
+    by rref in B.  An end of an interval is listed only when first drawn, as
+    the suite decides it once."""
     rng = random.Random(seed)
     intervals = {}
     for ideal in enumerate_all_ideals(alg, verify=False):
@@ -97,9 +99,17 @@ def sandwich_draws(alg, seed: int) -> list:
     out = []
     for (lower, upper), m in intervals.items():
         ends = set()
-        _, terms = upper.integer_rows()
+        q_rows = [row for row, p in zip(upper.basis, upper.pivots) if p not in lower.pivots]
         for _ in range(lie.SANDWICH_PER_IDEAL * m):
-            extra = lie._random_combination_rows(terms, alg.dim, rng, rng.randint(0, upper.dim))
+            extra = []
+            for _ in range(rng.randint(0, upper.dim)):
+                coeffs = [rng.randrange(5) - 2 for _ in q_rows]
+                lifted = [Fraction(0)] * alg.dim
+                for c, row in zip(coeffs, q_rows):
+                    for k, y in enumerate(row):
+                        if c and y:
+                            lifted[k] += c * Fraction(y)
+                extra.append(lifted)
             space = rref(list(lower.basis) + extra, alg.dim) if extra else lower
             if space.dim in (lower.dim, upper.dim):
                 if space.dim in ends:

@@ -466,6 +466,27 @@ def test_verify_all_reports_a_vacuous_outside_check_and_passes(tmp_path, capsys)
     assert lines[-1] == "verify-all: PASS"
 
 
+def test_verify_all_on_the_zero_algebra(tmp_path, capsys):
+    """With no points B is 0, so its one ideal's interval is [0, 0]: every
+    draw is that interval's only subspace, and it is also [0, B]."""
+    code, out, err = run_cli(tmp_path, capsys, ["verify-all"], {"blocks": [2], "points": 0})
+    assert code == 0 and err == ""
+    assert out.splitlines() == [
+        "PASS lattice-laws",
+        "PASS fin-sum (1 families)",
+        "PASS compat-oracle-agreement",
+        "PASS bijection-count (1 = 1)",
+        "PASS ideal-from-y-sweep",
+        "PASS normalizer-decomposition",
+        "PASS sandwich-between-bounds (20 subspaces, 0 discrepancies)",
+        "VACUOUS sandwich-outside-bounds (every subspace lies in [0, B])",
+        "PASS cqp",
+        "PASS weak-central",
+        "SKIP points=0 function algebra is the zero algebra",
+        "verify-all: PASS",
+    ]
+
+
 def test_options_may_come_before_or_after_the_problem_file(tmp_path, capsys):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps({"blocks": [1, 2], "points": 2}))

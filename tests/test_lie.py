@@ -419,9 +419,10 @@ def test_sandwich_suite_reports_an_outside_scan_that_checked_nothing(monkeypatch
     assert lines[1] == f"VACUOUS sandwich-outside-bounds (0 subspaces in {attempts} attempts)"
 
 
-# Algebras whose sandwich draws are compared with whole-row draws, and seeds.
+# Algebras whose sandwich draws are compared with draws lifted to whole rows
+# of B, and seeds; [1,2] x 3 is a verify-suite algebra.
 DRAW_CASES = [(M2, 2), (M12, 2), (AlgebraSpec((2, 2)), 2), (M3, 2), (AlgebraSpec((2, 3)), 1),
-              (AlgebraSpec((1, 1, 1)), 2)]
+              (AlgebraSpec((1, 1, 1)), 2), (M12, 3)]
 DRAW_SEEDS = [0, 1, 11]
 
 
@@ -444,9 +445,9 @@ def decided_candidates(spec, points, seed):
 @pytest.mark.parametrize("seed", DRAW_SEEDS)
 @pytest.mark.parametrize("spec, points", DRAW_CASES)
 def test_sandwich_suite_decides_the_draws_of_whole_rows(spec, points, seed):
-    """The quotient draws are the subspaces that whole rows, reduced in B,
-    give for the same seed, each end once per interval, and every assembled
-    basis is a valid, canonical RREF."""
+    """The quotient draws are the subspaces that the same random rows give
+    when lifted to whole rows of B and reduced there, each end once per
+    interval, and every assembled basis is a valid, canonical RREF."""
     alg, ok, decided = decided_candidates(spec, points, seed)
     expected = sandwich_draws(alg, seed)
     assert ok
