@@ -64,7 +64,7 @@ class Problem:
     """What a problem file and --fixture give; each command reads the members it needs."""
 
     __slots__ = (
-        "name", "lattice", "spec", "points", "family", "stalks", "y_points", "ideal_index",
+        "name", "lattice", "spec", "points", "family", "ideal", "y_mask", "ideal_index",
         "subspace_rows",  # rows of (re, im) pairs
     )
 
@@ -73,7 +73,7 @@ class Problem:
         self.lattice = lattice
         self.spec = spec
         self.points = points
-        self.family = self.stalks = self.y_points = self.ideal_index = None
+        self.family = self.ideal = self.y_mask = self.ideal_index = None
         self.subspace_rows = None
 
 
@@ -220,19 +220,18 @@ def _resolve_problem(args) -> Problem:
             raise InputError("ideal requires a lattice and points")
         if not isinstance(stalks, list) or len(stalks) != points:
             raise InputError("ideal must list one stalk index per point")
-        for s in stalks:
-            if not _is_int(s) or not 0 <= s < lattice.size:
-                raise InputError(f"stalk index {s!r} out of range")
-        problem.stalks = tuple(stalks)
+        try:
+            problem.ideal = PointwiseIdeal(lattice, stalks)
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
 
     if "Y" in doc:
         if points is None:
             raise InputError("Y requires points")
         try:
-            points_to_mask(doc["Y"], points)
+            problem.y_mask = points_to_mask(doc["Y"], points)
         except (TypeError, ValueError) as exc:
             raise InputError(f"bad Y member: {exc}") from None
-        problem.y_points = tuple(doc["Y"])
 
     if "ideal_index" in doc:
         t = doc["ideal_index"]
@@ -314,9 +313,8 @@ def cmd_theta(problem: Problem, args) -> int:
 
 
 def cmd_recover(problem: Problem, args) -> int:
-    lat = _need(problem, "lattice", "a lattice")
-    stalks = _need(problem, "stalks", "an ideal member (stalk list)")
-    family = recover_S(PointwiseIdeal(lat, stalks))
+    _need(problem, "lattice", "a lattice")  # named first when both are missing
+    family = recover_S(_need(problem, "ideal", "an ideal member (stalk list)"))
     for i, mask in enumerate(family.sets):
         print(f"S[{i + 1}] = {_fmt_points(mask)}")
     return 0
@@ -354,9 +352,8 @@ def cmd_verify_fin_sum(problem: Problem, args) -> int:
 
 def cmd_ideal_from_y(problem: Problem, args) -> int:
     alg = _need_algebra(problem)
-    y_points = _need(problem, "y_points", "a Y member")
+    y_mask = _need(problem, "y_mask", "a Y member")
     t = _need(problem, "ideal_index", "an ideal_index member")
-    y_mask = points_to_mask(y_points, alg.points)
     ideal, matches = ideal_from_Y_and_I(alg, y_mask, t)
     for x, s in enumerate(ideal.stalks):
         print(f"stalk[{x}] = {s + 1}")
@@ -366,8 +363,7 @@ def cmd_ideal_from_y(problem: Problem, args) -> int:
 
 def cmd_normalizer(problem: Problem, args) -> int:
     alg = _need_algebra(problem)
-    stalks = _need(problem, "stalks", "an ideal member (stalk list)")
-    ideal = PointwiseIdeal(alg.lattice, stalks)
+    ideal = _need(problem, "ideal", "an ideal member (stalk list)")
     nj, summed = cqp_sides(alg, ideal)
     print(f"dim N(J) = {nj.dim}")
     # N(J) = J + C(X, C1) needs a unique maximal ideal in A: one block.

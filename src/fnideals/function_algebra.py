@@ -10,7 +10,7 @@ ideal and recover_S inverts it.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .fdalgebra import (
     AlgebraSpec,
@@ -29,7 +29,7 @@ from .lattice import (
     check_points,
     is_compatible,
 )
-from .linalg import Subspace, rref
+from .linalg import Subspace, echelon_subspace
 from .value import Value
 
 # The CLI limits cap |L|^|X| at 8^4 stalk assignments.
@@ -87,16 +87,16 @@ def recover_S(ideal: PointwiseIdeal) -> ClosedFamily:
 class FunctionAlgebra:
     """B = A^X for a block algebra A and a finite discrete point set X.
 
-    Heavy derived data (ideal subspaces, commutator tables, and the span[J, B]
-    that lie.commutator_ideal_span fills in) is cached on first use, so an
-    instance is not immutable, though no answer it gives ever changes.
+    Per-algebra tables, and the span[J, B] that lie.commutator_ideal_span
+    fills in, are cached on first use, so an instance is not immutable,
+    though no answer it gives ever changes.  Ideal subspaces are not cached:
+    each is placed from A's parts (see pointwise_subspace).
     """
 
     def __init__(self, spec: AlgebraSpec, points: int):
         self.spec = spec
         self.points = check_points(points)
         self.dim = points * spec.total_dim
-        self._ideal_subspaces: dict = {}
         # span[J, B] per stalk tuple, filled by lie.commutator_ideal_span
         self.commutator_spans: dict = {}
 
@@ -114,54 +114,43 @@ class FunctionAlgebra:
         b, p, q = self.spec.coord_info(rem)
         return x, b, p, q
 
-    @property
+    @cached_property
     def coord_blocks(self) -> tuple:
         """(point, 1 << block) of every flat coordinate of B."""
-        if not hasattr(self, "_coord_blocks"):
-            self._coord_blocks = tuple(
-                (x, 1 << b) for x, b, _, _ in map(self.coord_info, range(self.dim))
-            )
-        return self._coord_blocks
+        return tuple((x, 1 << b) for x, b, _, _ in map(self.coord_info, range(self.dim)))
 
-    @property
+    @cached_property
     def unit_products(self) -> tuple:
         """out[i] = ((j, k), ...) for each nonzero e_i * e_j = e_k in B.
 
         The product of units at different points is zero, so this is the table of
         A copied to every point.
         """
-        if not hasattr(self, "_products"):
-            d = self.spec.total_dim
-            self._products = tuple(
-                tuple((x * d + j, x * d + k) for j, k in row)
-                for x in range(self.points)
-                for row in unit_products(self.spec)
-            )
-        return self._products
+        d = self.spec.total_dim
+        return tuple(
+            tuple((x * d + j, x * d + k) for j, k in row)
+            for x in range(self.points)
+            for row in unit_products(self.spec)
+        )
 
     @property
     def commutator_table(self) -> tuple:
         """comm[i] = ((b, sparse coordinates of [e_i, e_b]), ...) over the b
         with [e_i, e_b] != 0 (see `unit_commutators`)."""
+        # a plain property, not a cached_property: bench/tracing.py wraps properties
         if not hasattr(self, "_comm_table"):
             self._comm_table = unit_commutators(self.unit_products)
         return self._comm_table
 
-    @property
+    @cached_property
     def centre_subspace(self) -> Subspace:
         """Central functions: pointwise multiples of the block identities."""
-        if not hasattr(self, "_centre"):
-            self._centre = pointwise_subspace(self, [centre(self.spec)] * self.points)
-        return self._centre
+        return pointwise_subspace(self, [centre(self.spec)] * self.points)
 
     def ideal_subspace(self, ideal: PointwiseIdeal) -> Subspace:
         """Materialize a pointwise ideal as a subspace of B's coordinate space."""
-        sub = self._ideal_subspaces.get(ideal.stalks)
-        if sub is None:
-            # A stalk index is a block mask.
-            parts = [block_ideal_subspace(self.spec, s) for s in ideal.stalks]
-            sub = self._ideal_subspaces[ideal.stalks] = pointwise_subspace(self, parts)
-        return sub
+        # A stalk index is a block mask.
+        return pointwise_subspace(self, [block_ideal_subspace(self.spec, s) for s in ideal.stalks])
 
 
 @lru_cache(maxsize=None)
@@ -225,17 +214,21 @@ def enumerate_all_ideals(alg: FunctionAlgebra, verify: bool = True) -> list:
 
 
 def pointwise_subspace(alg: FunctionAlgebra, parts) -> Subspace:
-    """The subspace of B whose value at point x lies in parts[x], a subspace of A."""
+    """The subspace of B whose value at point x lies in parts[x], a subspace of A.
+
+    Each part's RREF basis is placed at its point's columns, in point order:
+    rows at different points share no column, so the placed rows are already
+    B's RREF basis, and no elimination is needed.
+    """
     d = alg.spec.total_dim
     if len(parts) != alg.points or any(p.ambient_dim != d for p in parts):
         raise ValueError("one subspace of A per point is required")
-    rows = []
+    rows, pivots = [], []
     for x, part in enumerate(parts):
-        for row in part.basis:
-            big = [0] * alg.dim
-            big[x * d : (x + 1) * d] = row
-            rows.append(big)
-    return rref(rows, alg.dim)
+        left, right = (0,) * (x * d), (0,) * (alg.dim - (x + 1) * d)
+        rows += [left + row + right for row in part.basis]
+        pivots += [x * d + p for p in part.pivots]
+    return echelon_subspace(alg.dim, tuple(rows), tuple(pivots))
 
 
 def product_subspace(alg: FunctionAlgebra, y_mask: int, c: Subspace) -> Subspace:

@@ -84,6 +84,63 @@ def dense_brackets(alg, v) -> list:
     return [commutator(f, basis_element(alg, b)).to_vector() for b in range(alg.dim)]
 
 
+def lie_closure(alg, rows) -> Subspace:
+    """The least Lie ideal of B holding the rows: L <- L + span[L, B], with
+    dense brackets, until L stops growing."""
+    current = rref(rows, alg.dim)
+    while True:
+        brackets = [r for v in current.basis for r in dense_brackets(alg, v)]
+        grown = rref(list(current.basis) + brackets, alg.dim)
+        if grown.dim == current.dim:
+            return current
+        current = grown
+
+
+def unequal_diagonal_pairs(alg, sub) -> frozenset:
+    """The (point, block) pairs where some basis row of sub has two unequal
+    diagonal entries."""
+    spec, d = alg.spec, alg.spec.total_dim
+    return frozenset(
+        (x, b)
+        for row in sub.basis
+        for x in range(alg.points)
+        for b, n in enumerate(spec.block_dims)
+        if len({row[x * d + spec.coord(b, p, p)] for p in range(n)}) > 1
+    )
+
+
+def split_support(alg, sub) -> frozenset:
+    """T: the (point, block) pairs where some basis row of sub is not a scalar
+    matrix, having an off-diagonal entry or two unequal diagonal entries."""
+    off_diagonal = {
+        (x, b)
+        for row in sub.basis
+        for i, (x, b, p, q) in enumerate(map(alg.coord_info, range(alg.dim)))
+        if row[i] and p != q
+    }
+    return unequal_diagonal_pairs(alg, sub) | off_diagonal
+
+
+def split_decide(alg, sub, support=None) -> bool:
+    """Is sub a Lie ideal of B?  Decided with no bracket: B = [B, B] + Z(B)
+    block by block, and a Lie ideal of M_n (n >= 2) holding a non-scalar
+    matrix holds sl(n) (Herstein), so sub is a Lie ideal iff it holds the
+    trace-zero units e_pq (p != q) and e_11 - e_pp of every pair in `support`,
+    which is T (see split_support) unless given."""
+    spec, d = alg.spec, alg.spec.total_dim
+    for x, b in split_support(alg, sub) if support is None else support:
+        n = spec.block_dims[b]
+        units = [{(p, q): 1} for p in range(n) for q in range(n) if p != q]
+        units += [{(0, 0): 1, (p, p): -1} for p in range(1, n)]
+        for terms in units:
+            row = [0] * alg.dim
+            for (p, q), v in terms.items():
+                row[x * d + spec.coord(b, p, q)] = v
+            if not sub.contains(row):
+                return False
+    return True
+
+
 def sandwich_draws(alg, seed: int) -> list:
     """The subspaces the sandwich suite decides between its bounds, in order,
     built from whole rows of B: each draw's random coefficient rows on N(J)'s

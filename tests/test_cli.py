@@ -11,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
@@ -189,6 +191,71 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv, doc, mess
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+FUZZ_MEMBERS = ("points", "family", "ideal", "Y", "ideal_index", "subspace")
+
+
+@st.composite
+def fuzz_documents(draw, bad):
+    """A small problem document: A is blocks [1], [2], [1,1] or [1,2], or a
+    2-3 element chain, at 0-2 points.  Each optional member is valid or
+    missing, except the member `bad` (None for none), which is malformed."""
+    if draw(st.booleans()):
+        spec = AlgebraSpec(draw(st.sampled_from([(1,), (2,), (1, 1), (1, 2)])))
+        doc, lat, dim = {"blocks": list(spec.block_dims)}, enumerate_ideals(spec), spec.total_dim
+    else:
+        lat = chain_lattice(draw(st.integers(2, 3)))
+        doc, dim = {"lattice": lattice_to_dict(lat)}, 1
+    size = lat.size
+    points = draw(st.integers(0, 2))
+    stalks = draw(st.lists(st.integers(0, size - 1), min_size=points, max_size=points))
+    entry = st.sampled_from([0, 1, -2, "1/2", "i", "2-i"])
+    valid = {
+        "points": points,
+        "family": [[x for x in range(points) if lat.leq(stalks[x], i)] for i in range(size)],
+        "ideal": stalks,
+        "Y": sorted(draw(st.sets(st.integers(0, max(points - 1, 0)), max_size=points))),
+        "ideal_index": draw(st.integers(0, size - 1)),
+        "subspace": draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), max_size=2)),
+    }
+    malformed = {
+        "points": [-1, True, "2", 5, 1.5],
+        "family": ["x", [[0]], [[5]] * size, [[]] * size, [[True]] * size],
+        "ideal": [[size] * points, [True] * points, [[0]] * points, "0", [0] * (points + 1)],
+        "Y": [[points], 3, ["0"], [True], {"a": 1}],
+        "ideal_index": [size, "0", True, -1, None, 1.5],
+        "subspace": ["x", [[1, 2]] * (dim != 2), [["1e5"] + [0] * (dim - 1)], [[0.5] * dim],
+                     [[{}] * dim], [["1/0"] * dim]],
+    }
+    for name, value in valid.items():
+        if draw(st.sampled_from([True, True, True, False])):
+            doc[name] = value
+    if bad is not None:
+        doc[bad] = draw(st.sampled_from(malformed[bad]))
+    return doc
+
+
+@pytest.mark.parametrize("bad", (None,) + FUZZ_MEMBERS)
+@given(data=st.data())
+@settings(
+    max_examples=25,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_every_command_on_generated_documents_exits_0_1_or_2(tmp_path, capsys, bad, data):
+    """No traceback on any small document, with no member or one member
+    malformed: each command exits 0, 1 or 2, and exit 2 prints exactly one
+    error line."""
+    doc = data.draw(fuzz_documents(bad))
+    for command in cli._COMMANDS:
+        code, out, err = run_cli(tmp_path, capsys, [command], doc)
+        assert code in (0, 1, 2), (command, doc)
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, (command, doc, err)
+        else:
+            assert err == "", (command, doc, err)
 
 
 def test_unknown_command_exits_2_with_usage(capsys):

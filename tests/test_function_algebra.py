@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import level_family
-from fnideals.fdalgebra import AlgebraSpec
+from fnideals.fdalgebra import AlgebraSpec, block_ideal_subspace, centre
 from fnideals.function_algebra import (
     FunctionAlgebra,
     FunctionElement,
@@ -121,12 +121,16 @@ def test_enumeration_is_lexicographic():
     assert stalks == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
-def test_enumeration_bound():
+def test_enumeration_bound(monkeypatch):
     """8^5 = 32,768 stalk assignments: refused before any ideal is built."""
     alg = FunctionAlgebra(AlgebraSpec((1, 1, 1)), 5)
+
+    def refuse(ideal):
+        raise AssertionError("an ideal subspace was built before the bound was checked")
+
+    monkeypatch.setattr(alg, "ideal_subspace", refuse)
     with pytest.raises(LimitExceeded):
         enumerate_all_ideals(alg)
-    assert alg._ideal_subspaces == {}
 
 
 @pytest.mark.parametrize(
@@ -259,6 +263,52 @@ def test_pointwise_subspace_needs_one_part_of_a_per_point():
         pointwise_subspace(alg, [Subspace.full(2)])
     with pytest.raises(ValueError):
         pointwise_subspace(alg, [Subspace.full(2), Subspace.full(3)])
+
+
+PLACEMENT_SPECS = [AlgebraSpec(b) for b in ((1,), (2,), (3,), (1, 2), (2, 2), (1, 1, 1))]
+
+
+@st.composite
+def subspaces_of_a(draw, spec):
+    """A block ideal, the centre or the RREF of random rows of A."""
+    d = spec.total_dim
+    kind = draw(st.sampled_from(["rows", "block-ideal", "centre"]))
+    if kind == "block-ideal":
+        return block_ideal_subspace(spec, draw(st.integers(0, (1 << spec.num_blocks) - 1)))
+    if kind == "centre":
+        return centre(spec)
+    row = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+    return rref(draw(st.lists(row, max_size=d)), d)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_pointwise_subspace_places_rref_parts(data):
+    """The placed parts are B's RREF basis: the subspace elimination gives
+    from the same rows, and a basis the validating constructor accepts."""
+    spec = data.draw(st.sampled_from(PLACEMENT_SPECS))
+    alg = function_algebra(spec, data.draw(st.integers(0, 3)))
+    d = spec.total_dim
+    parts = [data.draw(subspaces_of_a(spec)) for _ in range(alg.points)]
+    rows = []
+    for x, part in enumerate(parts):
+        for row in part.basis:
+            big = [0] * alg.dim
+            big[x * d : (x + 1) * d] = row
+            rows.append(big)
+    placed = pointwise_subspace(alg, parts)
+    assert placed == rref(rows, alg.dim)
+    assert Subspace(alg.dim, placed.basis) == placed
+    message = "^one subspace of A per point is required$"
+    with pytest.raises(ValueError, match=message):
+        pointwise_subspace(alg, parts + [Subspace.zero(d)])
+    if parts:
+        with pytest.raises(ValueError, match=message):
+            pointwise_subspace(alg, parts[:-1])
+        wrong = list(parts)
+        wrong[data.draw(st.integers(0, len(parts) - 1))] = Subspace.full(d + 1)
+        with pytest.raises(ValueError, match=message):
+            pointwise_subspace(alg, wrong)
 
 
 def test_ideal_from_y_trivial_cases():

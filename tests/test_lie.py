@@ -41,10 +41,14 @@ from oracles import (
     basis_element,
     dense_brackets,
     element_from_vector,
+    lie_closure,
     sandwich_draws,
+    split_decide,
+    split_support,
     sympy_kernel,
     trace_zero_subspace,
     tracial_state_basis,
+    unequal_diagonal_pairs,
     vec_dot,
 )
 
@@ -558,6 +562,61 @@ def test_random_lie_subspaces_equivalence():
             assert witness is None or witness.stalks == expected.stalks, (alg, sub)
             least = next(ideal for ideal, _, upper in bounds if sub <= upper)
             assert least_normalizing_ideal(cand).stalks == least.stalks, (alg, sub)
+
+
+SPLIT_SPECS = [M2, M12, AlgebraSpec((2, 2)), M3]
+
+
+def split_generators(alg, rng) -> list:
+    """1-3 seeded rows of B: sparse rows, matrix units and e_ii - e_jj."""
+    diagonal = [i for i in range(alg.dim) if alg.coord_info(i)[2] == alg.coord_info(i)[3]]
+    rows = []
+    for _ in range(rng.randint(1, 3)):
+        row = [0] * alg.dim
+        kind = rng.choice(["sparse", "unit", "diagonal"])
+        if kind == "sparse":
+            for i in rng.sample(range(alg.dim), min(2, alg.dim)):
+                row[i] = rng.choice([-2, -1, 1, 2])
+        elif kind == "unit":
+            row[rng.randrange(alg.dim)] = 1
+        elif len(diagonal) > 1:
+            i, j = rng.sample(diagonal, 2)
+            row[i], row[j] = 1, -1
+        rows.append(row)
+    return rows
+
+
+def split_cases():
+    """(alg, subspace): seeded Lie closures and plain spans of the same kind
+    of generators, on every algebra of SPLIT_SPECS at 1-3 points."""
+    rng = random.Random(1904)
+    for spec in SPLIT_SPECS:
+        for points in (1, 2, 3):
+            alg = function_algebra(spec, points)
+            for _ in range(4):
+                yield alg, lie_closure(alg, split_generators(alg, rng))
+                yield alg, rref(split_generators(alg, rng), alg.dim)
+
+
+def test_split_decide_agrees_with_the_brackets():
+    """A second method with no brackets: split_decide agrees with
+    is_lie_ideal, and its T is the block support of J_min.  Ignoring
+    off-diagonal entries must disagree at least once."""
+    verdicts = set()
+    faulty = 0
+    for alg, sub in split_cases():
+        cand = LieCandidate(alg, sub)
+        lie = is_lie_ideal(cand)
+        assert split_decide(alg, sub) == lie, (alg, sub)
+        stalks = least_normalizing_ideal(cand).stalks
+        blocks = range(alg.spec.num_blocks)
+        support = {(x, b) for x, s in enumerate(stalks) for b in blocks if s >> b & 1}
+        assert split_support(alg, sub) == support, (alg, sub)
+        verdicts.add(lie)
+        # seeded fault: off-diagonal entries are ignored
+        faulty += split_decide(alg, sub, unequal_diagonal_pairs(alg, sub)) != lie
+    assert verdicts == {True, False}
+    assert faulty > 0
 
 
 # ---------------------------------------------------------------------------
