@@ -87,18 +87,14 @@ def recover_S(ideal: PointwiseIdeal) -> ClosedFamily:
 class FunctionAlgebra:
     """B = A^X for a block algebra A and a finite discrete point set X.
 
-    Per-algebra tables, and the span[J, B] that lie.commutator_ideal_span
-    fills in, are cached on first use, so an instance is not immutable,
-    though no answer it gives ever changes.  Ideal subspaces are not cached:
-    each is placed from A's parts (see pointwise_subspace).
+    Per-algebra tables are cached on first use.  Ideal subspaces are not
+    cached: each is placed from A's parts (see pointwise_subspace).
     """
 
     def __init__(self, spec: AlgebraSpec, points: int):
         self.spec = spec
         self.points = check_points(points)
         self.dim = points * spec.total_dim
-        # span[J, B] per stalk tuple, filled by lie.commutator_ideal_span
-        self.commutator_spans: dict = {}
 
     def __repr__(self):
         return f"FunctionAlgebra({self.spec.block_dims}, points={self.points})"

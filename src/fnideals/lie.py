@@ -1,12 +1,14 @@
 """Lie normalizers, commutator ideals, sandwich witnesses and the
 centre-quotient property, computed exactly on B = A^X.
 
-The normalizer N(J) = { f : [f, B] inside J } is the solution space of one
-linear system (membership constraints against every basis element), solved
-in one shot with exact arithmetic.  A closed subspace L is a Lie ideal iff
-some ideal J satisfies span[J, B] <= L <= N(J) (Bresar, Kissin and Shulman).
-Such J form an interval [J_min, J_max], J_min the least ideal holding [L, B],
-so sandwich_witness decides the question in closed form from J_min alone.
+Brackets in B act point by point, so N(J) = { f : [f, B] inside J },
+span[J, B] and J + Z(B) have at each point the N(I), span[I, A] or I + Z(A)
+of J's stalk I there.  stalk_parts computes these once per ideal I of A,
+exactly, and they are placed at J's stalks with no elimination in B.
+A closed subspace L is a Lie ideal iff some ideal J satisfies
+span[J, B] <= L <= N(J) (Bresar, Kissin and Shulman).  Such J form an
+interval [J_min, J_max], J_min the least ideal holding [L, B], so
+sandwich_witness decides the question in closed form from J_min alone.
 
 The randomized sandwich suite groups the ideals by their interval
 (span[J, B], N(J)), which many ideals share, and draws each interval's
@@ -23,14 +25,16 @@ subspace: every draw of it FAILs.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import compress
 
-from .fdalgebra import AlgebraSpec
+from .fdalgebra import AlgebraSpec, block_ideal_subspace
 from .function_algebra import (
     FunctionAlgebra,
     PointwiseIdeal,
     enumerate_all_ideals,
     function_algebra,
+    pointwise_subspace,
 )
 from .linalg import (
     Subspace,
@@ -45,16 +49,6 @@ from .value import Value
 # Candidates the sandwich suite draws per ideal, and outside every bound.
 SANDWICH_PER_IDEAL = 20
 SANDWICH_FREE_COUNT = 20
-
-
-def _ideal_subspace(alg: FunctionAlgebra, ideal) -> Subspace:
-    if isinstance(ideal, PointwiseIdeal):
-        return alg.ideal_subspace(ideal)
-    if isinstance(ideal, Subspace):
-        if ideal.ambient_dim != alg.dim:
-            raise ValueError("subspace does not live in the algebra's coordinate space")
-        return ideal
-    raise TypeError(f"expected PointwiseIdeal or Subspace, got {type(ideal).__name__}")
 
 
 def _brackets(alg: FunctionAlgebra, rows: list, width: int) -> list:
@@ -84,27 +78,37 @@ def _brackets(alg: FunctionAlgebra, rows: list, width: int) -> list:
     return out
 
 
-def lie_normalizer(alg: FunctionAlgebra, ideal) -> Subspace:
-    """N(J): all f with [f, b] in J for every basis element b of B.
+@lru_cache(maxsize=None)
+def stalk_parts(spec: AlgebraSpec) -> tuple:
+    """(span[I, A], N(I), I + Z(A)) for each ideal I of A, by block mask.
+    As phi . [f, e_b] = [phi, e_b^T] . f, N(I) is the annihilator of the
+    brackets of I's annihilator."""
+    alg = function_algebra(spec, 1)
 
-    Under the coordinate pairing, phi . [f, e_b] = [phi, e_b^T] . f, so the
-    constraint rows are the brackets of the annihilator's basis rows.
-    """
-    _, rows = annihilator(_ideal_subspace(alg, ideal)).integer_rows()
-    return annihilator(rref(_brackets(alg, rows, alg.dim), alg.dim))
+    def bracket_span(sub: Subspace) -> Subspace:
+        return rref(_brackets(alg, sub.integer_rows()[1], alg.dim), alg.dim)
+
+    ideals = [block_ideal_subspace(spec, mask) for mask in range(alg.lattice.size)]
+    return tuple(
+        (bracket_span(i), annihilator(bracket_span(annihilator(i))), i + alg.centre_subspace)
+        for i in ideals
+    )
 
 
-def commutator_ideal_span(alg: FunctionAlgebra, ideal) -> Subspace:
-    """Span of [v, b] over basis rows v of the ideal and basis elements b,
-    memoized per stalk tuple on the algebra when the ideal is a PointwiseIdeal."""
-    memo = isinstance(ideal, PointwiseIdeal)
-    if memo and ideal.stalks in alg.commutator_spans:
-        return alg.commutator_spans[ideal.stalks]
-    _, rows = _ideal_subspace(alg, ideal).integer_rows()
-    span = rref(_brackets(alg, rows, alg.dim), alg.dim)
-    if memo:
-        alg.commutator_spans[ideal.stalks] = span
-    return span
+def _placed(alg: FunctionAlgebra, ideal: PointwiseIdeal, part: int) -> Subspace:
+    """B's subspace whose stalk at x is stalk_parts' `part` for J's stalk there."""
+    table = stalk_parts(alg.spec)
+    return pointwise_subspace(alg, [table[s][part] for s in ideal.stalks])
+
+
+def lie_normalizer(alg: FunctionAlgebra, ideal: PointwiseIdeal) -> Subspace:
+    """N(J): all f with [f, b] in J for every b in B, placed from its stalks."""
+    return _placed(alg, ideal, 1)
+
+
+def commutator_ideal_span(alg: FunctionAlgebra, ideal: PointwiseIdeal) -> Subspace:
+    """span[J, B]: the span of [v, b] over v in J, b in B, placed from its stalks."""
+    return _placed(alg, ideal, 0)
 
 
 class LieCandidate(Value):
@@ -341,13 +345,13 @@ def sandwich_random_suite(alg: FunctionAlgebra, seed: int) -> tuple:
     return ok, lines
 
 
-def cqp_sides(alg: FunctionAlgebra, ideal) -> tuple:
+def cqp_sides(alg: FunctionAlgebra, ideal: PointwiseIdeal) -> tuple:
     """(N(J), J + Z(B)): the two sides of the centre-quotient identity.
 
     With one block, Z(B) is C(X, C1), so this is also the normalizer formula
     N(J) = J + C(X, C1) for an algebra with a unique maximal ideal.
     """
-    return lie_normalizer(alg, ideal), _ideal_subspace(alg, ideal) + alg.centre_subspace
+    return lie_normalizer(alg, ideal), _placed(alg, ideal, 2)
 
 
 def check_cqp(alg: FunctionAlgebra) -> tuple:

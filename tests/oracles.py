@@ -84,6 +84,18 @@ def dense_brackets(alg, v) -> list:
     return [commutator(f, basis_element(alg, b)).to_vector() for b in range(alg.dim)]
 
 
+def bracket_spaces(alg, ideal) -> tuple:
+    """(span[J, B], N(J), J + Z(B)) by elimination over all of B, with no
+    placement from stalks: span[J, B] is the rref of the brackets of J's
+    basis rows, N(J) the annihilator of the brackets of J's annihilator."""
+    sub = alg.ideal_subspace(ideal)
+
+    def bracket_span(space):
+        return rref(lie._brackets(alg, space.integer_rows()[1], alg.dim), alg.dim)
+
+    return bracket_span(sub), annihilator(bracket_span(annihilator(sub))), sub + alg.centre_subspace
+
+
 def lie_closure(alg, rows) -> Subspace:
     """The least Lie ideal of B holding the rows: L <- L + span[L, B], with
     dense brackets, until L stops growing."""

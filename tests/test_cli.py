@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
-from fnideals import cli, decomposition, fdalgebra
+from fnideals import cli, decomposition, fdalgebra, lie
 from fnideals.cli import _parse_scalar, main
 from fnideals.fdalgebra import AlgebraSpec, enumerate_ideals
 from fnideals.function_algebra import PointwiseIdeal, enumerate_all_ideals
@@ -682,8 +682,9 @@ def test_verify_all_fails_on_a_non_invariant_pointwise_ideal(tmp_path, capsys, m
 
 @pytest.fixture
 def fresh_block_ideals():
-    """Empty the caches of A's block ideals and lattice before and after a test."""
-    caches = (fdalgebra.enumerate_ideals, fdalgebra.block_ideal_subspace)
+    """Empty the caches of A's block ideals, lattice and bracket parts before
+    and after a test."""
+    caches = (fdalgebra.enumerate_ideals, fdalgebra.block_ideal_subspace, lie.stalk_parts)
     for cached in caches:
         cached.cache_clear()
     yield

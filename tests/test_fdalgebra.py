@@ -18,7 +18,7 @@ from fnideals.fdalgebra import (
     unit_products,
     unit_translates,
 )
-from fnideals.function_algebra import function_algebra
+from fnideals.function_algebra import PointwiseIdeal, function_algebra
 from fnideals.lattice import LimitExceeded, boolean_lattice
 from fnideals.lie import commutator_ideal_span
 from fnideals.linalg import Subspace, intersect, rref
@@ -176,7 +176,8 @@ def test_centre_members_commute_with_basis(spec):
 
 def commutator_span(spec) -> Subspace:
     """[A, A] from the package's commutator routine: span[A, B] for B = A at one point."""
-    return commutator_ideal_span(function_algebra(spec, 1), Subspace.full(spec.total_dim))
+    alg = function_algebra(spec, 1)
+    return commutator_ideal_span(alg, PointwiseIdeal(alg.lattice, (alg.lattice.top,)))
 
 
 def test_commutator_span_commutative_is_zero():

@@ -39,6 +39,7 @@ from fnideals.lie import (
 from fnideals.linalg import Subspace, intersect, rref
 from oracles import (
     basis_element,
+    bracket_spaces,
     dense_brackets,
     element_from_vector,
     lie_closure,
@@ -84,12 +85,6 @@ def test_normalizer_of_vanish_on_point_ideal_has_dim_5():
     alg = function_algebra(M2, 2)
     n = lie_normalizer(alg, ideal_of(alg, 0, 1))
     assert n.dim == 5
-
-
-def test_normalizer_accepts_raw_subspaces():
-    alg = function_algebra(M2, 1)
-    zero = Subspace.zero(alg.dim)
-    assert lie_normalizer(alg, zero) == alg.centre_subspace
 
 
 @pytest.mark.parametrize("spec, points", [(M2, 1), (M2, 2), (M12, 1), (M12, 2)])
@@ -146,28 +141,30 @@ def dense_normalizer(alg, sub) -> Subspace:
 
 
 def core_cases(spec, points, random_count=6):
-    """Every ideal subspace of A^X and seeded random subspaces of at most 3 rows."""
+    """(ideal, subspace) for every ideal of A^X, then (None, subspace) for
+    seeded random subspaces of at most 3 rows."""
     alg = function_algebra(spec, points)
     rng = random.Random(1904)
-    subs = [alg.ideal_subspace(i) for i in enumerate_all_ideals(alg, verify=False)]
+    cases = [(i, alg.ideal_subspace(i)) for i in enumerate_all_ideals(alg, verify=False)]
     for _ in range(random_count):
         rows = [[rng.randint(-2, 2) for _ in range(alg.dim)] for _ in range(rng.randint(0, 3))]
-        subs.append(rref(rows, alg.dim))
-    return alg, subs
+        cases.append((None, rref(rows, alg.dim)))
+    return alg, cases
 
 
 @pytest.mark.parametrize("spec, points", [(M2, 2), (M12, 2)])
 def test_bracket_core_matches_dense_oracles(spec, points):
-    alg, subs = core_cases(spec, points)
-    for sub in subs:
+    alg, cases = core_cases(spec, points)
+    for ideal, sub in cases:
         dense = [row for v in sub.basis for row in dense_brackets(alg, v)]
         cand = LieCandidate(alg, sub)
         # the candidate brackets the basis rows scaled to integers by D
         den, _ = sub.integer_rows()
         scaled = [tuple(den * x for x in row) for row in dense if any(row)]
         assert [row for row in cand.brackets if any(row)] == scaled
-        assert lie_normalizer(alg, sub) == dense_normalizer(alg, sub)
-        assert commutator_ideal_span(alg, sub) == rref(dense, alg.dim)
+        if ideal is not None:
+            assert lie_normalizer(alg, ideal) == dense_normalizer(alg, sub)
+            assert commutator_ideal_span(alg, ideal) == rref(dense, alg.dim)
         assert is_lie_ideal(cand) == all(sub.contains(row) for row in dense)
 
 
@@ -211,35 +208,60 @@ def test_commutator_ideal_commutative_algebra_is_zero():
     assert commutator_ideal_span(alg, top) == Subspace.zero(alg.dim)
 
 
-def test_commutator_ideal_span_is_memoized_per_stalk_tuple(monkeypatch):
-    """A second call for the same ideal runs no rref.  A fresh instance is
-    used, so the patched rref never fills the memo of a shared algebra."""
-    alg = FunctionAlgebra(M12, 2)
-    calls = []
+# ---------------------------------------------------------------------------
+# placement from the per-mask table of A
+# ---------------------------------------------------------------------------
 
-    def counted(rows, dim):
-        calls.append(dim)
-        return rref(rows, dim)
-
-    monkeypatch.setattr(lie, "rref", counted)
-    ideal = ideal_of(alg, 2, 3)
-    first = commutator_ideal_span(alg, ideal)
-    assert len(calls) == 1
-    again = commutator_ideal_span(alg, ideal_of(alg, 2, 3))
-    assert len(calls) == 1
-    assert again == first
-    assert commutator_ideal_span(alg, alg.ideal_subspace(ideal)) == first
-    assert len(calls) == 2
+PLACEMENT_SPECS = [M2, M3, M12, AlgebraSpec((2, 2)), AlgebraSpec((1, 1, 1))]
 
 
-@pytest.mark.parametrize("spec, points", [(M2, 2), (M12, 2)])
-def test_memoized_commutator_spans_match_the_subspace_path(spec, points):
-    """Every memo entry of a shared algebra equals the span computed afresh."""
+def blocks_id(spec) -> str:
+    return "blocks" + "_".join(map(str, spec.block_dims))
+
+
+@pytest.mark.parametrize("points", range(4))
+@pytest.mark.parametrize("spec", PLACEMENT_SPECS, ids=blocks_id)
+def test_placed_bracket_spaces_match_the_elimination_in_b(spec, points):
+    """N(J), span[J, B] and J + Z(B), placed from J's stalks, equal the same
+    spaces found by elimination over all of B, for every pointwise ideal."""
     alg = function_algebra(spec, points)
     for ideal in enumerate_all_ideals(alg, verify=False):
-        commutator_ideal_span(alg, ideal)
-    for stalks, span in alg.commutator_spans.items():
-        assert span == commutator_ideal_span(alg, alg.ideal_subspace(ideal_of(alg, *stalks)))
+        span, normalizer, summed = bracket_spaces(alg, ideal)
+        assert commutator_ideal_span(alg, ideal) == span
+        assert lie_normalizer(alg, ideal) == normalizer
+        assert cqp_sides(alg, ideal) == (normalizer, summed)
+
+
+@pytest.mark.parametrize("spec", [M2, M12, AlgebraSpec((1, 1, 1))], ids=blocks_id)
+def test_placement_runs_no_elimination_after_the_first_call(monkeypatch, spec):
+    """The first call on a spec fills its table; after it, no rref or
+    annihilator runs in the Lie layer at any point count."""
+    calls = []
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls.append(name)
+            return f(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(lie, "rref", counted("rref", lie.rref))
+    monkeypatch.setattr(lie, "annihilator", counted("annihilator", lie.annihilator))
+    lie.stalk_parts.cache_clear()
+    try:
+        alg = function_algebra(spec, 2)
+        lie_normalizer(alg, ideal_of(alg, 0, 0))
+        assert "rref" in calls and "annihilator" in calls
+        calls.clear()
+        for points in range(4):
+            alg = function_algebra(spec, points)
+            for ideal in enumerate_all_ideals(alg, verify=False):
+                lie_normalizer(alg, ideal)
+                commutator_ideal_span(alg, ideal)
+                cqp_sides(alg, ideal)
+        assert calls == []
+    finally:
+        lie.stalk_parts.cache_clear()
 
 
 @pytest.mark.parametrize("spec, points", [(M2, 1), (M2, 2), (M12, 2)])
