@@ -6,8 +6,8 @@ over the blocks; the enumeration never trusts that classification blindly,
 every returned subspace is re-checked for two-sided invariance.
 
 Every product, commutator and invariance check in the package comes from
-`unit_products`, the table of `unit_product`; dense `Element`s are the
-tests' reference.
+`unit_products`, the table of `unit_product` in A, read at each point of a
+row of A^X (copies of A side by side); dense `Element`s are the tests' reference.
 """
 
 from __future__ import annotations
@@ -83,13 +83,15 @@ def unit_products(spec: AlgebraSpec) -> tuple:
     )
 
 
-def unit_commutators(products) -> tuple:
+@lru_cache(maxsize=None)
+def unit_commutators(spec: AlgebraSpec) -> tuple:
     """comm[i] = ((j, terms), ...) over the j, ascending, with [e_i, e_j] != 0;
     terms are its sparse coordinates ((k, c), ...), ascending in k.
 
     e_i * e_j = e_k adds +e_k to [e_i, e_j] and -e_k to [e_j, e_i]; the two
     terms cancel only for i == j.
     """
+    products = unit_products(spec)
     n = len(products)
     table = [[{} for _ in range(n)] for _ in range(n)]
     for i, row in enumerate(products):
@@ -104,22 +106,28 @@ def unit_commutators(products) -> tuple:
 
 
 def unit_translates(row, products) -> list:
-    """The nonzero rows e_a * v and v * e_a over all basis units e_a.
+    """The nonzero rows e_a * v and v * e_a over all basis units e_a of A^X.
 
-    Left and right multiplication by one unit maps distinct units to
-    distinct units, so each translate only moves coefficients of v.
+    v is read as copies of A side by side, one per point, each translated by
+    its own point's units through A's table `products`.  A unit maps distinct
+    units to distinct units, so each translate only moves coefficients of v.
     """
-    d = len(row)
-    coeff = {i: f for i, f in enumerate(row) if f}
-    out: dict = {}
-    for a, pairs in enumerate(products):
-        for j, k in pairs:
-            # e_a * e_j = e_k carries v_j into e_a * v and v_a into v * e_j
-            if j in coeff:
-                out.setdefault(("left", a), [0] * d)[k] = coeff[j]
-            if a in coeff:
-                out.setdefault(("right", j), [0] * d)[k] = coeff[a]
-    return list(out.values())
+    width, d = len(row), len(products)
+    out = []
+    for offset in range(0, width, d):
+        coeff = {i: f for i, f in enumerate(row[offset : offset + d]) if f}
+        if not coeff:
+            continue
+        translates: dict = {}
+        for a, pairs in enumerate(products):
+            for j, k in pairs:
+                # e_a * e_j = e_k carries v_j into e_a * v and v_a into v * e_j
+                if j in coeff:
+                    translates.setdefault(("left", a), [0] * width)[offset + k] = coeff[j]
+                if a in coeff:
+                    translates.setdefault(("right", j), [0] * width)[offset + k] = coeff[a]
+        out += translates.values()
+    return out
 
 
 def is_invariant(sub: Subspace, products) -> bool:

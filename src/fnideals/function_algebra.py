@@ -87,8 +87,8 @@ def recover_S(ideal: PointwiseIdeal) -> ClosedFamily:
 class FunctionAlgebra:
     """B = A^X for a block algebra A and a finite discrete point set X.
 
-    Per-algebra tables are cached on first use.  Ideal subspaces are not
-    cached: each is placed from A's parts (see pointwise_subspace).
+    B keeps no tables of its own: products and brackets read A's at each
+    point, and ideal subspaces are placed from A's parts (see pointwise_subspace).
     """
 
     def __init__(self, spec: AlgebraSpec, points: int):
@@ -110,33 +110,11 @@ class FunctionAlgebra:
         b, p, q = self.spec.coord_info(rem)
         return x, b, p, q
 
-    @cached_property
-    def coord_blocks(self) -> tuple:
-        """(point, 1 << block) of every flat coordinate of B."""
-        return tuple((x, 1 << b) for x, b, _, _ in map(self.coord_info, range(self.dim)))
-
-    @cached_property
-    def unit_products(self) -> tuple:
-        """out[i] = ((j, k), ...) for each nonzero e_i * e_j = e_k in B.
-
-        The product of units at different points is zero, so this is the table of
-        A copied to every point.
-        """
-        d = self.spec.total_dim
-        return tuple(
-            tuple((x * d + j, x * d + k) for j, k in row)
-            for x in range(self.points)
-            for row in unit_products(self.spec)
-        )
-
     @property
     def commutator_table(self) -> tuple:
-        """comm[i] = ((b, sparse coordinates of [e_i, e_b]), ...) over the b
-        with [e_i, e_b] != 0 (see `unit_commutators`)."""
-        # a plain property, not a cached_property: bench/tracing.py wraps properties
-        if not hasattr(self, "_comm_table"):
-            self._comm_table = unit_commutators(self.unit_products)
-        return self._comm_table
+        """A's `unit_commutators`: B brackets each point's copy of A with A's table."""
+        # kept as a plain property: bench/tracing.py wraps it as one
+        return unit_commutators(self.spec)
 
     @cached_property
     def centre_subspace(self) -> Subspace:
@@ -203,7 +181,7 @@ def enumerate_all_ideals(alg: FunctionAlgebra, verify: bool = True) -> list:
     out = []
     for stalks in itertools.product(range(lat.size), repeat=alg.points):
         ideal = PointwiseIdeal(lat, stalks)
-        if verify and not is_invariant(alg.ideal_subspace(ideal), alg.unit_products):
+        if verify and not is_invariant(alg.ideal_subspace(ideal), unit_products(alg.spec)):
             raise AssertionError(f"stalks {ideal.stalks} give a non-invariant subspace")
         out.append(ideal)
     return out

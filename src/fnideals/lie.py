@@ -54,24 +54,26 @@ SANDWICH_FREE_COUNT = 20
 def _brackets(alg: FunctionAlgebra, rows: list, width: int) -> list:
     """[v, e_b] as dense rows of `width`, as tuples, for each integer row v of
     `rows` (given by its nonzero entries, as `Subspace.integer_rows` lists
-    them, so no Fraction arithmetic arises) and each basis e_b whose bracket
-    with v has a term.
+    them, so no Fraction arithmetic arises) and each basis e_b of B whose
+    bracket with v has a term.
 
-    v may hold several elements of B side by side (a realified row holds
-    (Re, Im)); B is real, so each is bracketed with e_b in its own slot.
+    v is read as copies of A side by side, one per point and, in a realified
+    row, per part (Re, Im); coordinate i brackets through A's table at offset
+    i - i % dim A, in the row of B's unit at i's point plus b (B is real).
     A row's terms may cancel to zero; callers only span or test membership.
     """
     comm = alg.commutator_table
-    dim = alg.dim
+    d, dim = alg.spec.total_dim, alg.dim
     out = []
     for _, cols, values in rows:
         brackets = [None] * dim
         for i, f in zip(cols, values):
-            offset = i - i % dim
+            offset = i - i % d
+            point = offset % dim
             for b, terms in comm[i - offset]:
-                row = brackets[b]
+                row = brackets[point + b]
                 if row is None:
-                    row = brackets[b] = [0] * width
+                    row = brackets[point + b] = [0] * width
                 for c, s in terms:
                     row[offset + c] = row[offset + c] + f * s
         out += [tuple(row) for row in brackets if row is not None]
@@ -161,11 +163,11 @@ def least_normalizing_ideal(candidate: LieCandidate) -> PointwiseIdeal:
     stalk at x masks the blocks where some [v, e_b], v in L's basis, is nonzero
     (in its real or its imaginary part): the blocks of the candidate's support."""
     alg = candidate.alg
-    table = alg.coord_blocks
+    block = [b for b, n in enumerate(alg.spec.block_dims) for _ in range(n * n)]
     masks = [0] * alg.points
     for i in candidate.support:
-        x, bit = table[i % alg.dim]
-        masks[x] |= bit
+        x, a = divmod(i % alg.dim, len(block))
+        masks[x] |= 1 << block[a]
     return PointwiseIdeal(alg.lattice, masks)
 
 

@@ -79,7 +79,11 @@ def commutator(x, y):
 
 
 def dense_brackets(alg, v) -> list:
-    """[v, e_b] for every basis element e_b of B, from dense function elements."""
+    """[v, e_b] for every basis element e_b of B, from dense function elements;
+    a realified row v = (Re, Im), of width 2 dim B, gives ([Re, e_b], [Im, e_b])."""
+    if len(v) == 2 * alg.dim:
+        halves = dense_brackets(alg, v[: alg.dim]), dense_brackets(alg, v[alg.dim :])
+        return [re + im for re, im in zip(*halves)]
     f = element_from_vector(alg, v)
     return [commutator(f, basis_element(alg, b)).to_vector() for b in range(alg.dim)]
 

@@ -23,8 +23,10 @@ from fnideals.lattice import LimitExceeded, boolean_lattice
 from fnideals.lie import commutator_ideal_span
 from fnideals.linalg import Subspace, intersect, rref
 from oracles import (
+    basis_element,
     closures_of_unit_subsets,
     commutator,
+    element_from_vector,
     sympy_kernel,
     trace_zero_subspace,
     tracial_state_basis,
@@ -90,16 +92,18 @@ def test_unit_product_matches_element_multiplication():
                 assert expected == unit(M23, *got)
 
 
-@given(st.sampled_from(SAMPLE_SPECS), st.data())
+@given(st.sampled_from(SAMPLE_SPECS), st.integers(1, 3), st.data())
 @settings(max_examples=40, deadline=None)
-def test_unit_translates_match_element_multiplication(spec, data):
-    vec = tuple(
-        data.draw(st.integers(-2, 2)) for _ in range(spec.total_dim)
-    )
-    v = Element.from_vector(spec, vec)
+def test_unit_translates_match_element_multiplication(spec, points, data):
+    """A row of A^X, translated one point slice at a time through A's table,
+    gives the nonzero products with every unit of B on either side."""
+    alg = function_algebra(spec, points)
+    vec = tuple(data.draw(st.integers(-2, 2)) for _ in range(alg.dim))
+    f = element_from_vector(alg, vec)
     dense = set()
-    for c in spec.unit_coords():
-        for prod in (unit(spec, *c) * v, v * unit(spec, *c)):
+    for i in range(alg.dim):
+        e = basis_element(alg, i)
+        for prod in (e * f, f * e):
             if any(prod.to_vector()):
                 dense.add(prod.to_vector())
     got = [tuple(t) for t in unit_translates(vec, unit_products(spec))]

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import level_family
-from fnideals.fdalgebra import AlgebraSpec, block_ideal_subspace, centre
+from fnideals.fdalgebra import AlgebraSpec, block_ideal_subspace, centre, unit_products
 from fnideals.function_algebra import (
     FunctionAlgebra,
     FunctionElement,
@@ -172,7 +172,7 @@ def test_theta_is_order_reversing_in_the_sets_and_preserving_in_the_ideal():
 def test_brute_force_closure_matches_enumeration(spec, points):
     alg = function_algebra(spec, points)
     enumerated = {alg.ideal_subspace(i) for i in enumerate_all_ideals(alg)}
-    assert closures_of_unit_subsets(alg.dim, alg.unit_products) == enumerated
+    assert closures_of_unit_subsets(alg.dim, unit_products(spec)) == enumerated
 
 
 def test_verified_enumeration_fails_on_a_non_invariant_subspace(monkeypatch):
@@ -189,7 +189,7 @@ def test_verified_enumeration_fails_on_a_non_invariant_subspace(monkeypatch):
 def test_brute_force_respects_limit():
     alg = function_algebra(M2, 2)
     with pytest.raises(LimitExceeded):
-        closures_of_unit_subsets(alg.dim, alg.unit_products)
+        closures_of_unit_subsets(alg.dim, unit_products(M2))
 
 
 @given(st.data())
@@ -210,16 +210,25 @@ def test_pointwise_ideals_invariant_under_random_elements(data):
 
 
 def test_commutator_table_matches_element_commutators():
-    alg = function_algebra(AlgebraSpec((1, 2)), 2)
+    """B's brackets read A's table at each point's offset; units at different
+    points bracket to zero.  B builds no table of its own size."""
+    spec = AlgebraSpec((1, 2))
+    table = function_algebra(spec, 1).commutator_table
+    assert all(function_algebra(spec, p).commutator_table is table for p in range(1, 5))
+    alg = function_algebra(spec, 3)
+    d = alg.spec.total_dim
     for i in range(alg.dim):
         ei = basis_element(alg, i)
+        x, a = divmod(i, d)
         for b in range(alg.dim):
-            eb = basis_element(alg, b)
-            expected = commutator(ei, eb).to_vector()
-            sparse = dict(alg.commutator_table[i]).get(b, ())
+            expected = commutator(ei, basis_element(alg, b)).to_vector()
+            y, e = divmod(b, d)
+            if y != x:
+                assert not any(expected)
+                continue
             dense = [0] * alg.dim
-            for c, v in sparse:
-                dense[c] = v
+            for c, v in dict(alg.commutator_table[a]).get(e, ()):
+                dense[x * d + c] = v
             assert tuple(dense) == expected
 
 

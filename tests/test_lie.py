@@ -17,10 +17,7 @@ from fnideals.function_algebra import (
     PointwiseIdeal,
     enumerate_all_ideals,
     function_algebra,
-    pointwise_subspace,
-    theta,
 )
-from fnideals.lattice import ClosedFamily, enumerate_compatible_families
 from fnideals.lie import (
     LieCandidate,
     check_cqp,
@@ -108,22 +105,6 @@ def test_normalizer_is_closed_under_multiplication(spec, points):
                 assert n.contains((v1 * v2).to_vector())
 
 
-@pytest.mark.parametrize("spec, points", [(M2, 2), (M12, 2)])
-def test_pointwise_normalizer_formula(spec, points):
-    """N(theta(S)) equals the pointwise family x -> N(I_stalk(x))."""
-    alg = function_algebra(spec, points)
-    alg1 = function_algebra(spec, 1)
-    per_stalk = {
-        s: lie_normalizer(alg1, PointwiseIdeal(alg1.lattice, (s,)))
-        for s in range(alg.lattice.size)
-    }
-    for fam in enumerate_compatible_families(alg.lattice, points):
-        ideal = theta(fam)
-        direct = lie_normalizer(alg, ideal)
-        assembled = pointwise_subspace(alg, [per_stalk[s] for s in ideal.stalks])
-        assert direct == assembled
-
-
 # ---------------------------------------------------------------------------
 # dense oracles for the bracket core
 # ---------------------------------------------------------------------------
@@ -152,20 +133,29 @@ def core_cases(spec, points, random_count=6):
     return alg, cases
 
 
-@pytest.mark.parametrize("spec, points", [(M2, 2), (M12, 2)])
+def realified(sub) -> Subspace:
+    """Rows (v, w) pairing each basis row v of sub with the next one, w, so a
+    row's Re and Im parts mostly sit at different points."""
+    rows = list(sub.basis)
+    return rref([v + w for v, w in zip(rows, rows[1:] + rows[:1])], 2 * sub.ambient_dim)
+
+
+@pytest.mark.parametrize("spec, points", [(M2, 2), (M12, 2), (M2, 3)])
 def test_bracket_core_matches_dense_oracles(spec, points):
     alg, cases = core_cases(spec, points)
     for ideal, sub in cases:
-        dense = [row for v in sub.basis for row in dense_brackets(alg, v)]
-        cand = LieCandidate(alg, sub)
-        # the candidate brackets the basis rows scaled to integers by D
-        den, _ = sub.integer_rows()
-        scaled = [tuple(den * x for x in row) for row in dense if any(row)]
-        assert [row for row in cand.brackets if any(row)] == scaled
+        for space in (sub, realified(sub)):
+            dense = [row for v in space.basis for row in dense_brackets(alg, v)]
+            cand = LieCandidate(alg, space)
+            # the candidate brackets the basis rows scaled to integers by D
+            den, _ = space.integer_rows()
+            scaled = [tuple(den * x for x in row) for row in dense if any(row)]
+            assert [row for row in cand.brackets if any(row)] == scaled
+            assert is_lie_ideal(cand) == all(space.contains(row) for row in dense)
         if ideal is not None:
+            dense = [row for v in sub.basis for row in dense_brackets(alg, v)]
             assert lie_normalizer(alg, ideal) == dense_normalizer(alg, sub)
             assert commutator_ideal_span(alg, ideal) == rref(dense, alg.dim)
-        assert is_lie_ideal(cand) == all(sub.contains(row) for row in dense)
 
 
 # ---------------------------------------------------------------------------
@@ -531,13 +521,6 @@ def test_candidates_over_a_base_whose_brackets_leave_it():
             assert cand.support == fresh.support
             assert least_normalizing_ideal(cand) == least_normalizing_ideal(fresh)
     assert verdicts == {True, False}
-
-
-def test_coord_blocks_match_coord_info():
-    alg = function_algebra(M12, 2)
-    assert alg.coord_blocks == tuple(
-        (x, 1 << b) for x, b, _, _ in map(alg.coord_info, range(alg.dim))
-    )
 
 
 @lru_cache(maxsize=None)
