@@ -5,14 +5,16 @@ the problem file over a bundled one (see fixtures.py).  All indices in JSON
 are 0-based; printed reports label ideals 1-based to match the usual
 I_1..I_n numbering.  Exit codes: 0 all checks passed, 1 a checked identity
 failed or stdout was closed before the report was written, 2 invalid input.
+`run()` is the process entry; `main(argv)` runs one command in process.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 from . import fixtures as fixtures_mod
 from .decomposition import decompose, verify_theorem
@@ -530,46 +532,205 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fnideals",
-        description="Exhaustive finite-model checks for ideal and Lie-ideal lattices "
-        "of algebra-valued function algebras.",
-    )
-    parser.add_argument("command", choices=sorted(_COMMANDS))
-    parser.add_argument("problem", nargs="?", help="JSON problem file")
-    parser.add_argument("--fixture", help="bundled fixture name (see the fixtures command)")
-    parser.add_argument("--oracle", action="store_true", help="exhaustive compatibility mode")
-    parser.add_argument("--minimal", action="store_true", help="drop zero decomposition terms")
-    parser.add_argument("--seed", type=int, default=0, help="seed for random-subspace suites")
-    parser.add_argument("--bound", type=int, default=None, help="family enumeration bound")
-    return parser
+# The command line is read as argparse's parse_intermixed_args read it on
+# Python 3.11, with the same usage, help and error texts (at 80 columns), but
+# without importing argparse: its import, gettext's translation lookups and
+# its usage formatting took about 8 ms of a 100 ms process.
+
+_CHOICES = "{" + ",".join(sorted(_COMMANDS)) + "}"
+_USAGE = f"""\
+usage: fnideals [-h] [--fixture FIXTURE] [--oracle] [--minimal] [--seed SEED]
+                [--bound BOUND]
+                {_CHOICES}
+                [problem]
+"""
+_HELP = f"""\
+{_USAGE}
+Exhaustive finite-model checks for ideal and Lie-ideal lattices of algebra-
+valued function algebras.
+
+positional arguments:
+  {_CHOICES}
+  problem               JSON problem file
+
+options:
+  -h, --help            show this help message and exit
+  --fixture FIXTURE     bundled fixture name (see the fixtures command)
+  --oracle              exhaustive compatibility mode
+  --minimal             drop zero decomposition terms
+  --seed SEED           seed for random-subspace suites
+  --bound BOUND         family enumeration bound
+"""
+# argparse's order, in which an ambiguous prefix lists its matches
+_LONG_OPTIONS = ("--help", "--fixture", "--oracle", "--minimal", "--seed", "--bound")
+_VALUE_TYPES = {"--fixture": str, "--seed": int, "--bound": int}
+
+
+class UsageError(Exception):
+    """A refused command line; main() prints the usage and exits 2."""
+
+
+class _HelpRequested(Exception):
+    """-h or --help; main() prints the help and exits 0."""
+
+
+def _option(token: str):
+    """How argparse reads a token before any "--": None for a positional, else
+    (option, its explicit value or None); option None for an unknown one."""
+    if token[:1] != "-" or token == "-":
+        return None
+    name, eq, value = token.partition("=")
+    if eq and (name == "-h" or name in _LONG_OPTIONS):
+        return name, value
+    if token[1] != "-":
+        if token.startswith("-h"):  # "-hVALUE"
+            return "-h", token[2:] or None
+    else:
+        found = [option for option in _LONG_OPTIONS if option.startswith(name)]
+        if len(found) > 1:
+            raise UsageError(f"ambiguous option: {token} could match {', '.join(found)}")
+        if found:
+            return found[0], value if eq else None
+    if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
+        return None  # a negative number, or a phrase
+    return None, None
+
+
+def _take_option(args, tokens: list, kinds: str, i: int, option, value) -> int:
+    """Apply the option at tokens[i]; return the index after its value."""
+    if option in ("-h", "--help"):
+        if option == "-h" and value:
+            value = value.lstrip("h") or None  # "-hh" is -h -h
+        if value is not None:
+            raise UsageError(f"argument -h/--help: ignored explicit argument {value!r}")
+        raise _HelpRequested
+    if option not in _VALUE_TYPES:
+        if value is not None:
+            raise UsageError(f"argument {option}: ignored explicit argument {value!r}")
+        setattr(args, option[2:], True)
+        return i + 1
+    end = i + 1
+    if value is None:
+        if kinds[end:end + 1] != "A":
+            raise UsageError(f"argument {option}: expected one argument")
+        value, end = tokens[end], end + 1
+    try:
+        setattr(args, option[2:], _VALUE_TYPES[option](value))
+    except ValueError:
+        raise UsageError(f"argument {option}: invalid int value: {value!r}") from None
+    return end
+
+
+def _parse_pass(args, tokens: list, positionals: bool) -> list:
+    """One parse_known_args pass of argparse: take the options in order and,
+    if `positionals`, COMMAND [PROBLEM] from the first run of positional
+    tokens; return the tokens left over.  A pass without positionals still
+    drops a "--" that no positional token precedes, as argparse does."""
+    end = tokens.index("--") if "--" in tokens else len(tokens)
+    options = [_option(token) for token in tokens[:end]]
+    # A positional, O option, - the first "--", after which all are positional
+    kinds = "".join("A" if o is None else "O" for o in options)
+    if end < len(tokens):
+        kinds += "-" + "A" * (len(tokens) - end - 1)
+    left = []
+    pending = True
+
+    def take_positionals(i: int) -> int:
+        nonlocal pending
+        match = pending and re.match("(-*A-*)(-*A?-*)" if positionals else "-*", kinds[i:])
+        if not match:
+            return i
+        pending = False
+        if positionals:
+            command, problem = (tokens[i + match.start(g):i + match.end(g)] for g in (1, 2))
+            for group in command, problem:  # argparse drops the first "--" of each
+                if "--" in group:
+                    group.remove("--")
+            if command[0] not in _COMMANDS:
+                choices = ", ".join(map(repr, sorted(_COMMANDS)))
+                raise UsageError(
+                    f"argument command: invalid choice: {command[0]!r} (choose from {choices})"
+                )
+            args.command, args.problem = command[0], problem[0] if problem else None
+        return i + match.end()
+
+    i = 0
+    for j, option in enumerate(options):
+        if option is not None:
+            if i < j:
+                i = take_positionals(i)
+                left += tokens[i:j]
+            if option[0] is None:
+                left.append(tokens[j])
+                i = j + 1
+            else:
+                i = _take_option(args, tokens, kinds, j, *option)
+    i = take_positionals(i)
+    left += tokens[i:]
+    if pending:
+        raise UsageError("the following arguments are required: command")
+    return left
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """Read COMMAND [PROBLEM] [--fixture NAME] [--seed N] [--bound N] [--oracle]
+    [--minimal], options anywhere: a pass for the options, then one for the
+    positionals.  Raises UsageError, or _HelpRequested for -h/--help."""
+    args = SimpleNamespace(command=None, problem=None, fixture=None, oracle=False,
+                           minimal=False, seed=0, bound=None)
+    left = _parse_pass(args, list(argv), positionals=False)
+    left = _parse_pass(args, left, positionals=True)
+    if left:
+        raise UsageError(f"unrecognized arguments: {' '.join(left)}")
+    return args
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run one command in this process and return its exit code; it never
+    ends the process (run() does)."""
     try:
-        args = parser.parse_intermixed_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        problem = _resolve_problem(args)
-        code = _COMMANDS[args.command](problem, args)
+        try:
+            args = parse_args(sys.argv[1:] if argv is None else argv)
+            code = _COMMANDS[args.command](_resolve_problem(args), args)
+        except _HelpRequested:
+            sys.stdout.write(_HELP)
+            code = 0
+        except UsageError as exc:
+            sys.stderr.write(f"{_USAGE}fnideals: error: {exc}\n")
+            code = 2
+        except (InputError, LimitExceeded) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
+        except AssertionError as exc:
+            # an invariance check inside the library failed
+            print(f"FAIL {exc}")
+            code = 1
         # a reader that closed the pipe is seen here, not at interpreter exit
         sys.stdout.flush()
         return code
-    except (InputError, LimitExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except AssertionError as exc:
-        # an invariance check inside the library failed
-        print(f"FAIL {exc}")
-        return 1
     except BrokenPipeError:
         # Python's SIGPIPE recipe: the flush at exit writes what is left to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 
+def run():
+    """The process entry of `python -m fnideals.cli` and the `fnideals` script.
+
+    Runs main(), flushes stdout and stderr, and ends the process with
+    os._exit, which skips tearing down the modules that site and the standard
+    library loaded (about 12 ms of a 100 ms process).  Nothing is written
+    after the flush, so a closed stdout found there only sets exit code 1.
+    An exception that escapes main() propagates, with its traceback.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        code = 1
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

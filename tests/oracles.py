@@ -1,12 +1,15 @@
 """Reference helpers shared by the tests; independent of the package's fast paths."""
 
+import argparse
+import contextlib
+import io
 import itertools
 import random
 from fractions import Fraction
 
 import sympy
 
-from fnideals import lie
+from fnideals import cli, lie
 from fnideals.fdalgebra import Element, unit_translates
 from fnideals.function_algebra import FunctionElement, enumerate_all_ideals
 from fnideals.lattice import BoundedLattice, LimitExceeded, mask_to_points
@@ -262,3 +265,26 @@ def lattice_to_dict(lat: BoundedLattice) -> dict:
 def family_to_lists(family) -> list:
     """Per-index sorted point lists; family_from_lists inverts it."""
     return [list(mask_to_points(s)) for s in family.sets]
+
+
+def argparse_parse(argv):
+    """The command line as the argparse parser that `cli.parse_args` replaced
+    reads it: its Namespace, "help" for -h/--help (exit 0) or "refused"
+    (exit 2).  What argparse prints is discarded."""
+    parser = argparse.ArgumentParser(
+        prog="fnideals",
+        description="Exhaustive finite-model checks for ideal and Lie-ideal lattices "
+        "of algebra-valued function algebras.",
+    )
+    parser.add_argument("command", choices=sorted(cli._COMMANDS))
+    parser.add_argument("problem", nargs="?", help="JSON problem file")
+    parser.add_argument("--fixture", help="bundled fixture name (see the fixtures command)")
+    parser.add_argument("--oracle", action="store_true", help="exhaustive compatibility mode")
+    parser.add_argument("--minimal", action="store_true", help="drop zero decomposition terms")
+    parser.add_argument("--seed", type=int, default=0, help="seed for random-subspace suites")
+    parser.add_argument("--bound", type=int, default=None, help="family enumeration bound")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return parser.parse_intermixed_args(argv)
+        except SystemExit as exc:
+            return "help" if exc.code == 0 else "refused"

@@ -22,7 +22,7 @@ from fnideals.fdalgebra import AlgebraSpec, enumerate_ideals
 from fnideals.function_algebra import PointwiseIdeal, enumerate_all_ideals
 from fnideals.lie import commutator_ideal_span, lie_normalizer
 from fnideals.linalg import rref
-from oracles import chain_lattice, dense_brackets, gaussian_text, lattice_to_dict
+from oracles import argparse_parse, chain_lattice, dense_brackets, gaussian_text, lattice_to_dict
 
 # The package re-exports a function of the same name over the module.
 function_algebra = importlib.import_module("fnideals.function_algebra")
@@ -57,6 +57,8 @@ BOOLEAN_2 = {
     "bottom": 0,
     "top": 3,
 }
+# meet(1, 2) = 0 but meet(2, 1) = 1
+NOT_COMMUTATIVE = dict(BOOLEAN_2, meet=[[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 2, 2], [0, 1, 2, 3]])
 
 
 # the same lattice listed as [bottom, top, {block 0}, {block 1}]
@@ -295,8 +297,7 @@ def test_fixture_is_a_problem_document_under_the_file(tmp_path, capsys):
     "doc, code, out",
     [
         ({"lattice": BOOLEAN_2}, 0, "ok\n"),
-        ({"lattice": dict(BOOLEAN_2, meet=[[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 2, 2], [0, 1, 2, 3]])},
-         1, "FAIL meet commutativity violated at (1,2)\n"),
+        ({"lattice": NOT_COMMUTATIVE}, 1, "FAIL meet commutativity violated at (1,2)\n"),
     ],
     ids=["lattice", "not-commutative"],
 )
@@ -339,10 +340,184 @@ def test_closed_stdout_exits_1_without_a_traceback():
     assert (proc.returncode, err) == (1, b"")
 
 
+@pytest.mark.parametrize("env_extra", [{}, {"PYTHONUNBUFFERED": "1"}], ids=["buffered", "unbuffered"])
+def test_closed_stdout_on_a_failed_check_exits_1_without_a_traceback(env_extra):
+    """`cqp` through cli.run() with a seeded AssertionError in check_cqp and
+    stdout a pipe whose reader is already gone: the FAIL line is written,
+    and flushed, where a closed stdout is caught, buffered or not."""
+    code = (
+        "import fnideals.cli as cli\n"
+        "def seeded(alg):\n"
+        "    raise AssertionError('seeded cqp fault')\n"
+        "cli.check_cqp = seeded\n"
+        "cli.run()\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR), **env_extra)
+    if not env_extra:
+        env.pop("PYTHONUNBUFFERED", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "cqp", "--fixture", "block_1_2"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+def _process_run(tmp_path, argv, doc):
+    """`python -m fnideals.cli` with doc written as run_cli writes it and
+    stdout sent to a file: (exit code, stdout bytes, stderr bytes)."""
+    argv = list(argv)
+    if doc is not None:
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc))
+        argv.insert(1, str(path))
+    out_path = tmp_path / "stdout.txt"
+    with open(out_path, "wb") as out:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fnideals.cli", *argv], stdout=out, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(SRC_DIR)), timeout=60,
+        )
+    return proc.returncode, out_path.read_bytes(), proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, doc, code",
+    [
+        (["verify-all"], {"blocks": [2], "points": 2}, 0),
+        (["validate"], {"lattice": NOT_COMMUTATIVE}, 1),
+        (["cqp"], {"blocks": [2], "points": 9}, 2),
+        (["nonesuch"], None, 2),
+    ],
+    ids=["pass", "fail", "bad-input", "bad-command"],
+)
+def test_process_prints_what_main_prints(tmp_path, capsys, argv, doc, code):
+    """run() ends the process with os._exit after main(): what reaches a file
+    is byte for byte what main() prints in process, with the same exit code."""
+    in_process = run_cli(tmp_path, capsys, argv, doc)
+    assert in_process[0] == code
+    assert (in_process[1] == "") == (code == 2)
+    assert _process_run(tmp_path, argv, doc) == (code, in_process[1].encode(), in_process[2].encode())
+
+
+def test_run_lets_an_exception_from_main_propagate():
+    code = (
+        "import fnideals.cli as cli\n"
+        "def seeded():\n"
+        "    raise RuntimeError('seeded main fault')\n"
+        "cli.main = seeded\n"
+        "cli.run()\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(SRC_DIR)),
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("Traceback (most recent call last):\n")
+    assert proc.stderr.endswith("RuntimeError: seeded main fault\n")
+
+
+# ---------------------------------------------------------------------------
+# the command line: the argparse parser it replaced is the oracle
+# ---------------------------------------------------------------------------
+
+ARGV_PIECES = [[name] for name in sorted(cli._COMMANDS)] + [
+    ["p.json"], ["--fixture", "bh2"], ["--fix"], ["--seed", "3"], ["--seed=-1"], ["--seed", "-1"],
+    ["--seed", "x"], ["--bound"], ["--oracle"], ["--minimal"], ["--"], ["-x"],
+]
+
+
+def _parsed(argv):
+    try:
+        return vars(cli.parse_args(argv))
+    except cli.UsageError:
+        return "refused"
+
+
+@given(pieces=st.lists(st.sampled_from(ARGV_PIECES), max_size=6))
+@settings(max_examples=400, derandomize=True, deadline=None)
+def test_parser_agrees_with_argparse(pieces):
+    argv = [token for piece in pieces for token in piece]
+    expected = argparse_parse(argv)
+    assert _parsed(argv) == (expected if isinstance(expected, str) else vars(expected)), argv
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["cqp"], {"problem": None, "fixture": None, "seed": 0, "bound": None, "oracle": False}),
+        (["--seed", "-1", "cqp", "p.json", "--fix=bh2"],
+         {"problem": "p.json", "fixture": "bh2", "seed": -1}),
+        (["cqp", "--seed=-2", "--bo", "7", "p.json", "--orac", "--min"],
+         {"problem": "p.json", "seed": -2, "bound": 7, "oracle": True, "minimal": True}),
+        (["cqp", "--", "p.json"], {"problem": "p.json"}),
+    ],
+    ids=["defaults", "negative-value-and-prefix", "options-between", "separator"],
+)
+def test_parser_reads_options_anywhere(argv, expected):
+    got = _parsed(argv)
+    assert got["command"] == "cqp" and {k: got[k] for k in expected} == expected
+    assert got == vars(argparse_parse(argv))
+
+
+USAGE = f"""\
+usage: fnideals [-h] [--fixture FIXTURE] [--oracle] [--minimal] [--seed SEED]
+                [--bound BOUND]
+                {{{",".join(sorted(cli._COMMANDS))}}}
+                [problem]
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["nonesuch"], "argument command: invalid choice: 'nonesuch' (choose from 'compat', 'cqp', "
+         "'decompose', 'fixtures', 'gamma', 'ideal-from-y', 'normalizer', 'recover', 'sandwich', "
+         "'theta', 'validate', 'verify-all', 'verify-fin-sum', 'weak-central')"),
+        (["cqp", "p.json", "q.json", "-x"], "unrecognized arguments: q.json -x"),
+        (["cqp", "--fixture"], "argument --fixture: expected one argument"),
+        (["cqp", "--seed", "--oracle"], "argument --seed: expected one argument"),
+        (["cqp", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+        (["cqp", "--bou=1.5"], "argument --bound: invalid int value: '1.5'"),
+    ],
+    ids=["invalid-choice", "unrecognized", "expected-one", "option-as-value", "invalid-int", "invalid-int-prefix"],
+)
+def test_refused_command_line_prints_usage_and_argparse_message(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"{USAGE}fnideals: error: {message}\n")
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help", "--he"])
+def test_help_goes_to_stdout_and_exits_0(capsys, flag):
+    assert main(["cqp", "--seed", "x", flag]) == 2  # an earlier token is read first
+    capsys.readouterr()
+    assert main([flag, "nonesuch", "--seed", "x"]) == 0
+    assert capsys.readouterr() == (USAGE + """
+Exhaustive finite-model checks for ideal and Lie-ideal lattices of algebra-
+valued function algebras.
+
+positional arguments:
+  {compat,cqp,decompose,fixtures,gamma,ideal-from-y,normalizer,recover,sandwich,theta,validate,verify-all,verify-fin-sum,weak-central}
+  problem               JSON problem file
+
+options:
+  -h, --help            show this help message and exit
+  --fixture FIXTURE     bundled fixture name (see the fixtures command)
+  --oracle              exhaustive compatibility mode
+  --minimal             drop zero decomposition terms
+  --seed SEED           seed for random-subspace suites
+  --bound BOUND         family enumeration bound
+""", "")
+
+
 def test_cli_start_up_imports_no_heavy_modules():
     """`python -S` skips the .pth hooks of site-packages, which may preload some
     of these: what is left is what `fnideals.cli` itself imports."""
-    heavy = ("dataclasses", "inspect", "importlib.resources", "typing")
+    heavy = ("dataclasses", "inspect", "importlib.resources", "typing", "argparse", "gettext",
+             "fractions", "decimal")
     code = f"import sys, fnideals.cli; print(*[m for m in {heavy!r} if m in sys.modules])"
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60,

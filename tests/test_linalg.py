@@ -1,8 +1,12 @@
 """Exact subspace arithmetic over the rationals, cross-checked against sympy as
 an independent oracle, and the CLI's parser of Gaussian-rational entries."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -491,3 +495,39 @@ def broken_integer_rows(request, monkeypatch):
 def test_membership_oracle_check_catches_a_broken_integer_form(broken_integer_rows):
     bad, _ = membership_disagreements(range(4))
     assert bad
+
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize(
+    "expr, shown",
+    [
+        ("linalg.vector(['1/2', 3])", "(Fraction(1, 2), 3) fractions.Fraction builtins.int"),
+        ("linalg.rref([[2, 1]], 2).basis[0]", "(1, Fraction(1, 2)) builtins.int fractions.Fraction"),
+        ("[linalg.rref([[1, 1]], 2).contains(row) for row in ([F(1, 2), F(1, 2)], [F(1, 2), 1], [F(2), 2])]",
+         "[True, False, True] builtins.bool builtins.bool builtins.bool"),
+    ],
+    ids=["vector", "rref", "contains"],
+)
+def test_fractions_loads_on_first_use_with_the_same_answers(expr, shown):
+    """In a fresh process `linalg` has not loaded `fractions`; the first
+    non-integral value loads it, and is a `fractions.Fraction`.  `contains`
+    reads rows that hold a caller's `fractions.Fraction` before the load.
+    Each answer is the same again after the load."""
+    code = (
+        "import sys\n"
+        "from fnideals import linalg\n"
+        "assert 'fractions' not in sys.modules\n"
+        "from fractions import Fraction as F\n"
+        "assert linalg.Fraction is not F\n"
+        f"first = {expr}\n"
+        "assert linalg.Fraction is F\n"
+        f"assert {expr} == first\n"
+        "print(first, *(f'{type(x).__module__}.{type(x).__name__}' for x in first))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(SRC_DIR)),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, shown + "\n", "")
