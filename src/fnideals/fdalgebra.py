@@ -47,14 +47,6 @@ class AlgebraSpec(Value):
     def coord(self, b: int, p: int, q: int) -> int:
         return self.block_offset(b) + p * self.block_dims[b] + q
 
-    def coord_info(self, index: int) -> tuple:
-        """Inverse of coord: (block, row, col) of a flat coordinate."""
-        for b, n in enumerate(self.block_dims):
-            if index < n * n:
-                return b, index // n, index % n
-            index -= n * n
-        raise IndexError("coordinate out of range")
-
     def unit_coords(self):
         """All (block, row, col) triples in flat coordinate order."""
         for b, n in enumerate(self.block_dims):

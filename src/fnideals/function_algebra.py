@@ -103,13 +103,6 @@ class FunctionAlgebra:
     def lattice(self) -> BoundedLattice:
         return enumerate_ideals(self.spec)
 
-    def coord_info(self, index: int) -> tuple:
-        """(point, block, row, col) of a flat coordinate of B."""
-        d = self.spec.total_dim
-        x, rem = divmod(index, d)
-        b, p, q = self.spec.coord_info(rem)
-        return x, b, p, q
-
     @property
     def commutator_table(self) -> tuple:
         """A's `unit_commutators`: B brackets each point's copy of A with A's table."""

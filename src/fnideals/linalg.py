@@ -10,6 +10,8 @@ arithmetic only and divides each pivot row by its pivot once, at the end, as
 an exact Fraction, so no float arises.  Subspaces are stored as reduced
 row-echelon bases, which makes RREF a true canonical form: two subspaces are
 equal as sets iff their Subspace values compare equal field-for-field.
+The checked constructor `Subspace(n, basis)` refuses a basis that `rref`
+does not return unchanged, and stores `rref`'s canonical entries.
 Membership is fraction-free too: `integer_membership` scales the basis rows
 by their common denominator and each tested row by its own, keeps only the
 nonzero terms of each basis row, and compares integers.
@@ -134,28 +136,19 @@ def _echelon(work: list, width: int) -> tuple:
 class Subspace(Value):
     """Linear subspace given by its reduced row-echelon basis.
 
-    Invariants, checked because membership relies on them: basis rows are
-    nonzero, each leading entry is 1, pivots strictly increase and each pivot
-    column is zero in every other row.
+    The constructor checks a basis by reducing it, as membership needs: a
+    basis is in RREF exactly when `rref` returns it.  The reduced rows are
+    stored, so a float or an integral Fraction is stored canonical.
     """
 
     __slots__ = ("ambient_dim", "basis", "pivots")
 
-    def __init__(self, ambient_dim: int, basis: tuple):
-        # a tuple of tuples is kept: rebuilding one only churns tuples (see rref)
-        if type(basis) is not tuple or not all(type(r) is tuple for r in basis):
-            basis = tuple(tuple(r) for r in basis)
-        for row in basis:
-            if len(row) != ambient_dim or not any(row):
-                raise ValueError("basis rows must be nonzero and of the ambient length")
-        pivots = tuple(next(c for c, v in enumerate(row) if v) for row in basis)
-        for k, (row, p) in enumerate(zip(basis, pivots)):
-            if row[p] != 1 or k and p <= pivots[k - 1]:
-                raise ValueError("basis must be in reduced row-echelon form")
-            for above in basis[:k]:  # rows below are zero at p: their pivots lie right of it
-                if above[p]:
-                    raise ValueError("basis must be in reduced row-echelon form")
-        self._fill(ambient_dim, basis, pivots)
+    def __init__(self, ambient_dim: int, basis: Iterable[Sequence]):
+        basis = tuple(map(tuple, basis))
+        reduced = rref(basis, ambient_dim)
+        if reduced.basis != basis:
+            raise ValueError("basis must be in reduced row-echelon form")
+        self._fill(ambient_dim, reduced.basis, reduced.pivots)
 
     @property
     def dim(self) -> int:
@@ -206,7 +199,7 @@ class Subspace(Value):
 
     @staticmethod
     def zero(n: int) -> "Subspace":
-        return Subspace(n, ())
+        return echelon_subspace(n, (), ())
 
     @staticmethod
     def full(n: int) -> "Subspace":
@@ -215,7 +208,7 @@ class Subspace(Value):
             row = [0] * n
             row[i] = 1
             rows.append(tuple(row))
-        return Subspace(n, tuple(rows))
+        return echelon_subspace(n, tuple(rows), tuple(range(n)))
 
 
 def integer_membership(den: int, rows: list):
@@ -260,8 +253,7 @@ def integer_combination(coords: Sequence, rows: list, den: int, width: int) -> V
 
 def echelon_subspace(ambient_dim: int, basis: tuple, pivots: tuple) -> Subspace:
     """The Subspace of a basis its caller built in RREF, as a tuple of tuples,
-    with its pivots: the checks of Subspace.__init__ are skipped.  They took
-    about 5% of the CPU time of verify-all on [1,2]x3, [2,2]x2 and [3]x2."""
+    with its pivots: the `rref` check of Subspace.__init__ is skipped."""
     sub = object.__new__(Subspace)
     sub._fill(ambient_dim, basis, pivots)
     return sub

@@ -24,6 +24,13 @@ def vec_dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
+def flat_coords(alg) -> list:
+    """(point, block, row, col) of each flat coordinate of B = A^X, in order:
+    B is point-major, and A's coordinates run in `AlgebraSpec.unit_coords` order."""
+    coords = list(alg.spec.unit_coords())
+    return [(x, *c) for x in range(alg.points) for c in coords]
+
+
 def gaussian_text(re, im):
     """re + im*i written as "p/q", "r/s i" or "p/q+r/s i", as a problem file does."""
     if not im:
@@ -134,7 +141,7 @@ def split_support(alg, sub) -> frozenset:
     off_diagonal = {
         (x, b)
         for row in sub.basis
-        for i, (x, b, p, q) in enumerate(map(alg.coord_info, range(alg.dim)))
+        for i, (x, b, p, q) in enumerate(flat_coords(alg))
         if row[i] and p != q
     }
     return unequal_diagonal_pairs(alg, sub) | off_diagonal
@@ -214,7 +221,7 @@ def trace_zero_subspace(spec) -> Subspace:
 
 def basis_element(alg, index: int) -> FunctionElement:
     """The matrix unit of B = A^X at flat coordinate index."""
-    x, b, p, q = alg.coord_info(index)
+    x, b, p, q = flat_coords(alg)[index]
     values = [Element.zero(alg.spec)] * alg.points
     values[x] = Element.matrix_unit(alg.spec, b, p, q)
     return FunctionElement(alg.spec, tuple(values))

@@ -22,7 +22,14 @@ from fnideals.fdalgebra import AlgebraSpec, enumerate_ideals
 from fnideals.function_algebra import PointwiseIdeal, enumerate_all_ideals
 from fnideals.lie import commutator_ideal_span, lie_normalizer
 from fnideals.linalg import rref
-from oracles import argparse_parse, chain_lattice, dense_brackets, gaussian_text, lattice_to_dict
+from oracles import (
+    argparse_parse,
+    chain_lattice,
+    dense_brackets,
+    flat_coords,
+    gaussian_text,
+    lattice_to_dict,
+)
 
 # The package re-exports a function of the same name over the module.
 function_algebra = importlib.import_module("fnideals.function_algebra")
@@ -578,10 +585,10 @@ def oracle_sandwich_report(alg, rows) -> tuple:
     l_brackets = bracket_rows(alg, rows)
     lie = gaussian_rank(rows + l_brackets, dim) == rank_l
     witness = None
+    coords = flat_coords(alg)
     for ideal in enumerate_all_ideals(alg, verify=False):
         ideal_rows = []
-        for i in range(dim):
-            x, b, _, _ = alg.coord_info(i)
+        for i, (x, b, _, _) in enumerate(coords):
             if ideal.stalks[x] >> b & 1:
                 ideal_rows.append([(int(c == i), 0) for c in range(dim)])
         rank_j = gaussian_rank(ideal_rows, dim)

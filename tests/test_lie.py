@@ -39,6 +39,7 @@ from oracles import (
     bracket_spaces,
     dense_brackets,
     element_from_vector,
+    flat_coords,
     lie_closure,
     sandwich_draws,
     split_decide,
@@ -574,7 +575,7 @@ SPLIT_SPECS = [M2, M12, AlgebraSpec((2, 2)), M3]
 
 def split_generators(alg, rng) -> list:
     """1-3 seeded rows of B: sparse rows, matrix units and e_ii - e_jj."""
-    diagonal = [i for i in range(alg.dim) if alg.coord_info(i)[2] == alg.coord_info(i)[3]]
+    diagonal = [i for i, (_, _, p, q) in enumerate(flat_coords(alg)) if p == q]
     rows = []
     for _ in range(rng.randint(1, 3)):
         row = [0] * alg.dim

@@ -151,18 +151,52 @@ def test_subspace_rejects_a_zero_basis_row():
         Subspace(2, (V(1, 0), V(0, 0)))
 
 
+def test_subspace_rejects_a_basis_row_of_the_wrong_length():
+    with pytest.raises(ValueError, match="row length differs from ambient dimension"):
+        Subspace(2, (V(1, 0, 0),))
+
+
 @pytest.mark.parametrize(
     "basis",
     [
         (V(2, 0),),  # leading entry 2: contains((2, 0)) would read False
         (V(0, 1), V(1, 0)),  # pivots decrease
         (V(1, 1), V(0, 1)),  # pivot column 1 is nonzero in two rows
+        (("1", 0),),  # rref reads "1" as 1, so the reduced basis differs
     ],
-    ids=["leading-entry-not-1", "pivots-not-increasing", "pivot-column-not-cleared"],
+    ids=["leading-entry-not-1", "pivots-not-increasing", "pivot-column-not-cleared", "string-entry"],
 )
 def test_subspace_rejects_a_basis_not_in_rref(basis):
     with pytest.raises(ValueError, match="reduced row-echelon form"):
         Subspace(2, basis)
+
+
+@pytest.mark.parametrize(
+    "given, stored",
+    [
+        (((1, 2.5),), ((1, Fraction(5, 2)),)),
+        (((1, Fraction(4, 2)),), ((1, 2),)),
+        (((1.0, 0, 0), (0, 1, Fraction(-1, 3))), ((1, 0, 0), (0, 1, Fraction(-1, 3)))),
+    ],
+    ids=["float", "integral-fraction", "float-one"],
+)
+def test_subspace_stores_canonical_entries(given, stored):
+    """The constructor stores the rows `rref` returns: an entry equal to its
+    canonical form but of another type is stored canonical, whether the basis
+    comes as a tuple of tuples or as a generator of lists."""
+    n = len(stored[0])
+    for basis in (given, (list(row) for row in given)):
+        sub = Subspace(n, basis)
+        assert sub == rref(stored, n)
+        assert [list(map(type, row)) for row in sub.basis] == [list(map(type, row)) for row in stored]
+        for row in sub.basis:
+            for x in row:
+                assert_canonical(x)
+
+
+def first_nonzero_columns(basis) -> tuple:
+    """The pivots of a basis in RREF, read off its rows."""
+    return tuple(next(c for c, v in enumerate(row) if v) for row in basis)
 
 
 scalars = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -182,8 +216,8 @@ def test_rref_matches_sympy(case):
     dim, rows = case
     sub = rref(rows, dim)
     assert sub.basis == oracle_rref(rows, dim)
-    # rref skips the checks of Subspace(); its output must pass them
-    assert Subspace(dim, sub.basis).pivots == sub.pivots
+    assert sub.pivots == first_nonzero_columns(sub.basis)
+    assert Subspace(dim, sub.basis) == sub  # the checked constructor takes rref's output
 
 
 # Rows up to 8 wide with numerators up to 10^6 over denominators up to 12:
@@ -210,7 +244,8 @@ def test_rref_matches_sympy_on_wide_rows_with_large_entries(case):
     sub = rref(rows, dim)
     basis = sub.basis
     assert basis == oracle_rref(rows, dim)
-    assert Subspace(dim, basis).pivots == sub.pivots
+    assert sub.pivots == first_nonzero_columns(basis)
+    assert Subspace(dim, basis) == sub  # the checked constructor takes rref's output
     for row in basis:
         for x in row:
             assert_canonical(x)
@@ -511,13 +546,16 @@ SRC_DIR = Path(__file__).resolve().parent.parent / "src"
     ids=["vector", "rref", "contains"],
 )
 def test_fractions_loads_on_first_use_with_the_same_answers(expr, shown):
-    """In a fresh process `linalg` has not loaded `fractions`; the first
-    non-integral value loads it, and is a `fractions.Fraction`.  `contains`
-    reads rows that hold a caller's `fractions.Fraction` before the load.
-    Each answer is the same again after the load."""
+    """In a fresh process `linalg` has not loaded `fractions`, nor has a
+    `Subspace` of an integer basis in RREF: the checked constructor reduces it
+    with every pivot 1, so it builds no Fraction.  The first non-integral
+    value loads it, and is a `fractions.Fraction`.  `contains` reads rows that
+    hold a caller's `fractions.Fraction` before the load.  Each answer is the
+    same again after the load."""
     code = (
         "import sys\n"
         "from fnideals import linalg\n"
+        "linalg.Subspace(2, ((1, 0), (0, 1))), linalg.Subspace.zero(3), linalg.Subspace.full(3)\n"
         "assert 'fractions' not in sys.modules\n"
         "from fractions import Fraction as F\n"
         "assert linalg.Fraction is not F\n"
@@ -531,3 +569,4 @@ def test_fractions_loads_on_first_use_with_the_same_answers(expr, shown):
         env=dict(os.environ, PYTHONPATH=str(SRC_DIR)),
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, shown + "\n", "")
+
