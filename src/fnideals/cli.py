@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import sys
 from types import SimpleNamespace
 
@@ -130,6 +129,13 @@ def _scalar_from_json(v) -> tuple:
     raise InputError(f"scalar entry {v!r} has unsupported type")
 
 
+def _json_list(member: str, value, what: str = "") -> list:
+    """value, refused unless a JSON list (not read by character or by key)."""
+    if not isinstance(value, list):
+        raise InputError(f"bad {member} member: {what or member} must be a JSON list")
+    return value
+
+
 def _load_document(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -175,7 +181,7 @@ def _resolve_problem(args) -> Problem:
     spec = None
     if "blocks" in doc:
         try:
-            spec = AlgebraSpec(tuple(doc["blocks"]))
+            spec = AlgebraSpec(_json_list("blocks", doc["blocks"]))
         except (TypeError, ValueError) as exc:
             raise InputError(f"bad blocks member: {exc}") from None
     if "lattice" in doc:
@@ -211,6 +217,8 @@ def _resolve_problem(args) -> Problem:
     if "family" in doc:
         if lattice is None or points is None:
             raise InputError("family requires a lattice and points")
+        for k, entry in enumerate(_json_list("family", doc["family"])):
+            _json_list("family", entry, f"family entry {k}")
         try:
             problem.family = family_from_lists(lattice, points, doc["family"])
         except (TypeError, ValueError) as exc:
@@ -231,7 +239,7 @@ def _resolve_problem(args) -> Problem:
         if points is None:
             raise InputError("Y requires points")
         try:
-            problem.y_mask = points_to_mask(doc["Y"], points)
+            problem.y_mask = points_to_mask(_json_list("Y", doc["Y"]), points)
         except (TypeError, ValueError) as exc:
             raise InputError(f"bad Y member: {exc}") from None
 
@@ -532,157 +540,62 @@ _COMMANDS = {
 }
 
 
-# The command line is read as argparse's parse_intermixed_args read it on
-# Python 3.11, with the same usage, help and error texts (at 80 columns), but
-# without importing argparse: its import, gettext's translation lookups and
-# its usage formatting took about 8 ms of a 100 ms process.
-
-_CHOICES = "{" + ",".join(sorted(_COMMANDS)) + "}"
-_USAGE = f"""\
-usage: fnideals [-h] [--fixture FIXTURE] [--oracle] [--minimal] [--seed SEED]
-                [--bound BOUND]
-                {_CHOICES}
-                [problem]
-"""
-_HELP = f"""\
-{_USAGE}
-Exhaustive finite-model checks for ideal and Lie-ideal lattices of algebra-
-valued function algebras.
-
-positional arguments:
-  {_CHOICES}
-  problem               JSON problem file
-
-options:
-  -h, --help            show this help message and exit
-  --fixture FIXTURE     bundled fixture name (see the fixtures command)
-  --oracle              exhaustive compatibility mode
-  --minimal             drop zero decomposition terms
-  --seed SEED           seed for random-subspace suites
-  --bound BOUND         family enumeration bound
-"""
-# argparse's order, in which an ambiguous prefix lists its matches
-_LONG_OPTIONS = ("--help", "--fixture", "--oracle", "--minimal", "--seed", "--bound")
+# A plain command line, COMMAND [PROBLEM] with only the exact options, each
+# value in its own token, is read by the loop below, so a one-shot query does
+# not import argparse and gettext (see README, Start-up).  argparse reads
+# every other line and prints the help, the usage and its error messages; its
+# width is pinned, so they wrap at 80 columns whatever the terminal.
+_FLAGS = ("--oracle", "--minimal")
 _VALUE_TYPES = {"--fixture": str, "--seed": int, "--bound": int}
 
 
-class UsageError(Exception):
-    """A refused command line; main() prints the usage and exits 2."""
-
-
-class _HelpRequested(Exception):
-    """-h or --help; main() prints the help and exits 0."""
-
-
-def _option(token: str):
-    """How argparse reads a token before any "--": None for a positional, else
-    (option, its explicit value or None); option None for an unknown one."""
-    if token[:1] != "-" or token == "-":
-        return None
-    name, eq, value = token.partition("=")
-    if eq and (name == "-h" or name in _LONG_OPTIONS):
-        return name, value
-    if token[1] != "-":
-        if token.startswith("-h"):  # "-hVALUE"
-            return "-h", token[2:] or None
-    else:
-        found = [option for option in _LONG_OPTIONS if option.startswith(name)]
-        if len(found) > 1:
-            raise UsageError(f"ambiguous option: {token} could match {', '.join(found)}")
-        if found:
-            return found[0], value if eq else None
-    if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
-        return None  # a negative number, or a phrase
-    return None, None
-
-
-def _take_option(args, tokens: list, kinds: str, i: int, option, value) -> int:
-    """Apply the option at tokens[i]; return the index after its value."""
-    if option in ("-h", "--help"):
-        if option == "-h" and value:
-            value = value.lstrip("h") or None  # "-hh" is -h -h
-        if value is not None:
-            raise UsageError(f"argument -h/--help: ignored explicit argument {value!r}")
-        raise _HelpRequested
-    if option not in _VALUE_TYPES:
-        if value is not None:
-            raise UsageError(f"argument {option}: ignored explicit argument {value!r}")
-        setattr(args, option[2:], True)
-        return i + 1
-    end = i + 1
-    if value is None:
-        if kinds[end:end + 1] != "A":
-            raise UsageError(f"argument {option}: expected one argument")
-        value, end = tokens[end], end + 1
+def _plain_args(argv: list):
+    """The namespace of a plain command line, or None for any other line."""
+    args = SimpleNamespace(fixture=None, oracle=False, minimal=False, seed=0, bound=None)
+    positionals = []
+    tokens = iter(argv)
     try:
-        setattr(args, option[2:], _VALUE_TYPES[option](value))
-    except ValueError:
-        raise UsageError(f"argument {option}: invalid int value: {value!r}") from None
-    return end
-
-
-def _parse_pass(args, tokens: list, positionals: bool) -> list:
-    """One parse_known_args pass of argparse: take the options in order and,
-    if `positionals`, COMMAND [PROBLEM] from the first run of positional
-    tokens; return the tokens left over.  A pass without positionals still
-    drops a "--" that no positional token precedes, as argparse does."""
-    end = tokens.index("--") if "--" in tokens else len(tokens)
-    options = [_option(token) for token in tokens[:end]]
-    # A positional, O option, - the first "--", after which all are positional
-    kinds = "".join("A" if o is None else "O" for o in options)
-    if end < len(tokens):
-        kinds += "-" + "A" * (len(tokens) - end - 1)
-    left = []
-    pending = True
-
-    def take_positionals(i: int) -> int:
-        nonlocal pending
-        match = pending and re.match("(-*A-*)(-*A?-*)" if positionals else "-*", kinds[i:])
-        if not match:
-            return i
-        pending = False
-        if positionals:
-            command, problem = (tokens[i + match.start(g):i + match.end(g)] for g in (1, 2))
-            for group in command, problem:  # argparse drops the first "--" of each
-                if "--" in group:
-                    group.remove("--")
-            if command[0] not in _COMMANDS:
-                choices = ", ".join(map(repr, sorted(_COMMANDS)))
-                raise UsageError(
-                    f"argument command: invalid choice: {command[0]!r} (choose from {choices})"
-                )
-            args.command, args.problem = command[0], problem[0] if problem else None
-        return i + match.end()
-
-    i = 0
-    for j, option in enumerate(options):
-        if option is not None:
-            if i < j:
-                i = take_positionals(i)
-                left += tokens[i:j]
-            if option[0] is None:
-                left.append(tokens[j])
-                i = j + 1
+        for token in tokens:
+            if token[:1] != "-":
+                positionals.append(token)
+            elif token in _FLAGS:
+                setattr(args, token[2:], True)
             else:
-                i = _take_option(args, tokens, kinds, j, *option)
-    i = take_positionals(i)
-    left += tokens[i:]
-    if pending:
-        raise UsageError("the following arguments are required: command")
-    return left
-
-
-def parse_args(argv) -> SimpleNamespace:
-    """Read COMMAND [PROBLEM] [--fixture NAME] [--seed N] [--bound N] [--oracle]
-    [--minimal], options anywhere: a pass for the options, then one for the
-    positionals.  Raises UsageError, or _HelpRequested for -h/--help."""
-    args = SimpleNamespace(command=None, problem=None, fixture=None, oracle=False,
-                           minimal=False, seed=0, bound=None)
-    left = _parse_pass(args, list(argv), positionals=False)
-    left = _parse_pass(args, left, positionals=True)
-    if left:
-        raise UsageError(f"unrecognized arguments: {' '.join(left)}")
+                kind, value = _VALUE_TYPES[token], next(tokens)
+                if value[:1] == "-":
+                    return None
+                setattr(args, token[2:], kind(value))
+    except (KeyError, StopIteration, ValueError):
+        return None  # an unknown option, a missing value or one int() refuses
+    if not 1 <= len(positionals) <= 2 or positionals[0] not in _COMMANDS:
+        return None
+    args.command, args.problem = (positionals + [None])[:2]
     return args
+
+
+def parse_args(argv):
+    """Read COMMAND [PROBLEM] [--fixture NAME] [--seed N] [--bound N] [--oracle]
+    [--minimal] as argparse's parse_intermixed_args reads it, options anywhere.
+    argparse raises SystemExit after -h/--help (code 0) or a refused line (2)."""
+    args = _plain_args(argv)
+    if args is not None:
+        return args
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="fnideals",
+        description="Exhaustive finite-model checks for ideal and Lie-ideal lattices "
+        "of algebra-valued function algebras.",
+        formatter_class=lambda prog: argparse.HelpFormatter(prog, width=78),
+    )
+    parser.add_argument("command", choices=sorted(_COMMANDS))
+    parser.add_argument("problem", nargs="?", help="JSON problem file")
+    parser.add_argument("--fixture", help="bundled fixture name (see the fixtures command)")
+    parser.add_argument("--oracle", action="store_true", help="exhaustive compatibility mode")
+    parser.add_argument("--minimal", action="store_true", help="drop zero decomposition terms")
+    parser.add_argument("--seed", type=int, default=0, help="seed for random-subspace suites")
+    parser.add_argument("--bound", type=int, default=None, help="family enumeration bound")
+    return parser.parse_intermixed_args(argv)
 
 
 def main(argv=None) -> int:
@@ -692,12 +605,9 @@ def main(argv=None) -> int:
         try:
             args = parse_args(sys.argv[1:] if argv is None else argv)
             code = _COMMANDS[args.command](_resolve_problem(args), args)
-        except _HelpRequested:
-            sys.stdout.write(_HELP)
-            code = 0
-        except UsageError as exc:
-            sys.stderr.write(f"{_USAGE}fnideals: error: {exc}\n")
-            code = 2
+        except SystemExit as exc:
+            # from argparse: 0 after the help, 2 after the usage and its message
+            code = exc.code
         except (InputError, LimitExceeded) as exc:
             print(f"error: {exc}", file=sys.stderr)
             code = 2

@@ -274,14 +274,17 @@ def family_to_lists(family) -> list:
     return [list(mask_to_points(s)) for s in family.sets]
 
 
-def argparse_parse(argv):
-    """The command line as the argparse parser that `cli.parse_args` replaced
-    reads it: its Namespace, "help" for -h/--help (exit 0) or "refused"
-    (exit 2).  What argparse prints is discarded."""
+def argparse_parse(argv) -> tuple:
+    """The command line as an argparse parser built apart from `cli` reads it:
+    the oracle for the plain command lines that `cli.parse_args` reads itself.
+    Returns (its namespace as a dict, or "help" for -h/--help (exit 0) or
+    "refused" (exit 2); what it printed on stdout; what on stderr), with the
+    help formatter at the width `cli` pins, 80 columns."""
     parser = argparse.ArgumentParser(
         prog="fnideals",
         description="Exhaustive finite-model checks for ideal and Lie-ideal lattices "
         "of algebra-valued function algebras.",
+        formatter_class=lambda prog: argparse.HelpFormatter(prog, width=78),
     )
     parser.add_argument("command", choices=sorted(cli._COMMANDS))
     parser.add_argument("problem", nargs="?", help="JSON problem file")
@@ -290,8 +293,10 @@ def argparse_parse(argv):
     parser.add_argument("--minimal", action="store_true", help="drop zero decomposition terms")
     parser.add_argument("--seed", type=int, default=0, help="seed for random-subspace suites")
     parser.add_argument("--bound", type=int, default=None, help="family enumeration bound")
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            return parser.parse_intermixed_args(argv)
+            parsed = vars(parser.parse_intermixed_args(argv))
         except SystemExit as exc:
-            return "help" if exc.code == 0 else "refused"
+            parsed = "help" if exc.code == 0 else "refused"
+    return parsed, out.getvalue(), err.getvalue()

@@ -1,8 +1,10 @@
 """The CLI's input boundary and its byte-identical output on recorded cases."""
 
+import contextlib
 import hashlib
 import importlib
 import importlib.util
+import io
 import json
 import os
 import random
@@ -178,6 +180,22 @@ def _one_entry(entry):
         (("sandwich",), _one_entry(0.5), "scalar entry 0.5 is not exact; use a rational string"),
         (("sandwich",), _one_entry(True), "scalar entry True is not a number"),
         (("sandwich",), _one_entry({}), "scalar entry {} has unsupported type"),
+        # blocks, Y, family and each family entry must be JSON lists, not read
+        # character by character or key by key
+        (("gamma",), {"blocks": 5}, "bad blocks member: blocks must be a JSON list"),
+        (("gamma",), {"blocks": "12"}, "bad blocks member: blocks must be a JSON list"),
+        (("ideal-from-y",), {"blocks": [1, 1], "points": 2, "Y": None, "ideal_index": 1},
+         "bad Y member: Y must be a JSON list"),
+        (("ideal-from-y",), {"blocks": [1, 1], "points": 2, "Y": "0", "ideal_index": 1},
+         "bad Y member: Y must be a JSON list"),
+        (("ideal-from-y",), {"blocks": [1, 1], "points": 2, "Y": {"0": 1}, "ideal_index": 1},
+         "bad Y member: Y must be a JSON list"),
+        (("theta",), {"lattice": BOOLEAN_2, "points": 2, "family": "ab"},
+         "bad family member: family must be a JSON list"),
+        (("theta",), {"lattice": BOOLEAN_2, "points": 2, "family": [0, [0, 1]]},
+         "bad family member: family entry 0 must be a JSON list"),
+        (("theta",), {"lattice": BOOLEAN_2, "points": 2, "family": [[0], "1", [], [0, 1]]},
+         "bad family member: family entry 1 must be a JSON list"),
     ],
     ids=["huge-block", "bool-points", "lattice-not-object", "meet-not-list",
          "subspace-row-not-list", "bool-point", "bool-stalk", "family-top-not-X",
@@ -193,7 +211,8 @@ def _one_entry(entry):
          "Y-without-points", "ideal-index-out-of-range", "not-an-object", "malformed-json",
          "unreadable-file", "needs-family", "needs-algebra", "fixture-family-at-other-points",
          "compat-top-not-X", "theta-incompatible", "decompose-incompatible",
-         "scalar-float", "scalar-bool", "scalar-object"],
+         "scalar-float", "scalar-bool", "scalar-object", "blocks-int", "blocks-string",
+         "Y-null", "Y-string", "Y-object", "family-string", "family-entry-int", "family-entry-string"],
 )
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv, doc, message):
     code, out, err = run_cli(tmp_path, capsys, argv, doc)
@@ -428,28 +447,31 @@ def test_run_lets_an_exception_from_main_propagate():
 
 
 # ---------------------------------------------------------------------------
-# the command line: the argparse parser it replaced is the oracle
+# the command line: an argparse parser built apart from cli is the oracle
 # ---------------------------------------------------------------------------
 
 ARGV_PIECES = [[name] for name in sorted(cli._COMMANDS)] + [
     ["p.json"], ["--fixture", "bh2"], ["--fix"], ["--seed", "3"], ["--seed=-1"], ["--seed", "-1"],
     ["--seed", "x"], ["--bound"], ["--oracle"], ["--minimal"], ["--"], ["-x"],
+    ["--bound", "7"], ["q.json"], ["--fixture", "cqp"], [""], ["--fixture"],
 ]
 
 
 def _parsed(argv):
-    try:
-        return vars(cli.parse_args(argv))
-    except cli.UsageError:
-        return "refused"
+    """cli.parse_args's namespace as a dict, or "help" or "refused" for the
+    exit argparse takes after printing; what it prints is captured."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.parse_args(argv))
+        except SystemExit as exc:
+            return "help" if exc.code == 0 else "refused"
 
 
 @given(pieces=st.lists(st.sampled_from(ARGV_PIECES), max_size=6))
 @settings(max_examples=400, derandomize=True, deadline=None)
 def test_parser_agrees_with_argparse(pieces):
     argv = [token for piece in pieces for token in piece]
-    expected = argparse_parse(argv)
-    assert _parsed(argv) == (expected if isinstance(expected, str) else vars(expected)), argv
+    assert _parsed(argv) == argparse_parse(argv)[0], argv
 
 
 @pytest.mark.parametrize(
@@ -467,7 +489,7 @@ def test_parser_agrees_with_argparse(pieces):
 def test_parser_reads_options_anywhere(argv, expected):
     got = _parsed(argv)
     assert got["command"] == "cqp" and {k: got[k] for k in expected} == expected
-    assert got == vars(argparse_parse(argv))
+    assert got == argparse_parse(argv)[0]
 
 
 USAGE = f"""\
@@ -479,22 +501,19 @@ usage: fnideals [-h] [--fixture FIXTURE] [--oracle] [--minimal] [--seed SEED]
 
 
 @pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["nonesuch"], "argument command: invalid choice: 'nonesuch' (choose from 'compat', 'cqp', "
-         "'decompose', 'fixtures', 'gamma', 'ideal-from-y', 'normalizer', 'recover', 'sandwich', "
-         "'theta', 'validate', 'verify-all', 'verify-fin-sum', 'weak-central')"),
-        (["cqp", "p.json", "q.json", "-x"], "unrecognized arguments: q.json -x"),
-        (["cqp", "--fixture"], "argument --fixture: expected one argument"),
-        (["cqp", "--seed", "--oracle"], "argument --seed: expected one argument"),
-        (["cqp", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
-        (["cqp", "--bou=1.5"], "argument --bound: invalid int value: '1.5'"),
-    ],
+    "argv",
+    [["nonesuch"], ["cqp", "p.json", "q.json", "-x"], ["cqp", "--fixture"],
+     ["cqp", "--seed", "--oracle"], ["cqp", "--seed", "x"], ["cqp", "--bou=1.5"]],
     ids=["invalid-choice", "unrecognized", "expected-one", "option-as-value", "invalid-int", "invalid-int-prefix"],
 )
-def test_refused_command_line_prints_usage_and_argparse_message(capsys, argv, message):
+def test_refused_command_line_prints_usage_and_argparse_message(capsys, argv):
+    """main prints the usage and one error line, as the oracle parser prints
+    them on the running interpreter, whose argparse words the message."""
+    parsed, out, err = argparse_parse(argv)
+    assert (parsed, out) == ("refused", "")
+    assert err.startswith(f"{USAGE}fnideals: error: ") and err.count("\n") == USAGE.count("\n") + 1
     assert main(argv) == 2
-    assert capsys.readouterr() == ("", f"{USAGE}fnideals: error: {message}\n")
+    assert capsys.readouterr() == ("", err)
 
 
 @pytest.mark.parametrize("flag", ["-h", "--help", "--he"])
@@ -531,6 +550,41 @@ def test_cli_start_up_imports_no_heavy_modules():
         env=dict(os.environ, PYTHONPATH=str(SRC_DIR)),
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
+
+
+def test_plain_command_lines_leave_argparse_unloaded(tmp_path):
+    """Each argv shape the benchmark runs is plain: main reads it without
+    importing argparse or gettext.  --seed=1 is not plain: it loads argparse
+    and parses as --seed 1 does."""
+    docs = {
+        "algebra": {"blocks": [1], "points": 1},
+        "family": {"lattice": lattice_to_dict(chain_lattice(2)), "points": 1, "family": [[], [0]]},
+        "points": {"points": 1},
+    }
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(doc))
+    shapes = [
+        ["fixtures"], ["verify-all", "--seed", "1", paths["algebra"]], ["cqp", paths["algebra"]],
+        ["decompose", paths["family"], "--minimal"],
+        ["verify-fin-sum", "--fixture", "bh2", "--bound", "36", paths["points"]],
+    ]
+    code = (
+        "import contextlib, io, sys\n"
+        "import fnideals.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.main(argv) for argv in {shapes!r}]\n"
+        "print(codes, [m for m in ('argparse', 'gettext') if m in sys.modules])\n"
+        f"joined = vars(cli.parse_args(['cqp', {paths['algebra']!r}, '--seed=1']))\n"
+        "print('argparse' in sys.modules)\n"
+        f"print(joined == vars(cli.parse_args(['cqp', {paths['algebra']!r}, '--seed', '1'])))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(SRC_DIR)),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[0, 0, 0, 0, 0] []\nTrue\nTrue\n", "")
 
 
 # sl_2 at point 0 and all of M_2 at point 1 (a Lie ideal); e_12 at point 0 alone (not one)
