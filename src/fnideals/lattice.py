@@ -241,19 +241,18 @@ def union_over_gamma(family: ClosedFamily, j: int) -> int:
 
 
 def lattice_from_dict(doc: dict) -> BoundedLattice:
-    """Build a lattice from the JSON problem-file layout."""
+    """Build a lattice from the JSON problem-file layout.  Each table must be a
+    JSON list of lists, not read by character or by key."""
     if not isinstance(doc, dict):
         raise ValueError("lattice must be a JSON object")
     try:
-        return BoundedLattice(
-            size=doc["size"],
-            meet=doc["meet"],
-            join=doc["join"],
-            bottom=doc["bottom"],
-            top=doc["top"],
-        )
+        size, meet, join, bottom, top = (doc[k] for k in ("size", "meet", "join", "bottom", "top"))
     except KeyError as exc:
         raise ValueError(f"lattice object is missing member {exc.args[0]!r}") from None
+    for name, table in (("meet", meet), ("join", join)):
+        if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
+            raise ValueError(f"{name} table must be a JSON list of lists")
+    return BoundedLattice(size, meet, join, bottom, top)
 
 
 def family_from_lists(lat: BoundedLattice, points: int, lists) -> ClosedFamily:

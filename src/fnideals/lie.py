@@ -17,10 +17,11 @@ span[J, B] plus random rows of the quotient, given by their coefficients on
 N(J)'s basis rows outside span[J, B]'s pivots, and its RREF is taken in the
 few columns of the quotient.  Most repeated draws are one of the interval's
 two ends, so those two are decided once per interval.  Every other draw's
-basis is assembled from its quotient RREF and decided through a candidate
-over the interval's base candidate for span[J, B], which brackets
-span[J, B]'s rows once.  An interval with span[J, B] outside N(J) holds no
-subspace: every draw of it FAILs.
+quotient RREF rows are lifted to rows of B and reduced with span[J, B]'s
+basis by rref, and the draw is decided through a candidate over the
+interval's base candidate for span[J, B], which brackets span[J, B]'s rows
+once.  An interval with span[J, B] outside N(J) holds no subspace: every
+draw of it FAILs.
 """
 
 from __future__ import annotations
@@ -39,8 +40,6 @@ from .function_algebra import (
 from .linalg import (
     Subspace,
     annihilator,
-    echelon_subspace,
-    integer_combination,
     integer_membership,
     rref,
 )
@@ -202,23 +201,14 @@ class _Interval:
     Let Q be the pivots of upper that are not lower's; upper's basis rows U_q,
     q in Q, span upper modulo lower.  A draw is lower plus random rows of
     coefficients on the U_q, and their RREF in |Q| columns has rank 0 at lower
-    and |Q| at upper.  Any other draw's RREF basis in B is assembled from the
-    quotient's RREF with no elimination in B: each quotient row lifted
-    through the U_q, and lower's rows reduced at the lifted rows' pivots, in
-    pivot order.
+    and |Q| at upper.  Any other draw's quotient RREF rows are lifted through
+    the U_q to rows of B and reduced with lower's basis by rref.
     """
 
     def __init__(self, alg: FunctionAlgebra, lower: Subspace, upper: Subspace):
         self.alg, self.lower, self.upper = alg, lower, upper
-        self.den, urows = upper.integer_rows()
         held = set(lower.pivots)
-        self.q_rows = [row for row in urows if row[0] not in held]
-        # lower's rows: (pivot, row, its entries at Q, upper's integer row there)
-        upper_at = {row[0]: row for row in urows}
-        self.lower_rows = [
-            (p, row, [row[q] for q, _, _ in self.q_rows], upper_at[p])
-            for row, p in zip(lower.basis, lower.pivots)
-        ]
+        self.q_rows = [row for row in upper.integer_rows()[1] if row[0] not in held]
         # when Q is every column, the quotient RREF is the draw itself
         self.whole = len(self.q_rows) == alg.dim
         self.base = LieCandidate(alg, lower, LieCandidate(alg, lower))
@@ -234,26 +224,20 @@ class _Interval:
             return self.lower
         if quotient.dim == width:
             return self.upper
-        return quotient if self.whole else self._assemble(quotient)
+        if self.whole:
+            return quotient
+        lifted = [self._lift(row) for row in quotient.basis]
+        return rref(list(self.lower.basis) + lifted, self.alg.dim)
 
-    def _assemble(self, quotient: Subspace) -> Subspace:
-        dim = self.alg.dim
-        rows = [
-            (self.q_rows[t][0], integer_combination(r, self.q_rows, self.den, dim))
-            for r, t in zip(quotient.basis, quotient.pivots)
-        ]
-        for p, row, at_q, upper_row in self.lower_rows:
-            hits = [(at_q[t], r) for r, t in zip(quotient.basis, quotient.pivots) if at_q[t]]
-            if hits:
-                coords = list(at_q)
-                for f, r in hits:
-                    for k, x in enumerate(r):
-                        if x:
-                            coords[k] -= f * x
-                row = integer_combination([1] + coords, [upper_row] + self.q_rows, self.den, dim)
-            rows.append((p, row))
-        rows.sort()
-        return echelon_subspace(dim, tuple(r for _, r in rows), tuple(p for p, _ in rows))
+    def _lift(self, coords) -> list:
+        """sum_q coords[q] * U_q: a row of upper, up to the integer rows' common
+        denominator, which rref scales away."""
+        row = [0] * self.alg.dim
+        for x, (_, cols, values) in zip(coords, self.q_rows):
+            if x:
+                for c, v in zip(cols, values):
+                    row[c] += x * v
+        return row
 
 
 def _sandwiched(alg: FunctionAlgebra, space: Subspace, base: LieCandidate) -> bool:

@@ -234,23 +234,6 @@ def integer_membership(den: int, rows: list):
     return test
 
 
-def integer_combination(coords: Sequence, rows: list, den: int, width: int) -> Vector:
-    """sum_k coords[k] * R_k / den, with canonical entries, for integer rows
-    R_k given as (pivot, columns, values) (see `Subspace.integer_rows`) and
-    coefficients that are ints or Fractions."""
-    if Fraction in map(type, coords):
-        scale = reduce(lcm, map(_denominator, coords))
-        coords, den = _scaled(coords, scale), den * scale
-    acc = [0] * width
-    for x, (_, cols, values) in zip(coords, rows):
-        if x:
-            for c, v in zip(cols, values):
-                acc[c] += x * v
-    if den == 1:
-        return tuple(acc)
-    return tuple([x // den if x % den == 0 else Fraction(x, den) for x in acc])
-
-
 def echelon_subspace(ambient_dim: int, basis: tuple, pivots: tuple) -> Subspace:
     """The Subspace of a basis its caller built in RREF, as a tuple of tuples,
     with its pivots: the `rref` check of Subspace.__init__ is skipped."""

@@ -94,7 +94,13 @@ def _one_entry(entry):
          "points must be a nonnegative integer, got True"),
         (("validate",), {"lattice": 5}, "bad lattice member: lattice must be a JSON object"),
         (("validate",), {"lattice": dict(BOOLEAN_2, meet=5)},
-         "bad lattice member: 'int' object is not iterable"),
+         "bad lattice member: meet table must be a JSON list of lists"),
+        (("validate",), {"lattice": dict(BOOLEAN_2, meet="ab")},
+         "bad lattice member: meet table must be a JSON list of lists"),
+        (("validate",), {"lattice": dict(BOOLEAN_2, join=dict(enumerate(BOOLEAN_2["join"])))},
+         "bad lattice member: join table must be a JSON list of lists"),
+        (("validate",), {"lattice": dict(BOOLEAN_2, meet=[[0, 0, 0, 0], "0101", [0, 0, 2, 2], [0, 1, 2, 3]])},
+         "bad lattice member: meet table must be a JSON list of lists"),
         (("sandwich",), {"blocks": [2], "points": 1, "subspace": [5]},
          "subspace must be a list of rows"),
         (("ideal-from-y",), {"blocks": [1, 1], "points": 2, "Y": [True], "ideal_index": 1},
@@ -197,7 +203,8 @@ def _one_entry(entry):
         (("theta",), {"lattice": BOOLEAN_2, "points": 2, "family": [[0], "1", [], [0, 1]]},
          "bad family member: family entry 1 must be a JSON list"),
     ],
-    ids=["huge-block", "bool-points", "lattice-not-object", "meet-not-list",
+    ids=["huge-block", "bool-points", "lattice-not-object", "meet-not-list", "meet-string",
+         "join-object", "meet-row-string",
          "subspace-row-not-list", "bool-point", "bool-stalk", "family-top-not-X",
          "subspace-bad-literal", "subspace-zero-denominator", "subspace-empty-entry",
          "subspace-exponent", "subspace-exponent-in-i-part", "subspace-short-row",

@@ -464,7 +464,7 @@ def decided_candidates(spec, points, seed):
 def test_sandwich_suite_decides_the_draws_of_whole_rows(spec, points, seed):
     """The quotient draws are the subspaces that the same random rows give
     when lifted to whole rows of B and reduced there, each end once per
-    interval, and every assembled basis is a valid, canonical RREF."""
+    interval, and every drawn basis is a valid, canonical RREF."""
     alg, ok, decided = decided_candidates(spec, points, seed)
     expected = sandwich_draws(alg, seed)
     assert ok
