@@ -5,9 +5,10 @@ Its two-sided ideals are exactly the block sums, represented as bitmasks
 over the blocks; the enumeration never trusts that classification blindly,
 every returned subspace is re-checked for two-sided invariance.
 
-Every product, commutator and invariance check in the package comes from
-`unit_products`, the table of `unit_product` in A, read at each point of a
-row of A^X (copies of A side by side); dense `Element`s are the tests' reference.
+Every product, commutator and invariance check in the package is one walk,
+`unit_action`, over a row of A^X (copies of A side by side) with one of A's
+`unit_tables`, built from `unit_product` and read at each point; dense
+`Element`s are the tests' reference.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .lattice import BoundedLattice, LimitExceeded, boolean_lattice
-from .linalg import Subspace, rref, vector
+from .linalg import Subspace, integer_membership, rref, vector
 from .value import Value
 
 
@@ -65,67 +66,69 @@ def unit_product(u: tuple, v: tuple):
 
 
 @lru_cache(maxsize=None)
-def unit_products(spec: AlgebraSpec) -> tuple:
-    """out[i] = ((j, k), ...) for each nonzero product e_i * e_j = e_k of basis units."""
-    units = list(spec.unit_coords())
-    index = {u: i for i, u in enumerate(units)}
-    return tuple(
-        tuple((j, index[w]) for j, v in enumerate(units) if (w := unit_product(u, v)) is not None)
-        for u in units
-    )
-
-
-@lru_cache(maxsize=None)
-def unit_commutators(spec: AlgebraSpec) -> tuple:
-    """comm[i] = ((j, terms), ...) over the j, ascending, with [e_i, e_j] != 0;
-    terms are its sparse coordinates ((k, c), ...), ascending in k.
+def unit_tables(spec: AlgebraSpec) -> tuple:
+    """(left, right, bracket): table[i] = ((j, terms), ...) over the j, ascending,
+    whose e_j * e_i (left), e_i * e_j (right) or [e_i, e_j] (bracket) is
+    nonzero; terms are its sparse coordinates ((k, c), ...), ascending in k.
 
     e_i * e_j = e_k adds +e_k to [e_i, e_j] and -e_k to [e_j, e_i]; the two
     terms cancel only for i == j.
     """
-    products = unit_products(spec)
-    n = len(products)
-    table = [[{} for _ in range(n)] for _ in range(n)]
-    for i, row in enumerate(products):
-        for j, k in row:
-            table[i][j][k] = table[i][j].get(k, 0) + 1
-            table[j][i][k] = table[j][i].get(k, 0) - 1
-    sparse = [
-        [(j, tuple((k, c) for k, c in sorted(terms.items()) if c)) for j, terms in enumerate(row)]
-        for row in table
-    ]
-    return tuple(tuple((j, terms) for j, terms in row if terms) for row in sparse)
+    units = list(spec.unit_coords())
+    index = {u: i for i, u in enumerate(units)}
+    left, right, bracket = ([[{} for _ in units] for _ in units] for _ in range(3))
+    for i, u in enumerate(units):
+        for j, v in enumerate(units):
+            if (w := unit_product(u, v)) is not None:
+                k = index[w]
+                left[j][i][k] = right[i][j][k] = 1
+                bracket[i][j][k] = bracket[i][j].get(k, 0) + 1
+                bracket[j][i][k] = bracket[j][i].get(k, 0) - 1
+
+    def sparse(table) -> tuple:
+        rows = [[(j, tuple((k, c) for k, c in sorted(e.items()) if c)) for j, e in enumerate(row)]
+                for row in table]
+        return tuple(tuple((j, terms) for j, terms in row if terms) for row in rows)
+
+    return sparse(left), sparse(right), sparse(bracket)
 
 
-def unit_translates(row, products) -> list:
-    """The nonzero rows e_a * v and v * e_a over all basis units e_a of A^X.
+def unit_action(table, rows: list, width: int, dim: int) -> list:
+    """e_b * v, v * e_b or [v, e_b] (`table` is unit_tables' left, right or
+    bracket) as dense tuples of `width`, for each integer row v of `rows`, as
+    `Subspace.integer_rows` lists them (so no Fraction arithmetic arises), and
+    each unit e_b of the `dim`-dimensional A^X whose action on v has a term.
 
-    v is read as copies of A side by side, one per point, each translated by
-    its own point's units through A's table `products`.  A unit maps distinct
-    units to distinct units, so each translate only moves coefficients of v.
+    v is read as copies of A side by side, one per point and, in a realified
+    row of width 2 dim, per part (Re, Im); coordinate i acts through A's table
+    at offset i - i % dim A, in the row of A^X's unit at i's point plus b (A^X
+    is real).  Bracket terms may cancel to zero; callers only span or test them.
     """
-    width, d = len(row), len(products)
+    d = len(table)
     out = []
-    for offset in range(0, width, d):
-        coeff = {i: f for i, f in enumerate(row[offset : offset + d]) if f}
-        if not coeff:
-            continue
-        translates: dict = {}
-        for a, pairs in enumerate(products):
-            for j, k in pairs:
-                # e_a * e_j = e_k carries v_j into e_a * v and v_a into v * e_j
-                if j in coeff:
-                    translates.setdefault(("left", a), [0] * width)[offset + k] = coeff[j]
-                if a in coeff:
-                    translates.setdefault(("right", j), [0] * width)[offset + k] = coeff[a]
-        out += translates.values()
+    for _, cols, values in rows:
+        acted = [None] * dim
+        for i, f in zip(cols, values):
+            offset = i - i % d
+            point = offset % dim
+            for b, terms in table[i - offset]:
+                row = acted[point + b]
+                if row is None:
+                    row = acted[point + b] = [0] * width
+                for c, s in terms:
+                    row[offset + c] = row[offset + c] + f * s
+        out += [tuple(row) for row in acted if row is not None]
     return out
 
 
-def is_invariant(sub: Subspace, products) -> bool:
-    """True iff e_a * v and v * e_a stay in sub for every basis row v and unit e_a."""
-    test = sub.membership()
-    return all(test(t) for row in sub.basis for t in unit_translates(row, products))
+def is_invariant(sub: Subspace, spec: AlgebraSpec) -> bool:
+    """True iff e_a * v and v * e_a stay in sub for every basis row v and unit
+    e_a of A^X, sub a subspace of A^X for some point count."""
+    left, right, _ = unit_tables(spec)
+    den, rows = sub.integer_rows()
+    n = sub.ambient_dim
+    acted = unit_action(left, rows, n, n) + unit_action(right, rows, n, n)
+    return all(map(integer_membership(den, rows), acted))
 
 
 class Element(Value):
@@ -280,8 +283,7 @@ def enumerate_ideals(spec: AlgebraSpec) -> BoundedLattice:
     k = spec.num_blocks
     if k > MAX_BLOCKS:
         raise LimitExceeded(f"{k} blocks exceeds the configured bound {MAX_BLOCKS}")
-    products = unit_products(spec)
     for mask in range(1 << k):
-        if not is_invariant(block_ideal_subspace(spec, mask), products):
+        if not is_invariant(block_ideal_subspace(spec, mask), spec):
             raise AssertionError(f"ideal mask {mask:b} not two-sided invariant")
     return boolean_lattice(k)

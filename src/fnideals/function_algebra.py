@@ -18,8 +18,7 @@ from .fdalgebra import (
     centre,
     enumerate_ideals,
     is_invariant,
-    unit_commutators,
-    unit_products,
+    unit_tables,
 )
 from .lattice import (
     BoundedLattice,
@@ -105,9 +104,9 @@ class FunctionAlgebra:
 
     @property
     def commutator_table(self) -> tuple:
-        """A's `unit_commutators`: B brackets each point's copy of A with A's table."""
+        """A's `unit_tables` bracket table: B brackets each point's copy of A with it."""
         # kept as a plain property: bench/tracing.py wraps it as one
-        return unit_commutators(self.spec)
+        return unit_tables(self.spec)[2]
 
     @cached_property
     def centre_subspace(self) -> Subspace:
@@ -174,7 +173,7 @@ def enumerate_all_ideals(alg: FunctionAlgebra, verify: bool = True) -> list:
     out = []
     for stalks in itertools.product(range(lat.size), repeat=alg.points):
         ideal = PointwiseIdeal(lat, stalks)
-        if verify and not is_invariant(alg.ideal_subspace(ideal), unit_products(alg.spec)):
+        if verify and not is_invariant(alg.ideal_subspace(ideal), alg.spec):
             raise AssertionError(f"stalks {ideal.stalks} give a non-invariant subspace")
         out.append(ideal)
     return out

@@ -29,7 +29,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import compress
 
-from .fdalgebra import AlgebraSpec, block_ideal_subspace
+from .fdalgebra import AlgebraSpec, block_ideal_subspace, unit_action
 from .function_algebra import (
     FunctionAlgebra,
     PointwiseIdeal,
@@ -50,35 +50,6 @@ SANDWICH_PER_IDEAL = 20
 SANDWICH_FREE_COUNT = 20
 
 
-def _brackets(alg: FunctionAlgebra, rows: list, width: int) -> list:
-    """[v, e_b] as dense rows of `width`, as tuples, for each integer row v of
-    `rows` (given by its nonzero entries, as `Subspace.integer_rows` lists
-    them, so no Fraction arithmetic arises) and each basis e_b of B whose
-    bracket with v has a term.
-
-    v is read as copies of A side by side, one per point and, in a realified
-    row, per part (Re, Im); coordinate i brackets through A's table at offset
-    i - i % dim A, in the row of B's unit at i's point plus b (B is real).
-    A row's terms may cancel to zero; callers only span or test membership.
-    """
-    comm = alg.commutator_table
-    d, dim = alg.spec.total_dim, alg.dim
-    out = []
-    for _, cols, values in rows:
-        brackets = [None] * dim
-        for i, f in zip(cols, values):
-            offset = i - i % d
-            point = offset % dim
-            for b, terms in comm[i - offset]:
-                row = brackets[point + b]
-                if row is None:
-                    row = brackets[point + b] = [0] * width
-                for c, s in terms:
-                    row[offset + c] = row[offset + c] + f * s
-        out += [tuple(row) for row in brackets if row is not None]
-    return out
-
-
 @lru_cache(maxsize=None)
 def stalk_parts(spec: AlgebraSpec) -> tuple:
     """(span[I, A], N(I), I + Z(A)) for each ideal I of A, by block mask.
@@ -87,7 +58,8 @@ def stalk_parts(spec: AlgebraSpec) -> tuple:
     alg = function_algebra(spec, 1)
 
     def bracket_span(sub: Subspace) -> Subspace:
-        return rref(_brackets(alg, sub.integer_rows()[1], alg.dim), alg.dim)
+        rows = unit_action(alg.commutator_table, sub.integer_rows()[1], alg.dim, alg.dim)
+        return rref(rows, alg.dim)
 
     ideals = [block_ideal_subspace(spec, mask) for mask in range(alg.lattice.size)]
     return tuple(
@@ -146,7 +118,7 @@ class LieCandidate(Value):
             bracketed = [row for row in rows if row[0] not in held]
             escaping = tuple(row for row in base.brackets if not base.contains(row))
             support = base.support
-        new = _brackets(alg, bracketed, width)
+        new = unit_action(alg.commutator_table, bracketed, width, alg.dim)
         columns = range(width)
         support = support.union(*(compress(columns, row) for row in new))
         self._fill(alg, space, escaping + tuple(new), support, integer_membership(den, rows))
@@ -262,6 +234,8 @@ def sandwich_random_suite(alg: FunctionAlgebra, seed: int) -> tuple:
     Part two: seeded random subspaces lying in no interval (a scan
     independent of sandwich_witness) must fail both tests.  When some
     interval is [0, B] no subspace lies outside, and the part is VACUOUS.
+    A scanned subspace in some interval must pass both tests; it counts in
+    neither part, and a third line reports those subspaces if one fails.
     Returns (ok, report_lines) with zero tolerated discrepancies.
     """
     import random
@@ -294,6 +268,7 @@ def sandwich_random_suite(alg: FunctionAlgebra, seed: int) -> tuple:
     bad_free = 0
     checked_free = 0
     attempts = 0
+    in_bounds = bad_in_bounds = 0  # scan draws that land in an interval
     vacuous = any(lo.dim == 0 and up.dim == alg.dim for lo, up in intervals)
     while (
         not vacuous
@@ -307,13 +282,13 @@ def sandwich_random_suite(alg: FunctionAlgebra, seed: int) -> tuple:
         lie = is_lie_ideal(cand)
         witness = sandwich_witness(cand)
         if between:
-            if not lie or witness is None:
-                bad_between += 1
+            in_bounds += 1
+            bad_in_bounds += not lie or witness is None
             continue
         checked_free += 1
         if lie or witness is not None:
             bad_free += 1
-    ok = bad_between == 0 and bad_free == 0
+    ok = bad_between == 0 and bad_free == 0 and bad_in_bounds == 0
     if vacuous:
         outside = "VACUOUS sandwich-outside-bounds (every subspace lies in [0, B])"
     elif checked_free == 0:
@@ -328,6 +303,10 @@ def sandwich_random_suite(alg: FunctionAlgebra, seed: int) -> tuple:
         f"({checked_between} subspaces, {bad_between} discrepancies)",
         outside,
     ]
+    if bad_in_bounds:
+        lines.append(
+            f"FAIL sandwich-scan-between-bounds ({in_bounds} subspaces, {bad_in_bounds} discrepancies)"
+        )
     return ok, lines
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 import sympy
 
 from fnideals import cli, lie
-from fnideals.fdalgebra import Element, unit_translates
+from fnideals.fdalgebra import Element, unit_action
 from fnideals.function_algebra import FunctionElement, enumerate_all_ideals
 from fnideals.lattice import BoundedLattice, LimitExceeded, mask_to_points
 from fnideals.linalg import Subspace, annihilator, rref, vector
@@ -53,32 +53,38 @@ def sympy_kernel(rows, dim) -> Subspace:
     return rref([tuple(from_sympy(x) for x in w) for w in matrix.nullspace()], dim)
 
 
-def ideal_closure(generators, dim: int, products) -> Subspace:
-    """Smallest multiplication-invariant subspace containing the generators."""
-    current = rref(list(generators), dim)
+def ideal_closure(alg, generators) -> Subspace:
+    """Smallest two-sided ideal of B = A^X containing the generators: each basis
+    row, as a dense function element, is multiplied on both sides by every
+    unit of B until the span stops growing.  No package table is read."""
+    units = [basis_element(alg, i) for i in range(alg.dim)]
+    current = rref(list(generators), alg.dim)
     while True:
         rows = list(current.basis)
         for row in current.basis:
-            rows.extend(unit_translates(row, products))
-        closed = rref(rows, dim)
+            f = element_from_vector(alg, row)
+            rows += [(e * f).to_vector() for e in units] + [(f * e).to_vector() for e in units]
+        closed = rref(rows, alg.dim)
         if closed.dim == current.dim:
             return closed
         current = closed
 
 
-def closures_of_unit_subsets(dim: int, products) -> frozenset:
-    """ideal_closure of every subset of the unit basis of a dim-dimensional algebra.
+def closures_of_unit_subsets(alg) -> frozenset:
+    """ideal_closure of every subset of the unit basis of B = A^X.
 
     Each closure is a two-sided ideal, and every ideal spanned by units
     arises from its own units, so for a block algebra (or A^X) the closure
     set must equal the enumerated ideals exactly.
     """
-    if dim > BRUTE_FORCE_DIM_LIMIT:
-        raise LimitExceeded(f"total dimension {dim} exceeds the search limit {BRUTE_FORCE_DIM_LIMIT}")
-    unit_rows = Subspace.full(dim).basis
+    if alg.dim > BRUTE_FORCE_DIM_LIMIT:
+        raise LimitExceeded(
+            f"total dimension {alg.dim} exceeds the search limit {BRUTE_FORCE_DIM_LIMIT}"
+        )
+    unit_rows = Subspace.full(alg.dim).basis
     return frozenset(
-        ideal_closure(subset, dim, products)
-        for r in range(dim + 1)
+        ideal_closure(alg, subset)
+        for r in range(alg.dim + 1)
         for subset in itertools.combinations(unit_rows, r)
     )
 
@@ -105,7 +111,8 @@ def bracket_spaces(alg, ideal) -> tuple:
     sub = alg.ideal_subspace(ideal)
 
     def bracket_span(space):
-        return rref(lie._brackets(alg, space.integer_rows()[1], alg.dim), alg.dim)
+        rows = unit_action(alg.commutator_table, space.integer_rows()[1], alg.dim, alg.dim)
+        return rref(rows, alg.dim)
 
     return bracket_span(sub), annihilator(bracket_span(annihilator(sub))), sub + alg.centre_subspace
 

@@ -8,6 +8,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -837,6 +838,26 @@ def test_verify_all_fails_a_sandwich_interval_outside_its_normalizer(tmp_path, c
     lines = out.splitlines()
     assert code == 1 and err == ""
     assert "FAIL sandwich-between-bounds (80 subspaces, 40 discrepancies)" in lines
+    assert lines[-1] == "verify-all: FAIL"
+
+
+def test_verify_all_reports_outside_scan_draws_in_bounds_on_their_own_line(tmp_path, capsys, monkeypatch):
+    """With every Lie ideal test rejected, 7 of the outside scan's draws on
+    [2] x 2 land in some interval and fail: they FAIL a line of their own,
+    not the between-bounds count, and no line reports more discrepancies
+    than the subspaces it counts."""
+    monkeypatch.setattr(lie, "is_lie_ideal", lambda candidate: False)
+    code, out, err = run_cli(tmp_path, capsys, ["verify-all", "--seed", "11"], {"blocks": [2], "points": 2})
+    lines = out.splitlines()
+    assert code == 1 and err == ""
+    assert lines[6:9] == [
+        "FAIL sandwich-between-bounds (80 subspaces, 80 discrepancies)",
+        "PASS sandwich-outside-bounds (20 subspaces, 0 discrepancies)",
+        "FAIL sandwich-scan-between-bounds (7 subspaces, 7 discrepancies)",
+    ]
+    for line in lines:
+        found = re.search(r"\((\d+) subspaces, (\d+) discrepancies\)", line)
+        assert found is None or int(found[2]) <= int(found[1]), line
     assert lines[-1] == "verify-all: FAIL"
 
 

@@ -14,11 +14,11 @@ from fnideals.fdalgebra import (
     centre,
     enumerate_ideals,
     is_invariant,
+    unit_action,
     unit_product,
-    unit_products,
-    unit_translates,
+    unit_tables,
 )
-from fnideals.function_algebra import PointwiseIdeal, function_algebra
+from fnideals.function_algebra import PointwiseIdeal, function_algebra, pointwise_subspace
 from fnideals.lattice import LimitExceeded, boolean_lattice
 from fnideals.lie import commutator_ideal_span
 from fnideals.linalg import Subspace, intersect, rref
@@ -94,28 +94,48 @@ def test_unit_product_matches_element_multiplication():
 
 @given(st.sampled_from(SAMPLE_SPECS), st.integers(1, 3), st.data())
 @settings(max_examples=40, deadline=None)
-def test_unit_translates_match_element_multiplication(spec, points, data):
-    """A row of A^X, translated one point slice at a time through A's table,
-    gives the nonzero products with every unit of B on either side."""
+def test_unit_action_matches_element_multiplication(spec, points, data):
+    """A row of A^X, acted on one point slice at a time through A's left and
+    right tables, gives the nonzero products with every unit of B on that side."""
     alg = function_algebra(spec, points)
     vec = tuple(data.draw(st.integers(-2, 2)) for _ in range(alg.dim))
     f = element_from_vector(alg, vec)
-    dense = set()
-    for i in range(alg.dim):
-        e = basis_element(alg, i)
-        for prod in (e * f, f * e):
-            if any(prod.to_vector()):
-                dense.add(prod.to_vector())
-    got = [tuple(t) for t in unit_translates(vec, unit_products(spec))]
-    assert all(any(t) for t in got)
-    assert set(got) == dense
+    rows = [(None, [i for i, v in enumerate(vec) if v], [v for v in vec if v])]
+    left, right, _ = unit_tables(spec)
+    for table, product in ((left, lambda e: e * f), (right, lambda e: f * e)):
+        dense = set()
+        for i in range(alg.dim):
+            prod = product(basis_element(alg, i)).to_vector()
+            if any(prod):
+                dense.add(prod)
+        got = unit_action(table, rows, alg.dim, alg.dim)
+        assert all(any(t) for t in got)
+        assert set(got) == dense
 
 
 def test_invariance_check_rejects_a_non_ideal():
     """Negative control: one off-diagonal unit of M_2 spans no ideal."""
     e12 = rref([(0, 1, 0, 0)], 4)
-    assert not is_invariant(e12, unit_products(M2))
-    assert is_invariant(Subspace.full(4), unit_products(M2))
+    assert not is_invariant(e12, M2)
+    assert is_invariant(Subspace.full(4), M2)
+
+
+@pytest.mark.parametrize("points, at", [(1, 0), (3, 1)])
+@pytest.mark.parametrize("rows", [[(1, 0, 0, 0), (0, 1, 0, 0)], [(1, 0, 0, 0), (0, 0, 1, 0)]],
+                         ids=["right-ideal", "left-ideal"])
+def test_invariance_check_needs_both_sides(rows, points, at):
+    """span{e11, e12} is a right ideal of M_2 and span{e11, e21} a left one:
+    each is closed under products on one side only, so only a check of both
+    sides refuses it, in A and placed at one point of B."""
+    alg = function_algebra(M2, points)
+    zero = Subspace.zero(4)
+    sub = pointwise_subspace(alg, [rref(rows, 4) if x == at else zero for x in range(points)])
+    units = [basis_element(alg, i) for i in range(alg.dim)]
+    elements = [element_from_vector(alg, row) for row in sub.basis]
+    left_closed = all(sub.contains((e * v).to_vector()) for e in units for v in elements)
+    right_closed = all(sub.contains((v * e).to_vector()) for e in units for v in elements)
+    assert left_closed != right_closed
+    assert not is_invariant(sub, M2)
 
 
 def test_enumerate_ideals_fails_on_a_non_invariant_subspace(monkeypatch):
@@ -256,7 +276,7 @@ def block_ideals(spec) -> set:
 
 
 def unit_closures(spec) -> frozenset:
-    return closures_of_unit_subsets(spec.total_dim, unit_products(spec))
+    return closures_of_unit_subsets(function_algebra(spec, 1))
 
 
 @pytest.mark.parametrize("spec", CLOSURE_SPECS)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import level_family
-from fnideals.fdalgebra import AlgebraSpec, block_ideal_subspace, centre, unit_products
+from fnideals.fdalgebra import AlgebraSpec, block_ideal_subspace, centre
 from fnideals.function_algebra import (
     FunctionAlgebra,
     FunctionElement,
@@ -172,7 +172,7 @@ def test_theta_is_order_reversing_in_the_sets_and_preserving_in_the_ideal():
 def test_brute_force_closure_matches_enumeration(spec, points):
     alg = function_algebra(spec, points)
     enumerated = {alg.ideal_subspace(i) for i in enumerate_all_ideals(alg)}
-    assert closures_of_unit_subsets(alg.dim, unit_products(spec)) == enumerated
+    assert closures_of_unit_subsets(alg) == enumerated
 
 
 def test_verified_enumeration_fails_on_a_non_invariant_subspace(monkeypatch):
@@ -187,9 +187,8 @@ def test_verified_enumeration_fails_on_a_non_invariant_subspace(monkeypatch):
 
 
 def test_brute_force_respects_limit():
-    alg = function_algebra(M2, 2)
     with pytest.raises(LimitExceeded):
-        closures_of_unit_subsets(alg.dim, unit_products(M2))
+        closures_of_unit_subsets(function_algebra(M2, 2))
 
 
 @given(st.data())

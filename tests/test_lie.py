@@ -365,7 +365,7 @@ def test_sandwich_suite_counts_every_draw_of_a_shared_interval(monkeypatch):
     """A rejected verdict counts once per draw, 20 per ideal, whichever interval
     the ideal shares, including the draws that reuse an end's verdict.  The
     outside scan is switched off, since a draw of it that lands in an
-    interval adds a discrepancy too."""
+    interval fails a line of its own too."""
     alg = function_algebra(M2, 2)
     monkeypatch.setattr(lie, "is_lie_ideal", lambda candidate: False)
     monkeypatch.setattr(lie, "SANDWICH_FREE_COUNT", 0)
