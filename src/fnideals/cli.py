@@ -61,23 +61,6 @@ class InputError(Exception):
     """Bad problem input; mapped to exit code 2."""
 
 
-class Problem:
-    """What a problem file and --fixture give; each command reads the members it needs."""
-
-    __slots__ = (
-        "name", "lattice", "spec", "points", "family", "ideal", "y_mask", "ideal_index",
-        "subspace_rows",  # rows of (re, im) pairs
-    )
-
-    def __init__(self, name: str, lattice=None, spec=None, points=None):
-        self.name = name
-        self.lattice = lattice
-        self.spec = spec
-        self.points = points
-        self.family = self.ideal = self.y_mask = self.ideal_index = None
-        self.subspace_rows = None
-
-
 def _is_int(v) -> bool:
     """JSON integers only: true and false are not indices or counts."""
     return isinstance(v, int) and not isinstance(v, bool)
@@ -129,11 +112,25 @@ def _scalar_from_json(v) -> tuple:
     raise InputError(f"scalar entry {v!r} has unsupported type")
 
 
-def _json_list(member: str, value, what: str = "") -> list:
+def _json_list(value, what: str) -> list:
     """value, refused unless a JSON list (not read by character or by key)."""
     if not isinstance(value, list):
-        raise InputError(f"bad {member} member: {what or member} must be a JSON list")
+        raise ValueError(f"{what} must be a JSON list")
     return value
+
+
+def _member(doc: dict, key: str, build, requires: str = "", ready: bool = True):
+    """build(doc[key]), or None when the member is absent.  It is refused as
+    `<key> requires <requires>` unless ready, and a TypeError or ValueError
+    from build as `bad <key> member: <reason>`; an InputError passes through."""
+    if key not in doc:
+        return None
+    if not ready:
+        raise InputError(f"{key} requires {requires}")
+    try:
+        return build(doc[key])
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"bad {key} member: {exc}") from None
 
 
 def _load_document(path: str) -> dict:
@@ -160,10 +157,10 @@ def _load_document(path: str) -> dict:
     return doc
 
 
-def _resolve_problem(args) -> Problem:
-    doc = _load_document(args.problem) if getattr(args, "problem", None) else {}
+def _resolve_problem(args) -> SimpleNamespace:
+    doc = _load_document(args.problem) if args.problem else {}
     name = "problem"
-    if getattr(args, "fixture", None):
+    if args.fixture:
         try:
             name, bundled = fixtures_mod.load_fixture(args.fixture)
         except ValueError as exc:
@@ -177,26 +174,19 @@ def _resolve_problem(args) -> Problem:
             bundled.pop("family", None)  # it lists the bundled points only
         doc = {**bundled, **doc, "points": points}
 
-    lattice = None
-    spec = None
-    if "blocks" in doc:
-        try:
-            spec = AlgebraSpec(_json_list("blocks", doc["blocks"]))
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"bad blocks member: {exc}") from None
-    if "lattice" in doc:
-        try:
-            lattice = lattice_from_dict(doc["lattice"])
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"bad lattice member: {exc}") from None
+    spec = _member(doc, "blocks", lambda v: AlgebraSpec(_json_list(v, "blocks")))
+    # An over-limit lattice is not built: its size is read from the raw member.
+    size = doc["lattice"].get("size") if isinstance(doc.get("lattice"), dict) else None
+    over = _is_int(size) and size > MAX_LATTICE_SIZE
+    lattice = None if over else _member(doc, "lattice", lattice_from_dict)
 
     points = doc.get("points")
     if points is not None and (not _is_int(points) or points < 0):
         raise InputError(f"points must be a nonnegative integer, got {points!r}")
 
     # Every limit is checked before any enumeration starts.
-    if lattice is not None and lattice.size > MAX_LATTICE_SIZE:
-        raise InputError(f"lattice size {lattice.size} exceeds the limit {MAX_LATTICE_SIZE}")
+    if over:
+        raise InputError(f"lattice size {_shown(size)} exceeds the limit {MAX_LATTICE_SIZE}")
     if spec is not None and 1 << spec.num_blocks > MAX_LATTICE_SIZE:
         size = _shown(1 << spec.num_blocks)
         raise InputError(f"ideal lattice size {size} exceeds the limit {MAX_LATTICE_SIZE}")
@@ -206,68 +196,51 @@ def _resolve_problem(args) -> Problem:
         dim = _shown(spec.total_dim)
         raise InputError(f"algebra dimension {dim} exceeds the per-point limit {MAX_POINT_DIM}")
 
-    if "blocks" in doc:
+    if spec is not None:
         block_lat = enumerate_ideals(spec)
         if lattice is not None and lattice != block_lat:
             raise InputError("lattice member must be the block lattice, indexed by block bitmask")
         lattice = block_lat
 
-    problem = Problem(name=name, lattice=lattice, spec=spec, points=points)
+    def family(value):
+        entries = enumerate(_json_list(value, "family"))
+        lists = [_json_list(e, f"family entry {k}") for k, e in entries]
+        return family_from_lists(lattice, points, lists)
 
-    if "family" in doc:
-        if lattice is None or points is None:
-            raise InputError("family requires a lattice and points")
-        for k, entry in enumerate(_json_list("family", doc["family"])):
-            _json_list("family", entry, f"family entry {k}")
-        try:
-            problem.family = family_from_lists(lattice, points, doc["family"])
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"bad family member: {exc}") from None
-
-    if "ideal" in doc:
-        stalks = doc["ideal"]
-        if lattice is None or points is None:
-            raise InputError("ideal requires a lattice and points")
+    def ideal(stalks):
         if not isinstance(stalks, list) or len(stalks) != points:
-            raise InputError("ideal must list one stalk index per point")
-        try:
-            problem.ideal = PointwiseIdeal(lattice, stalks)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
+            raise ValueError("ideal must list one stalk index per point")
+        return PointwiseIdeal(lattice, stalks)
 
-    if "Y" in doc:
-        if points is None:
-            raise InputError("Y requires points")
-        try:
-            problem.y_mask = points_to_mask(_json_list("Y", doc["Y"]), points)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"bad Y member: {exc}") from None
+    def ideal_index(t):
+        if not _is_int(t) or not 0 <= t < lattice.size:
+            raise ValueError(f"ideal_index {t!r} out of range")
+        return t
 
-    if "ideal_index" in doc:
-        t = doc["ideal_index"]
-        if lattice is None or not _is_int(t) or not 0 <= t < lattice.size:
-            raise InputError(f"ideal_index {t!r} out of range")
-        problem.ideal_index = t
+    def subspace(rows):
+        rows = [_json_list(row, "each subspace row") for row in _json_list(rows, "subspace")]
+        return tuple(tuple(_scalar_from_json(v) for v in row) for row in rows)  # (re, im) pairs
 
-    if "subspace" in doc:
-        rows = doc["subspace"]
-        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-            raise InputError("subspace must be a list of rows")
-        problem.subspace_rows = tuple(
-            tuple(_scalar_from_json(v) for v in row) for row in rows
-        )
-
-    return problem
+    has_both = lattice is not None and points is not None
+    return SimpleNamespace(
+        name=name, lattice=lattice, spec=spec, points=points,
+        family=_member(doc, "family", family, "a lattice and points", has_both),
+        ideal=_member(doc, "ideal", ideal, "a lattice and points", has_both),
+        y_mask=_member(doc, "Y", lambda v: points_to_mask(_json_list(v, "Y"), points),
+                       "points", points is not None),
+        ideal_index=_member(doc, "ideal_index", ideal_index, "a lattice", lattice is not None),
+        subspace_rows=_member(doc, "subspace", subspace),
+    )
 
 
-def _need(problem: Problem, attr: str, what: str):
+def _need(problem: SimpleNamespace, attr: str, what: str):
     value = getattr(problem, attr)
     if value is None:
         raise InputError(f"this command needs {what}")
     return value
 
 
-def _need_algebra(problem: Problem) -> FunctionAlgebra:
+def _need_algebra(problem: SimpleNamespace) -> FunctionAlgebra:
     spec = _need(problem, "spec", "a concrete block algebra (blocks member or fixture)")
     points = _need(problem, "points", "a points member")
     return function_algebra(spec, points)
@@ -281,7 +254,7 @@ def _fmt_indices(indices) -> str:
     return "{" + ",".join(str(i + 1) for i in sorted(indices)) + "}"
 
 
-def cmd_validate(problem: Problem, args) -> int:
+def cmd_validate(problem: SimpleNamespace, args) -> int:
     lat = _need(problem, "lattice", "a lattice")
     violation = validate_lattice(lat)
     if violation is None:
@@ -291,7 +264,7 @@ def cmd_validate(problem: Problem, args) -> int:
     return 1
 
 
-def cmd_compat(problem: Problem, args) -> int:
+def cmd_compat(problem: SimpleNamespace, args) -> int:
     lat = _need(problem, "lattice", "a lattice")
     family = _need(problem, "family", "a family member")
     try:
@@ -302,7 +275,7 @@ def cmd_compat(problem: Problem, args) -> int:
     return 0 if good else 1
 
 
-def cmd_gamma(problem: Problem, args) -> int:
+def cmd_gamma(problem: SimpleNamespace, args) -> int:
     lat = _need(problem, "lattice", "a lattice")
     for j in range(lat.size):
         if j == lat.bottom:
@@ -311,7 +284,7 @@ def cmd_gamma(problem: Problem, args) -> int:
     return 0
 
 
-def cmd_theta(problem: Problem, args) -> int:
+def cmd_theta(problem: SimpleNamespace, args) -> int:
     family = _need(problem, "family", "a family member")
     try:
         ideal = theta(family)
@@ -322,7 +295,7 @@ def cmd_theta(problem: Problem, args) -> int:
     return 0
 
 
-def cmd_recover(problem: Problem, args) -> int:
+def cmd_recover(problem: SimpleNamespace, args) -> int:
     _need(problem, "lattice", "a lattice")  # named first when both are missing
     family = recover_S(_need(problem, "ideal", "an ideal member (stalk list)"))
     for i, mask in enumerate(family.sets):
@@ -330,7 +303,7 @@ def cmd_recover(problem: Problem, args) -> int:
     return 0
 
 
-def cmd_decompose(problem: Problem, args) -> int:
+def cmd_decompose(problem: SimpleNamespace, args) -> int:
     family = _need(problem, "family", "a family member")
     try:
         dec = decompose(family)
@@ -344,7 +317,7 @@ def cmd_decompose(problem: Problem, args) -> int:
     return 0
 
 
-def cmd_verify_fin_sum(problem: Problem, args) -> int:
+def cmd_verify_fin_sum(problem: SimpleNamespace, args) -> int:
     lat = _need(problem, "lattice", "a lattice")
     points = _need(problem, "points", "a points member")
     bound = args.bound if args.bound is not None else DEFAULT_FAMILY_BOUND
@@ -360,7 +333,7 @@ def cmd_verify_fin_sum(problem: Problem, args) -> int:
     return 0 if passed == len(families) else 1
 
 
-def cmd_ideal_from_y(problem: Problem, args) -> int:
+def cmd_ideal_from_y(problem: SimpleNamespace, args) -> int:
     alg = _need_algebra(problem)
     y_mask = _need(problem, "y_mask", "a Y member")
     t = _need(problem, "ideal_index", "an ideal_index member")
@@ -371,7 +344,7 @@ def cmd_ideal_from_y(problem: Problem, args) -> int:
     return 0 if matches else 1
 
 
-def cmd_normalizer(problem: Problem, args) -> int:
+def cmd_normalizer(problem: SimpleNamespace, args) -> int:
     alg = _need_algebra(problem)
     ideal = _need(problem, "ideal", "an ideal member (stalk list)")
     nj, summed = cqp_sides(alg, ideal)
@@ -392,7 +365,7 @@ def cmd_normalizer(problem: Problem, args) -> int:
     return 0 if ok else 1
 
 
-def cmd_sandwich(problem: Problem, args) -> int:
+def cmd_sandwich(problem: SimpleNamespace, args) -> int:
     """Decide L over the rationals through its realification: B is real, so
     L is a Lie ideal of B iff the span of (Re v, Im v) and (-Im v, Re v) over
     its rows v is closed under the halfwise brackets (see lie.LieCandidate)."""
@@ -421,7 +394,7 @@ def cmd_sandwich(problem: Problem, args) -> int:
     return 0 if consistent else 1
 
 
-def cmd_cqp(problem: Problem, args) -> int:
+def cmd_cqp(problem: SimpleNamespace, args) -> int:
     alg = _need_algebra(problem)
     ok, lines = check_cqp(alg)
     for line in lines:
@@ -430,20 +403,20 @@ def cmd_cqp(problem: Problem, args) -> int:
     return 0 if ok else 1
 
 
-def cmd_weak_central(problem: Problem, args) -> int:
+def cmd_weak_central(problem: SimpleNamespace, args) -> int:
     alg = _need_algebra(problem)
     ok = weak_centrality(alg)
     print(f"weakly-central: {'true' if ok else 'false'}")
     return 0 if ok else 1
 
 
-def cmd_fixtures(problem: Problem, args) -> int:
+def cmd_fixtures(problem: SimpleNamespace, args) -> int:
     for name in sorted(fixtures_mod.bundled_fixture_names()):
         print(name)
     return 0
 
 
-def _verify_all_lines(problem: Problem, args) -> list:
+def _verify_all_lines(problem: SimpleNamespace, args) -> list:
     lat = _need(problem, "lattice", "a lattice")
     points = _need(problem, "points", "a points member")
     bound = args.bound if args.bound is not None else DEFAULT_FAMILY_BOUND
@@ -513,7 +486,7 @@ def _verify_all_lines(problem: Problem, args) -> list:
     return lines
 
 
-def cmd_verify_all(problem: Problem, args) -> int:
+def cmd_verify_all(problem: SimpleNamespace, args) -> int:
     lines = _verify_all_lines(problem, args)
     ok = not any(line.startswith("FAIL") for line in lines)
     for line in lines:

@@ -9,15 +9,15 @@ from fnideals.lattice import BoundedLattice, ClosedFamily
 from fnideals.linalg import rref
 
 
+def drop_last_normalizer_row(normalizer):
+    """Seeded fault: normalizer's N(J) without its last basis row."""
+    return lambda alg, ideal: rref(normalizer(alg, ideal).basis[:-1], alg.dim)
+
+
 @pytest.fixture
 def corrupt_normalizer(monkeypatch):
     """Seeded fault: lie_normalizer drops the last basis row of N(J)."""
-    normalizer = lie.lie_normalizer
-
-    def corrupted(alg, ideal):
-        return rref(normalizer(alg, ideal).basis[:-1], alg.dim)
-
-    monkeypatch.setattr(lie, "lie_normalizer", corrupted)
+    monkeypatch.setattr(lie, "lie_normalizer", drop_last_normalizer_row(lie.lie_normalizer))
 
 
 @pytest.fixture

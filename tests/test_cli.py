@@ -24,7 +24,8 @@ from fnideals.cli import _parse_scalar, main
 from fnideals.fdalgebra import AlgebraSpec, enumerate_ideals
 from fnideals.function_algebra import PointwiseIdeal, enumerate_all_ideals
 from fnideals.lie import commutator_ideal_span, lie_normalizer
-from fnideals.linalg import rref
+from fnideals.linalg import Subspace, rref
+from conftest import drop_last_normalizer_row
 from oracles import (
     argparse_parse,
     chain_lattice,
@@ -81,6 +82,10 @@ BOOLEAN_2_RELABELED = {
 }
 
 
+# an over-limit size with one-row tables: the limit is read before the tables
+SIZE_13 = {"size": 13, "meet": [[0]], "join": [[0]], "bottom": 0, "top": 0}
+
+
 def _one_entry(entry):
     return {"blocks": [2], "points": 1, "subspace": [[entry, 0, 0, 0]]}
 
@@ -103,11 +108,11 @@ def _one_entry(entry):
         (("validate",), {"lattice": dict(BOOLEAN_2, meet=[[0, 0, 0, 0], "0101", [0, 0, 2, 2], [0, 1, 2, 3]])},
          "bad lattice member: meet table must be a JSON list of lists"),
         (("sandwich",), {"blocks": [2], "points": 1, "subspace": [5]},
-         "subspace must be a list of rows"),
+         "bad subspace member: each subspace row must be a JSON list"),
         (("ideal-from-y",), {"blocks": [1, 1], "points": 2, "Y": [True], "ideal_index": 1},
          "bad Y member: point True out of range [0, 2)"),
         (("normalizer",), {"blocks": [1, 1], "points": 1, "ideal": [True]},
-         "stalk index True out of range"),
+         "bad ideal member: stalk index True out of range"),
         # the top index must carry the whole point set
         (("verify-all",), {"blocks": [1, 1], "points": 2, "family": [[], [0], [1], [0]]},
          "family must assign the full point set to the top index"),
@@ -162,10 +167,10 @@ def _one_entry(entry):
          "bad family member: family must list one subset per lattice index"),
         (("normalizer",), {"points": 1, "ideal": [0]}, "ideal requires a lattice and points"),
         (("normalizer",), {"blocks": [1, 1], "points": 2, "ideal": [0]},
-         "ideal must list one stalk index per point"),
+         "bad ideal member: ideal must list one stalk index per point"),
         (("ideal-from-y",), {"blocks": [2], "Y": [0]}, "Y requires points"),
         (("ideal-from-y",), {"blocks": [2], "points": 1, "Y": [0], "ideal_index": 2},
-         "ideal_index 2 out of range"),
+         "bad ideal_index member: ideal_index 2 out of range"),
         (("validate",), b"[1, 2]", "problem file must contain a JSON object"),
         (("validate",), b"{", "malformed JSON at line 1 column 2: "
          "Expecting property name enclosed in double quotes"),
@@ -203,6 +208,31 @@ def _one_entry(entry):
          "bad family member: family entry 0 must be a JSON list"),
         (("theta",), {"lattice": BOOLEAN_2, "points": 2, "family": [[0], "1", [], [0, 1]]},
          "bad family member: family entry 1 must be a JSON list"),
+        (("sandwich",), {"blocks": [2], "points": 1, "subspace": "x"},
+         "bad subspace member: subspace must be a JSON list"),
+        # the lattice limit is checked before the tables are read
+        (("gamma",), {"lattice": SIZE_13}, "lattice size 13 exceeds the limit 12"),
+        (("gamma",), {"lattice": dict(SIZE_13, size=10 ** 4000)},
+         "lattice size over 2^64 exceeds the limit 12"),
+        (("ideal-from-y",), {"ideal_index": 0}, "ideal_index requires a lattice"),
+        # two bad members: the first in the order blocks, lattice, points, the
+        # limits, the block lattice, family, ideal, Y, ideal_index, subspace
+        (("gamma",), {"blocks": 5, "lattice": 5}, "bad blocks member: blocks must be a JSON list"),
+        (("gamma",), {"lattice": 5, "points": -1}, "bad lattice member: lattice must be a JSON object"),
+        (("gamma",), {"lattice": SIZE_13, "points": True}, "points must be a nonnegative integer, got True"),
+        (("normalizer",), {"blocks": [1, 1], "points": 5, "ideal": [True]}, "points = 5 exceeds the limit 4"),
+        (("theta",), {"blocks": [1, 2], "points": 2, "lattice": BOOLEAN_2_RELABELED, "family": "ab"},
+         "lattice member must be the block lattice, indexed by block bitmask"),
+        (("theta",), {"lattice": BOOLEAN_2, "points": 1, "family": "ab", "ideal": [True]},
+         "bad family member: family must be a JSON list"),
+        (("normalizer",), {"blocks": [1, 1], "points": 1, "ideal": [True], "Y": 3},
+         "bad ideal member: stalk index True out of range"),
+        (("ideal-from-y",), {"blocks": [2], "points": 1, "Y": [True], "ideal_index": 2},
+         "bad Y member: point True out of range [0, 1)"),
+        (("sandwich",), {"blocks": [2], "points": 1, "Y": [True], "subspace": [5]},
+         "bad Y member: point True out of range [0, 1)"),
+        (("sandwich",), {"blocks": [2], "points": 1, "ideal_index": 2, "subspace": [5]},
+         "bad ideal_index member: ideal_index 2 out of range"),
     ],
     ids=["huge-block", "bool-points", "lattice-not-object", "meet-not-list", "meet-string",
          "join-object", "meet-row-string",
@@ -220,7 +250,12 @@ def _one_entry(entry):
          "unreadable-file", "needs-family", "needs-algebra", "fixture-family-at-other-points",
          "compat-top-not-X", "theta-incompatible", "decompose-incompatible",
          "scalar-float", "scalar-bool", "scalar-object", "blocks-int", "blocks-string",
-         "Y-null", "Y-string", "Y-object", "family-string", "family-entry-int", "family-entry-string"],
+         "Y-null", "Y-string", "Y-object", "family-string", "family-entry-int", "family-entry-string",
+         "subspace-not-list", "lattice-size-before-tables", "lattice-size-huge-before-tables",
+         "ideal-index-without-lattice", "blocks-before-lattice", "lattice-before-points",
+         "points-before-limits", "limits-before-ideal", "block-lattice-before-family",
+         "family-before-ideal", "ideal-before-Y", "Y-before-ideal-index", "Y-before-subspace",
+         "ideal-index-before-subspace"],
 )
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv, doc, message):
     code, out, err = run_cli(tmp_path, capsys, argv, doc)
@@ -869,7 +904,7 @@ def test_normalizer_fails_on_corrupted_normalizer(tmp_path, capsys, corrupt_norm
 
 
 # ---------------------------------------------------------------------------
-# negative controls: seeded faults FAIL the lattice-side lines
+# negative controls: each seeded fault FAILs exactly its verify-all lines
 # ---------------------------------------------------------------------------
 
 def test_ideal_from_y_fails_on_product_dropping_the_last_point(tmp_path, capsys, monkeypatch):
@@ -894,6 +929,19 @@ def _top_at_last_point(ideal):
     return PointwiseIdeal(ideal.lattice, stalks)
 
 
+def _full_normalizer_at_mask_1(parts):
+    """stalk_parts with N(I) = A for the ideal of block mask 1."""
+    def faulted(spec):
+        table = list(parts(spec))
+        table[1] = (table[1][0], Subspace.full(spec.total_dim), table[1][2])
+        return tuple(table)
+
+    return faulted
+
+
+WEAK_CENTRALITY = ("weak-centrality-equals-cqp-base", "weak-centrality-equals-cqp-function-algebra")
+
+
 @pytest.mark.parametrize(
     "name, fault, failed",
     [
@@ -909,19 +957,41 @@ def _top_at_last_point(ideal):
             lambda f: lambda ideal: f(_top_at_last_point(ideal)),
             ["fin-sum", "bijection-count", "theta-recover-roundtrip"],
         ),
+        (
+            "lie.lie_normalizer",
+            drop_last_normalizer_row,
+            ["sandwich-between-bounds", "sandwich-outside-bounds", "cqp", *WEAK_CENTRALITY],
+        ),
+        # check_cqp on A only (inside cqp_transfer_check), then on B only
+        ("lie.check_cqp", lambda f: lambda alg: (False, []),
+         ["cqp-function-algebra-implies-base", "weak-centrality-equals-cqp-base"]),
+        ("cli.check_cqp", lambda f: lambda alg: (False, []),
+         ["cqp", "cqp-base-implies-function-algebra", "weak-centrality-equals-cqp-function-algebra"]),
+        ("lie.maximal_ideals", lambda f: lambda alg: f(alg) + f(alg)[:1],
+         ["weak-central", *WEAK_CENTRALITY]),
+        # A known gap: A's and B's CQP verdicts read the same stalk_parts
+        # entry, so the two CQP transfer lines stay PASS.
+        ("lie.stalk_parts", _full_normalizer_at_mask_1,
+         ["sandwich-between-bounds", "cqp", *WEAK_CENTRALITY]),
     ],
 )
 def test_verify_all_fails_on_lattice_side_faults(tmp_path, capsys, monkeypatch, name, fault, failed):
-    original = getattr(decomposition, name)
-    for module in (function_algebra, decomposition, cli):
+    """Each seeded fault turns exactly the listed verify-all lines FAIL on
+    [1,2] x 2.  A dotted name patches that module's binding alone, a bare one
+    every binding of decomposition's function."""
+    home, _, name = name.rpartition(".")
+    owner = importlib.import_module(f"fnideals.{home or 'decomposition'}")
+    original = getattr(owner, name)
+    for module in (owner,) if home else (function_algebra, decomposition, cli):
         if getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, fault(original))
-    doc = {"blocks": [1, 1], "points": 2, "family": [[0, 1], [0, 1], [0, 1], [0, 1]]}
+    doc = {"blocks": [1, 2], "points": 2, "family": [[0, 1], [0, 1], [0, 1], [0, 1]]}
     code, out, _ = run_cli(tmp_path, capsys, ["verify-all"], doc)
     lines = out.splitlines()
     assert code == 1
     for check in failed:
         assert any(line.startswith(f"FAIL {check}") for line in lines), (check, out)
+    assert {line.split()[1] for line in lines if line.startswith("FAIL ")} == set(failed), out
 
 
 # ---------------------------------------------------------------------------
