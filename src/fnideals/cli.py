@@ -267,10 +267,7 @@ def cmd_validate(problem: SimpleNamespace, args) -> int:
 def cmd_compat(problem: SimpleNamespace, args) -> int:
     lat = _need(problem, "lattice", "a lattice")
     family = _need(problem, "family", "a family member")
-    try:
-        good = is_compatible(family, exhaustive=args.oracle)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    good = is_compatible(family, exhaustive=args.oracle)
     print("compatible" if good else "incompatible")
     return 0 if good else 1
 
@@ -440,10 +437,7 @@ def _verify_all_lines(problem: SimpleNamespace, args) -> list:
         lines.append("SKIP compat-oracle-agreement (enumeration bound)")
 
     if problem.family is not None:
-        try:
-            compatible = is_compatible(problem.family)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
+        compatible = is_compatible(problem.family)
         record("family-compatible", compatible)
         if compatible:
             record("theta-recover-roundtrip", recover_S(theta(problem.family)) == problem.family)

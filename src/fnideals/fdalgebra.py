@@ -104,21 +104,26 @@ def unit_action(table, rows: list, width: int, dim: int) -> list:
     at offset i - i % dim A, in the row of A^X's unit at i's point plus b (A^X
     is real).  Bracket terms may cancel to zero; callers only span or test them.
     """
+    return [tuple(acted) for row in rows for acted in unit_action_row(table, row, width, dim)
+            if acted is not None]
+
+
+def unit_action_row(table, row, width: int, dim: int) -> list:
+    """`unit_action` on one integer row v, unit by unit: entry b is e_b's
+    action on v as a list of `width`, or None when it has no term."""
     d = len(table)
-    out = []
-    for _, cols, values in rows:
-        acted = [None] * dim
-        for i, f in zip(cols, values):
-            offset = i - i % d
-            point = offset % dim
-            for b, terms in table[i - offset]:
-                row = acted[point + b]
-                if row is None:
-                    row = acted[point + b] = [0] * width
-                for c, s in terms:
-                    row[offset + c] = row[offset + c] + f * s
-        out += [tuple(row) for row in acted if row is not None]
-    return out
+    acted = [None] * dim
+    _, cols, values = row
+    for i, f in zip(cols, values):
+        offset = i - i % d
+        point = offset % dim
+        for b, terms in table[i - offset]:
+            out = acted[point + b]
+            if out is None:
+                out = acted[point + b] = [0] * width
+            for c, s in terms:
+                out[offset + c] = out[offset + c] + f * s
+    return acted
 
 
 def is_invariant(sub: Subspace, spec: AlgebraSpec) -> bool:

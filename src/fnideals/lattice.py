@@ -152,7 +152,7 @@ def points_to_mask(points: Iterable[int], point_count: int) -> int:
 
 
 class ClosedFamily(Value):
-    """Assignment of a subset of X to every lattice index."""
+    """Assignment of a subset of X to every lattice index, and of X to the top."""
 
     __slots__ = ("lattice", "points", "sets")
 
@@ -164,6 +164,8 @@ class ClosedFamily(Value):
         for s in sets:
             if not _is_index(s, masks):
                 raise ValueError(f"subset mask {s!r} out of range")
+        if sets[lattice.top] != masks - 1:
+            raise ValueError("family must assign the full point set to the top index")
         self._fill(lattice, points, sets)
 
 
@@ -206,8 +208,6 @@ def is_compatible(family: ClosedFamily, exhaustive: bool = False) -> bool:
     The exhaustive mode re-checks every subset of indices directly.
     """
     lat, sets = family.lattice, family.sets
-    if sets[lat.top] != (1 << family.points) - 1:
-        raise ValueError("family must assign the full point set to the top index")
     if exhaustive:
         return _exhaustive_compatible(lat, sets)
     return _pairwise_compatible(lat, sets)

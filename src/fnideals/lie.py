@@ -15,21 +15,19 @@ The randomized sandwich suite groups the ideals by their interval
 candidates together, in the quotient N(J) / span[J, B]: each draw is
 span[J, B] plus random rows of the quotient, given by their coefficients on
 N(J)'s basis rows outside span[J, B]'s pivots, and its RREF is taken in the
-few columns of the quotient.  Most repeated draws are one of the interval's
-two ends, so those two are decided once per interval.  Every other draw's
-quotient RREF rows are lifted to rows of B and reduced with span[J, B]'s
-basis by rref, and the draw is decided through a candidate over the
-interval's base candidate for span[J, B], which brackets span[J, B]'s rows
-once.  An interval with span[J, B] outside N(J) holds no subspace: every
-draw of it FAILs.
+few columns of the quotient.  Each draw is decided there, with no lift to B:
+how bracketing with B acts on N(J) modulo span[J, B] is computed once per
+interval, and a draw's verdict and J_min are read off it with no
+elimination beyond the draw's own RREF.  An interval with span[J, B] outside
+N(J) holds no subspace: every draw of it FAILs.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress
+from itertools import chain, compress
 
-from .fdalgebra import AlgebraSpec, block_ideal_subspace, unit_action
+from .fdalgebra import AlgebraSpec, block_ideal_subspace, unit_action, unit_action_row
 from .function_algebra import (
     FunctionAlgebra,
     PointwiseIdeal,
@@ -90,38 +88,22 @@ class LieCandidate(Value):
     `space` is L itself (width dim B) or, for a complex L, its realification:
     the rational span of (Re v, Im v) over v in L (width 2 dim B).  B is
     real, so every test below reads the same answer off either form.
-
-    A `base` candidate, for a subspace K of L of the same width, shares its
-    work: L's rows whose pivot is not one of K's span L modulo K, so only they
-    are bracketed, and of K's bracket rows only those outside K can leave L.
-    A base built on a fresh candidate for K itself keeps just those rows, so
-    every candidate over it tests them again at little cost.
     """
 
-    # brackets: bracket rows [v, e_b], as tuples, that span [L, B] modulo a
-    # part already inside L, each scaled by an integer; support: the columns
-    # where some [v, e_b] over L's basis rows v is nonzero; contains: the
-    # membership test of L, a closure, so candidates built apart never compare
-    # equal.  All are built once for every test of L.
+    # brackets: the bracket rows [v, e_b] over L's basis rows v, as tuples,
+    # each scaled by an integer; support: the columns where some of them is
+    # nonzero; contains: the membership test of L, a closure, so candidates
+    # built apart never compare equal.  All are built once for every test of L.
     __slots__ = ("alg", "space", "brackets", "support", "contains")
 
-    def __init__(self, alg: FunctionAlgebra, space: Subspace, base: LieCandidate | None = None):
+    def __init__(self, alg: FunctionAlgebra, space: Subspace):
         width = space.ambient_dim
         if width not in (alg.dim, 2 * alg.dim):
             raise ValueError("candidate does not live in the algebra's coordinate space")
         den, rows = space.integer_rows()
-        bracketed, escaping, support = rows, (), frozenset()
-        if base is not None:
-            if base.space.ambient_dim != width:
-                raise ValueError("base candidate has another width")
-            held = set(base.space.pivots)
-            bracketed = [row for row in rows if row[0] not in held]
-            escaping = tuple(row for row in base.brackets if not base.contains(row))
-            support = base.support
-        new = unit_action(alg.commutator_table, bracketed, width, alg.dim)
-        columns = range(width)
-        support = support.union(*(compress(columns, row) for row in new))
-        self._fill(alg, space, escaping + tuple(new), support, integer_membership(den, rows))
+        brackets = unit_action(alg.commutator_table, rows, width, alg.dim)
+        support = frozenset().union(*(compress(range(width), row) for row in brackets))
+        self._fill(alg, space, tuple(brackets), support, integer_membership(den, rows))
 
 
 def is_lie_ideal(candidate: LieCandidate) -> bool:
@@ -129,17 +111,29 @@ def is_lie_ideal(candidate: LieCandidate) -> bool:
     return all(map(candidate.contains, candidate.brackets))
 
 
+@lru_cache(maxsize=None)
+def _block_bits(spec: AlgebraSpec) -> tuple:
+    """1 << b for each coordinate of A, b its block."""
+    return tuple(1 << b for b, _, _ in spec.unit_coords())
+
+
+def _support_ideal(alg: FunctionAlgebra, support) -> PointwiseIdeal:
+    """The least ideal holding a unit at each support column (read modulo
+    dim B, so a realified column names its real one): its stalk at x masks
+    the blocks of the columns at x."""
+    bits, d = _block_bits(alg.spec), alg.spec.total_dim
+    masks = [0] * alg.points
+    for i in support:
+        x, a = divmod(i % alg.dim, d)
+        masks[x] |= bits[a]
+    return PointwiseIdeal(alg.lattice, masks)
+
+
 def least_normalizing_ideal(candidate: LieCandidate) -> PointwiseIdeal:
     """J_min, the least ideal J with [L, B] <= J (equivalently L <= N(J)): its
     stalk at x masks the blocks where some [v, e_b], v in L's basis, is nonzero
     (in its real or its imaginary part): the blocks of the candidate's support."""
-    alg = candidate.alg
-    block = [b for b, n in enumerate(alg.spec.block_dims) for _ in range(n * n)]
-    masks = [0] * alg.points
-    for i in candidate.support:
-        x, a = divmod(i % alg.dim, len(block))
-        masks[x] |= 1 << block[a]
-    return PointwiseIdeal(alg.lattice, masks)
+    return _support_ideal(candidate.alg, candidate.support)
 
 
 def sandwich_witness(candidate: LieCandidate):
@@ -168,54 +162,112 @@ def _random_rows(width: int, count: int, rng) -> list:
 
 class _Interval:
     """The draws between lower = span[J, B] and upper = N(J), lower <= upper,
-    made in the quotient upper / lower.
+    made and decided in the quotient upper / lower.
 
-    Let Q be the pivots of upper that are not lower's; upper's basis rows U_q,
-    q in Q, span upper modulo lower.  A draw is lower plus random rows of
-    coefficients on the U_q, and their RREF in |Q| columns has rank 0 at lower
-    and |Q| at upper.  Any other draw's quotient RREF rows are lifted through
-    the U_q to rows of B and reduced with lower's basis by rref.
+    Q is upper's pivots that are not lower's; upper's basis rows U_q, q in Q,
+    span upper modulo lower and are zero at lower's pivots.  A draw is
+    L = lower + span(C.U), C the RREF in |Q| columns of random coefficient
+    rows.  `split` reduces a row v of B by lower to r, and gives sigma = r at
+    Q and o = r - sum_q sigma_q U_q: v is in L iff o = 0 and sigma is in C's
+    row space.  [L, B] is spanned by the brackets of lower's rows and of the
+    rows C.U, and membership, the split and the support of a span are linear
+    in those rows: so the splits of lower's escaping brackets and of each
+    [U_q, e_b], and the columns of each [U_q, e_b], taken once, decide each
+    draw and its J_min as a fresh LieCandidate for it would.
     """
 
     def __init__(self, alg: FunctionAlgebra, lower: Subspace, upper: Subspace):
         self.alg, self.lower, self.upper = alg, lower, upper
+        n, table = alg.dim, alg.commutator_table
         held = set(lower.pivots)
-        self.q_rows = [row for row in upper.integer_rows()[1] if row[0] not in held]
-        # when Q is every column, the quotient RREF is the draw itself
-        self.whole = len(self.q_rows) == alg.dim
-        self.base = LieCandidate(alg, lower, LieCandidate(alg, lower))
+        self.q = [p for p in upper.pivots if p not in held]
+        self.upper_den, rows = upper.integer_rows()
+        self.q_rows = [row for row in rows if row[0] not in held]
+        self.lower_rows = lower.integer_rows()
+        brackets = unit_action(table, self.lower_rows[1], n, n)
+        inside = integer_membership(*self.lower_rows)
+        self.escaping = [self.split(w) for w in brackets if not inside(w)]
+        self.support = set().union(*(compress(range(n), w) for w in brackets))
+        # kept: the splits of [U_q, e_b] over q, for each e_b where one is not 0;
+        # reach: each nonzero ([U_q, e_b]_i)_q, i outside support -> those i
+        self.kept, reach, zero = [], {}, [0] * n
+        acted = [unit_action_row(table, row, n, n) for row in self.q_rows]
+        for b in range(n):
+            column = [row[b] or zero for row in acted]
+            if not any(map(any, column)):
+                continue
+            splits = [self.split(w) for w in column]
+            if any(map(any, splits)):
+                self.kept.append(splits)
+            for i in range(n):
+                if i not in self.support and any(m := tuple(w[i] for w in column)):
+                    reach.setdefault(m, []).append(i)
+        self.reach = list(reach.items())
+        self.witnesses: dict = {}  # J_min's support -> nonzero splits of span[J_min, B]'s rows
+
+    def split(self, v) -> list:
+        """sigma + o for a row v of B, each part scaled by a fixed positive integer."""
+        den, rows = self.lower_rows
+        acc = [den * x for x in v]
+        for p, cols, values in rows:
+            if f := v[p]:
+                for c, r in zip(cols, values):
+                    acc[c] -= f * r
+        sigma = [acc[q] for q in self.q]
+        o = [self.upper_den * x for x in acc]
+        for s, (_, cols, values) in zip(sigma, self.q_rows):
+            if s:
+                for c, r in zip(cols, values):
+                    o[c] -= s * r
+        return sigma + o
 
     def draw(self, rng) -> Subspace:
-        """The next draw of `rng`: `lower` or `upper` itself at an end."""
-        width = len(self.q_rows)
-        count = rng.randint(0, self.upper.dim)
-        if not count:
-            return self.lower
-        quotient = rref(_random_rows(width, count, rng), width)
-        if quotient.dim == 0:
-            return self.lower
-        if quotient.dim == width:
-            return self.upper
-        if self.whole:
-            return quotient
-        lifted = [self._lift(row) for row in quotient.basis]
-        return rref(list(self.lower.basis) + lifted, self.alg.dim)
+        """The quotient RREF C of the next draw of `rng`."""
+        return rref(_random_rows(len(self.q), rng.randint(0, self.upper.dim), rng), len(self.q))
 
-    def _lift(self, coords) -> list:
-        """sum_q coords[q] * U_q: a row of upper, up to the integer rows' common
-        denominator, which rref scales away."""
-        row = [0] * self.alg.dim
-        for x, (_, cols, values) in zip(coords, self.q_rows):
-            if x:
-                for c, v in zip(cols, values):
-                    row[c] += x * v
-        return row
+    def _holds(self, quotient: Subspace):
+        """split(v) -> v in lower + span(C.U), C = quotient, building C's test for a nonzero sigma."""
+        k, member = len(self.q), []
 
+        def holds(split) -> bool:
+            sigma = split[:k]
+            if any(split[k:]):
+                return False
+            if any(sigma) and not member:
+                member.append(quotient.membership())
+            return not any(sigma) or member[0](sigma)
 
-def _sandwiched(alg: FunctionAlgebra, space: Subspace, base: LieCandidate) -> bool:
-    """True iff the subspace is a Lie ideal with a sandwich witness."""
-    cand = LieCandidate(alg, space, base)
-    return is_lie_ideal(cand) and sandwich_witness(cand) is not None
+        return holds
+
+    def is_lie_ideal(self, quotient: Subspace, holds=None) -> bool:
+        """True iff lower + span(C.U), C = quotient, is a Lie ideal."""
+        holds = holds or self._holds(quotient)
+        rows = quotient.integer_rows()[1] if self.kept else ()
+        combined = ([sum(x * splits[q][j] for q, x in zip(cols, values)) for j in range(len(splits[0]))]
+                    for splits in self.kept for _, cols, values in rows)
+        return all(map(holds, chain(self.escaping, combined)))
+
+    def decide(self, quotient: Subspace) -> bool:
+        """True iff lower + span(C.U), C = quotient, is a Lie ideal with a
+        sandwich witness: span[J_min, B] splits into it."""
+        holds = self._holds(quotient)
+        if not self.is_lie_ideal(quotient, holds):
+            return False
+        support = frozenset(self.draw_support(quotient))
+        if support not in self.witnesses:
+            span = commutator_ideal_span(self.alg, _support_ideal(self.alg, support)).basis
+            self.witnesses[support] = [s for s in map(self.split, span) if any(s)]
+        return all(map(holds, self.witnesses[support]))
+
+    def draw_support(self, quotient: Subspace) -> set:
+        """The columns where some [v, e_b], v in lower + span(C.U), C =
+        quotient, is nonzero: J_min's support."""
+        rows = quotient.integer_rows()[1] if self.reach else ()
+        support = set(self.support)
+        for m, columns in self.reach:
+            if any(sum(x * m[q] for q, x in zip(cols, values)) for _, cols, values in rows):
+                support.update(columns)
+        return support
 
 
 def sandwich_random_suite(alg: FunctionAlgebra, seed: int) -> tuple:
@@ -225,12 +277,10 @@ def sandwich_random_suite(alg: FunctionAlgebra, seed: int) -> tuple:
     with a witness.  Ideals sharing the interval (span[J,B], N(J)) are
     grouped, in first-seen order: an interval shared by m ideals gets
     SANDWICH_PER_IDEAL * m draws, each span[J, B] plus random rows of the
-    quotient N(J) / span[J, B] (see _Interval).  Each end is decided when
-    first drawn and its verdict reused for every later draw equal to it; any
-    other draw is decided directly, by a candidate over the interval's base
-    candidate for span[J, B].  Every draw counts.  An interval whose
-    span[J, B] is not inside N(J) holds no subspace, so each of its draws is
-    a discrepancy.
+    quotient N(J) / span[J, B], and each draw is decided in the quotient
+    through the interval's bracket action (see _Interval).  Every draw
+    counts.  An interval whose span[J, B] is not inside N(J) holds no
+    subspace, so each of its draws is a discrepancy.
     Part two: seeded random subspaces lying in no interval (a scan
     independent of sandwich_witness) must fail both tests.  When some
     interval is [0, B] no subspace lies outside, and the part is VACUOUS.
@@ -254,17 +304,8 @@ def sandwich_random_suite(alg: FunctionAlgebra, seed: int) -> tuple:
             bad_between += draws
             continue
         interval = _Interval(alg, lower, upper)
-        ends: dict = {}  # lower.dim or upper.dim -> that end's verdict, once drawn
         for _ in range(draws):
-            space = interval.draw(rng)
-            # lower <= space <= upper, so it is an end iff it has an end's dimension
-            if space.dim not in (lower.dim, upper.dim):
-                good = _sandwiched(alg, space, interval.base)
-            elif space.dim in ends:
-                good = ends[space.dim]
-            else:
-                good = ends[space.dim] = _sandwiched(alg, space, interval.base)
-            bad_between += not good
+            bad_between += not interval.decide(interval.draw(rng))
     bad_free = 0
     checked_free = 0
     attempts = 0

@@ -179,8 +179,7 @@ def sandwich_draws(alg, seed: int) -> list:
     built from whole rows of B: each draw's random coefficient rows on N(J)'s
     basis rows at Q, the pivots of N(J) that are not span[J, B]'s, lifted
     densely in Fraction arithmetic, joined to span[J, B]'s basis and reduced
-    by rref in B.  An end of an interval is listed only when first drawn, as
-    the suite decides it once."""
+    by rref in B."""
     rng = random.Random(seed)
     intervals = {}
     for ideal in enumerate_all_ideals(alg, verify=False):
@@ -188,7 +187,6 @@ def sandwich_draws(alg, seed: int) -> list:
         intervals[key] = intervals.get(key, 0) + 1
     out = []
     for (lower, upper), m in intervals.items():
-        ends = set()
         q_rows = [row for row, p in zip(upper.basis, upper.pivots) if p not in lower.pivots]
         for _ in range(lie.SANDWICH_PER_IDEAL * m):
             extra = []
@@ -200,12 +198,7 @@ def sandwich_draws(alg, seed: int) -> list:
                         if c and y:
                             lifted[k] += c * Fraction(y)
                 extra.append(lifted)
-            space = rref(list(lower.basis) + extra, alg.dim) if extra else lower
-            if space.dim in (lower.dim, upper.dim):
-                if space.dim in ends:
-                    continue
-                ends.add(space.dim)
-            out.append(space)
+            out.append(rref(list(lower.basis) + extra, alg.dim) if extra else lower)
     return out
 
 

@@ -113,9 +113,11 @@ def _one_entry(entry):
          "bad Y member: point True out of range [0, 2)"),
         (("normalizer",), {"blocks": [1, 1], "points": 1, "ideal": [True]},
          "bad ideal member: stalk index True out of range"),
-        # the top index must carry the whole point set
+        # the top index must carry the whole point set, for every command
         (("verify-all",), {"blocks": [1, 1], "points": 2, "family": [[], [0], [1], [0]]},
-         "family must assign the full point set to the top index"),
+         "bad family member: family must assign the full point set to the top index"),
+        (("gamma",), {"blocks": [1, 1], "points": 2, "family": [[], [0], [1], [0]]},
+         "bad family member: family must assign the full point set to the top index"),
         (("sandwich",), _one_entry("x i"),
          "cannot parse scalar 'x i': Invalid literal for Fraction: 'x'"),
         (("sandwich",), _one_entry("1/0 i"), "cannot parse scalar '1/0 i': Fraction(1, 0)"),
@@ -183,7 +185,7 @@ def _one_entry(entry):
         (("theta", "--fixture", "bh2"), {"points": 3}, "this command needs a family member"),
         # a family whose top is not X, or that is not compatible
         (("compat",), {"lattice": BOOLEAN_2, "points": 1, "family": [[], [], [], []]},
-         "family must assign the full point set to the top index"),
+         "bad family member: family must assign the full point set to the top index"),
         (("theta",), {"lattice": BOOLEAN_2, "points": 1, "family": [[0], [], [], [0]]},
          "family is not compatible with the lattice"),
         (("decompose",), {"lattice": BOOLEAN_2, "points": 1, "family": [[0], [], [], [0]]},
@@ -236,7 +238,7 @@ def _one_entry(entry):
     ],
     ids=["huge-block", "bool-points", "lattice-not-object", "meet-not-list", "meet-string",
          "join-object", "meet-row-string",
-         "subspace-row-not-list", "bool-point", "bool-stalk", "family-top-not-X",
+         "subspace-row-not-list", "bool-point", "bool-stalk", "family-top-not-X", "gamma-family-top-not-X",
          "subspace-bad-literal", "subspace-zero-denominator", "subspace-empty-entry",
          "subspace-exponent", "subspace-exponent-in-i-part", "subspace-short-row",
          "not-utf8", "int-too-long", "nested-too-deep", "lattice-not-block-numbered",
@@ -877,11 +879,13 @@ def test_verify_all_fails_a_sandwich_interval_outside_its_normalizer(tmp_path, c
 
 
 def test_verify_all_reports_outside_scan_draws_in_bounds_on_their_own_line(tmp_path, capsys, monkeypatch):
-    """With every Lie ideal test rejected, 7 of the outside scan's draws on
+    """With every Lie ideal test and interval decision rejected, 7 of the
+    outside scan's draws on
     [2] x 2 land in some interval and fail: they FAIL a line of their own,
     not the between-bounds count, and no line reports more discrepancies
     than the subspaces it counts."""
     monkeypatch.setattr(lie, "is_lie_ideal", lambda candidate: False)
+    monkeypatch.setattr(lie._Interval, "decide", lambda interval, quotient: False)
     code, out, err = run_cli(tmp_path, capsys, ["verify-all", "--seed", "11"], {"blocks": [2], "points": 2})
     lines = out.splitlines()
     assert code == 1 and err == ""

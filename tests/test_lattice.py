@@ -124,9 +124,8 @@ def test_boolean_examples():
 
 
 def test_compatibility_requires_full_top():
-    fam = family(B4, (0, 0, 0, 0b01))
-    with pytest.raises(ValueError):
-        is_compatible(fam)
+    with pytest.raises(ValueError, match="^family must assign the full point set to the top index$"):
+        family(B4, (0, 0, 0, 0b01))
 
 
 def test_family_shape_validation():

@@ -363,11 +363,11 @@ def test_sandwich_suite_catches_witness_without_lower_bound_test(monkeypatch):
 
 def test_sandwich_suite_counts_every_draw_of_a_shared_interval(monkeypatch):
     """A rejected verdict counts once per draw, 20 per ideal, whichever interval
-    the ideal shares, including the draws that reuse an end's verdict.  The
-    outside scan is switched off, since a draw of it that lands in an
-    interval fails a line of its own too."""
+    the ideal shares, including the draws equal to an end.  The outside scan
+    is switched off, since a draw of it that lands in an interval fails a
+    line of its own too."""
     alg = function_algebra(M2, 2)
-    monkeypatch.setattr(lie, "is_lie_ideal", lambda candidate: False)
+    monkeypatch.setattr(lie._Interval, "decide", lambda interval, quotient: False)
     monkeypatch.setattr(lie, "SANDWICH_FREE_COUNT", 0)
     ok, lines = sandwich_random_suite(alg, seed=11)
     n = lie.SANDWICH_PER_IDEAL * len(enumerate_all_ideals(alg, verify=False))
@@ -378,24 +378,26 @@ def test_sandwich_suite_counts_every_draw_of_a_shared_interval(monkeypatch):
 @pytest.mark.parametrize("end", ["lower", "upper"])
 def test_sandwich_suite_decides_an_end_once_and_counts_it_per_draw(monkeypatch, end):
     """On M2 x 2 the interval of J = 0 is [span[0, B], N(0)] = [0, Z(B)], and
-    no other interval has either end.  A fault that rejects only that end is
-    decided once, yet fails every draw equal to the end."""
+    no other interval has either end.  A fault that rejects only that end
+    fails every draw equal to the end, each decided on its own."""
     alg = function_algebra(M2, 2)
     bad = Subspace.zero(alg.dim) if end == "lower" else alg.centre_subspace
     decided = []
-    honest = lie.is_lie_ideal
+    honest = lie._Interval.decide
 
-    def faulty(candidate):
-        decided.append(candidate.space == bad)
-        return candidate.space != bad and honest(candidate)
+    def faulty(interval, quotient):
+        width = quotient.ambient_dim
+        drawn = {0: interval.lower, width: interval.upper}.get(quotient.dim)
+        decided.append(drawn == bad)
+        return drawn != bad and honest(interval, quotient)
 
-    monkeypatch.setattr(lie, "is_lie_ideal", faulty)
+    monkeypatch.setattr(lie._Interval, "decide", faulty)
     monkeypatch.setattr(lie, "SANDWICH_FREE_COUNT", 0)
     ok, lines = sandwich_random_suite(alg, seed=11)
     found = re.fullmatch(r"FAIL sandwich-between-bounds \((\d+) subspaces, (\d+) discrepancies\)", lines[0])
     assert not ok and found
     assert int(found[2]) > 1
-    assert decided.count(True) == 1
+    assert decided.count(True) == int(found[2])
 
 
 def test_sandwich_suite_memory_does_not_grow_with_its_draws():
@@ -443,52 +445,128 @@ DRAW_CASES = [(M2, 2), (M12, 2), (AlgebraSpec((2, 2)), 2), (M3, 2), (AlgebraSpec
 DRAW_SEEDS = [0, 1, 11]
 
 
+def decided_draws(alg, seed):
+    """(ok, every (interval, quotient draw, verdict) the between-bounds part
+    decides, in order)."""
+    decided = []
+    honest = lie._Interval.decide
+
+    def logged(interval, quotient):
+        verdict = honest(interval, quotient)
+        decided.append((interval, quotient, verdict))
+        return verdict
+
+    with mock.patch.object(lie._Interval, "decide", logged), mock.patch.object(lie, "SANDWICH_FREE_COUNT", 0):
+        ok, _ = sandwich_random_suite(alg, seed)
+    return ok, decided
+
+
 @lru_cache(maxsize=None)
 def decided_candidates(spec, points, seed):
-    """(alg, ok, every candidate the between-bounds part decides, in order)."""
+    """(alg, ok, every draw the between-bounds part decides, in order)."""
     alg = function_algebra(spec, points)
-    decided = []
-    honest = lie.is_lie_ideal
+    return (alg, *decided_draws(alg, seed))
 
-    def logged(candidate):
-        decided.append(candidate)
-        return honest(candidate)
 
-    with mock.patch.object(lie, "is_lie_ideal", logged), mock.patch.object(lie, "SANDWICH_FREE_COUNT", 0):
-        ok, _ = sandwich_random_suite(alg, seed)
-    return alg, ok, tuple(decided)
+def lifted(interval, quotient):
+    """The draw lower + span(C.U) in B, C = quotient, built densely from
+    upper's basis rows U_q at the pivots q that are not lower's."""
+    lower, upper = interval.lower, interval.upper
+    q_rows = [row for row, p in zip(upper.basis, upper.pivots) if p not in lower.pivots]
+    rows = [[sum(c * u[i] for c, u in zip(coeffs, q_rows)) for i in range(lower.ambient_dim)]
+            for coeffs in quotient.basis]
+    return rref(list(lower.basis) + rows, lower.ambient_dim)
+
+
+def assert_decided_as_fresh(alg, decided) -> int:
+    """Each draw's verdict, Lie ideal test, support and J_min are those of a
+    fresh candidate for its lifted draw; returns how many draws were rejected."""
+    fresh = {}  # lifted draw -> (verdict, is_lie_ideal, support, J_min) of a fresh candidate
+    for interval, quotient, verdict in decided:
+        space = lifted(interval, quotient)
+        if space not in fresh:
+            cand = LieCandidate(alg, space)
+            lie_ideal = is_lie_ideal(cand)
+            good = lie_ideal and sandwich_witness(cand) is not None
+            fresh[space] = (good, lie_ideal, cand.support, least_normalizing_ideal(cand))
+        support = interval.draw_support(quotient)
+        got = (verdict, interval.is_lie_ideal(quotient), support, lie._support_ideal(alg, support))
+        assert got == fresh[space], space
+    return sum(not verdict for _, _, verdict in decided)
 
 
 @pytest.mark.parametrize("seed", DRAW_SEEDS)
 @pytest.mark.parametrize("spec, points", DRAW_CASES)
 def test_sandwich_suite_decides_the_draws_of_whole_rows(spec, points, seed):
-    """The quotient draws are the subspaces that the same random rows give
-    when lifted to whole rows of B and reduced there, each end once per
-    interval, and every drawn basis is a valid, canonical RREF."""
+    """The quotient draws, lifted to whole rows of B, are the subspaces that
+    the same random rows give when lifted and reduced there, and every drawn
+    basis is a valid, canonical RREF."""
     alg, ok, decided = decided_candidates(spec, points, seed)
     expected = sandwich_draws(alg, seed)
     assert ok
-    assert [cand.space for cand in decided] == expected
-    for cand, want in zip(decided, expected):
-        space = cand.space
-        assert space == Subspace(space.ambient_dim, space.basis)
+    assert len(decided) == len(expected)
+    for (interval, quotient, _), want in zip(decided, expected):
+        assert quotient == Subspace(quotient.ambient_dim, quotient.basis)
+        space = lifted(interval, quotient)
+        assert space == want
         assert [list(map(type, row)) for row in space.basis] == [list(map(type, row)) for row in want.basis]
 
 
 @pytest.mark.parametrize("seed", DRAW_SEEDS)
 @pytest.mark.parametrize("spec, points", DRAW_CASES)
 def test_candidates_over_the_interval_base_agree_with_fresh_ones(spec, points, seed):
-    """A candidate over its interval's base decides as a fresh candidate for
-    the same subspace does, and finds the same J_min."""
+    """The interval decides each draw as a fresh candidate for the lifted
+    draw does, with the same support and J_min."""
     alg, _, decided = decided_candidates(spec, points, seed)
-    verdicts = set()
-    for cand in decided:
-        fresh = LieCandidate(alg, cand.space)
-        verdicts.add(is_lie_ideal(fresh))
-        assert is_lie_ideal(cand) == is_lie_ideal(fresh)
-        assert cand.support == fresh.support
-        assert least_normalizing_ideal(cand) == least_normalizing_ideal(fresh)
-    assert verdicts == {True}
+    assert assert_decided_as_fresh(alg, decided) == 0
+    assert {verdict for _, _, verdict in decided} == {True}
+
+
+def _last_unit(d):
+    """A's last matrix unit, e_nn of its last block, as a subspace of A."""
+    return rref([(0,) * (d - 1) + (1,)], d)
+
+
+# Seeded faults of one stalk_parts entry: (span[I, A], N(I), dim A) -> the
+# pair placed instead.  The last two leave lower <= upper but break them
+# where a correct table cannot: e_nn's brackets leave span[I, A] + e_nn.
+STALK_FAULTS = {
+    "N(I) = A": lambda span, normalizer, d: (span, Subspace.full(d)),
+    "span[I, A] := N(I)": lambda span, normalizer, d: (normalizer, normalizer),
+    "N(I) row dropped": lambda span, normalizer, d: (span, rref(normalizer.basis[:-1], d)),
+    "span[I, A] := 0": lambda span, normalizer, d: (Subspace.zero(d), normalizer),
+    "N(I) := span[I, A] + e_nn": lambda span, normalizer, d: (span, span + _last_unit(d)),
+    "both := span[I, A] + e_nn": lambda span, normalizer, d: (span + _last_unit(d),) * 2,
+}
+
+
+def _stalk_fault(kind, mask):
+    """stalk_parts with the entry of the ideal of block mask `mask` broken."""
+    parts = lie.stalk_parts
+
+    def faulted(spec):
+        table = list(parts(spec))
+        span, normalizer, summed = table[mask]
+        table[mask] = (*STALK_FAULTS[kind](span, normalizer, spec.total_dim), summed)
+        return tuple(table)
+
+    return faulted
+
+
+@pytest.mark.parametrize("kind", STALK_FAULTS)
+def test_interval_decides_as_fresh_candidates_under_stalk_faults(monkeypatch, kind):
+    """Under a broken stalk_parts entry the interval still decides each draw
+    as a fresh candidate does, and the suite finds discrepancies on some
+    algebra and mask, so the fault is one it can see."""
+    failing = 0
+    for spec, points in [(M12, 2), (AlgebraSpec((2, 2)), 2)]:
+        alg = function_algebra(spec, points)
+        for mask in range(1, alg.lattice.size):
+            monkeypatch.setattr(lie, "stalk_parts", _stalk_fault(kind, mask))
+            ok, decided = decided_draws(alg, 3)
+            assert_decided_as_fresh(alg, decided)
+            failing += not ok
+    assert failing
 
 
 def trace_zero_at_first_point(alg):
@@ -499,8 +577,8 @@ def trace_zero_at_first_point(alg):
 
 def test_candidates_over_a_base_whose_brackets_leave_it():
     """span(e12) at one point of M2 x 2 is not Lie-closed: its brackets leave
-    it, so every superspace must test them, whether the base holds all of
-    them or only those outside it."""
+    it, so the interval [span(e12), B] keeps the splits of those that do, and
+    decides every draw over it as a fresh candidate does."""
     alg = function_algebra(M2, 2)
     e12 = rref([(0, 1, 0, 0, 0, 0, 0, 0)], alg.dim)
     rng = random.Random(5)
@@ -509,18 +587,17 @@ def test_candidates_over_a_base_whose_brackets_leave_it():
         rows = [[rng.randint(-2, 2) for _ in range(alg.dim)] for _ in range(rng.randint(1, 4))]
         supers.append(e12 + rref(rows, alg.dim))
     fresh_base = LieCandidate(alg, e12)
-    escaping = LieCandidate(alg, e12, fresh_base)
-    assert not is_lie_ideal(fresh_base) and escaping.brackets
-    assert len(escaping.brackets) < len(fresh_base.brackets)
+    interval = lie._Interval(alg, e12, Subspace.full(alg.dim))
+    assert not is_lie_ideal(fresh_base) and interval.escaping
+    assert len(interval.escaping) < len(fresh_base.brackets)
     verdicts = set()
     for sup in supers:
         fresh = LieCandidate(alg, sup)
         verdicts.add(is_lie_ideal(fresh))
-        for base in (fresh_base, escaping):
-            cand = LieCandidate(alg, sup, base)
-            assert is_lie_ideal(cand) == is_lie_ideal(fresh), sup
-            assert cand.support == fresh.support
-            assert least_normalizing_ideal(cand) == least_normalizing_ideal(fresh)
+        quotient = rref([[row[q] for q in interval.q] for row in sup.basis], len(interval.q))
+        assert lifted(interval, quotient) == sup
+        verdict = interval.decide(quotient)
+        assert assert_decided_as_fresh(alg, [(interval, quotient, verdict)]) == (not verdict)
     assert verdicts == {True, False}
 
 

@@ -28,7 +28,7 @@ def test_equal_specs_are_one_cache_key():
 
 def test_values_of_different_classes_with_equal_fields_are_unequal():
     lat = chain_lattice(2)
-    ideal, family = PointwiseIdeal(lat, (0, 1)), ClosedFamily(lat, 2, (0, 1))
+    ideal, family = PointwiseIdeal(lat, (0, 1)), ClosedFamily(lat, 1, (0, 1))
     assert ideal.lattice == family.lattice
     assert ideal.stalks == family.sets
     assert ideal != family and family != ideal
@@ -42,7 +42,7 @@ def test_equality_reads_every_field():
     assert rref([(2, 4)], 2) == Subspace(2, ((1, 2),))
     assert len({rref([(2, 4)], 2), Subspace(2, ((1, 2),)), Subspace.zero(2)}) == 2
     # one constructor argument changed: the values differ
-    assert ClosedFamily(lat, 1, (0, 1)) != ClosedFamily(lat, 2, (0, 1))
+    assert ClosedFamily(lat, 1, (0, 1)) != ClosedFamily(lat, 1, (1, 1))
     assert AlgebraSpec((1, 2)) != AlgebraSpec((1, 1))
     assert Element.zero(M1) != Element.identity(M1)
     assert FunctionElement(M1, [Element.zero(M1)]) != FunctionElement(M1, [Element.identity(M1)])
