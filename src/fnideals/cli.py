@@ -3,7 +3,10 @@
 Problems are JSON documents (see README.md for the schema); --fixture lays
 the problem file over a bundled one (see fixtures.py).  All indices in JSON
 are 0-based; printed reports label ideals 1-based to match the usual
-I_1..I_n numbering.  Exit codes: 0 all checks passed, 1 a checked identity
+I_1..I_n numbering.  Each command is a generator: it yields its report
+lines and returns False when a check failed.  `_run` refuses a problem that
+lacks a member the command needs (see `_COMMANDS`), prints each line as it
+is yielded and sets the exit code: 0 all checks passed, 1 a checked identity
 failed or stdout was closed before the report was written, 2 invalid input.
 `run()` is the process entry; `main(argv)` runs one command in process.
 """
@@ -19,7 +22,6 @@ from . import fixtures as fixtures_mod
 from .decomposition import decompose, verify_theorem
 from .fdalgebra import AlgebraSpec, enumerate_ideals
 from .function_algebra import (
-    FunctionAlgebra,
     PointwiseIdeal,
     enumerate_all_ideals,
     function_algebra,
@@ -233,19 +235,6 @@ def _resolve_problem(args) -> SimpleNamespace:
     )
 
 
-def _need(problem: SimpleNamespace, attr: str, what: str):
-    value = getattr(problem, attr)
-    if value is None:
-        raise InputError(f"this command needs {what}")
-    return value
-
-
-def _need_algebra(problem: SimpleNamespace) -> FunctionAlgebra:
-    spec = _need(problem, "spec", "a concrete block algebra (blocks member or fixture)")
-    points = _need(problem, "points", "a points member")
-    return function_algebra(spec, points)
-
-
 def _fmt_points(mask: int) -> str:
     return "{" + ",".join(str(p) for p in mask_to_points(mask)) + "}"
 
@@ -254,122 +243,98 @@ def _fmt_indices(indices) -> str:
     return "{" + ",".join(str(i + 1) for i in sorted(indices)) + "}"
 
 
-def cmd_validate(problem: SimpleNamespace, args) -> int:
-    lat = _need(problem, "lattice", "a lattice")
-    violation = validate_lattice(lat)
-    if violation is None:
-        print("ok")
-        return 0
-    print(f"FAIL {violation}")
-    return 1
+def cmd_validate(problem: SimpleNamespace, args):
+    violation = validate_lattice(problem.lattice)
+    yield "ok" if violation is None else f"FAIL {violation}"
+    return violation is None
 
 
-def cmd_compat(problem: SimpleNamespace, args) -> int:
-    lat = _need(problem, "lattice", "a lattice")
-    family = _need(problem, "family", "a family member")
-    good = is_compatible(family, exhaustive=args.oracle)
-    print("compatible" if good else "incompatible")
-    return 0 if good else 1
+def cmd_compat(problem: SimpleNamespace, args):
+    good = is_compatible(problem.family, exhaustive=args.oracle)
+    yield "compatible" if good else "incompatible"
+    return good
 
 
-def cmd_gamma(problem: SimpleNamespace, args) -> int:
-    lat = _need(problem, "lattice", "a lattice")
+def cmd_gamma(problem: SimpleNamespace, args):
+    lat = problem.lattice
     for j in range(lat.size):
         if j == lat.bottom:
             continue
-        print(f"gamma_{j + 1} = {_fmt_indices(compute_gamma(lat, j))}")
-    return 0
+        yield f"gamma_{j + 1} = {_fmt_indices(compute_gamma(lat, j))}"
 
 
-def cmd_theta(problem: SimpleNamespace, args) -> int:
-    family = _need(problem, "family", "a family member")
+def cmd_theta(problem: SimpleNamespace, args):
     try:
-        ideal = theta(family)
+        ideal = theta(problem.family)
     except ValueError as exc:
         raise InputError(str(exc)) from None
     for x, s in enumerate(ideal.stalks):
-        print(f"stalk[{x}] = {s + 1}")
-    return 0
+        yield f"stalk[{x}] = {s + 1}"
 
 
-def cmd_recover(problem: SimpleNamespace, args) -> int:
-    _need(problem, "lattice", "a lattice")  # named first when both are missing
-    family = recover_S(_need(problem, "ideal", "an ideal member (stalk list)"))
-    for i, mask in enumerate(family.sets):
-        print(f"S[{i + 1}] = {_fmt_points(mask)}")
-    return 0
+def cmd_recover(problem: SimpleNamespace, args):
+    for i, mask in enumerate(recover_S(problem.ideal).sets):
+        yield f"S[{i + 1}] = {_fmt_points(mask)}"
 
 
-def cmd_decompose(problem: SimpleNamespace, args) -> int:
-    family = _need(problem, "family", "a family member")
+def cmd_decompose(problem: SimpleNamespace, args):
     try:
-        dec = decompose(family)
+        dec = decompose(problem.family)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    full = (1 << family.points) - 1
+    full = (1 << problem.family.points) - 1
     for y, j in dec.terms:
         if args.minimal and y == full:
             continue
-        print(f"term[{j + 1}]: Y = {_fmt_points(y)}")
-    return 0
+        yield f"term[{j + 1}]: Y = {_fmt_points(y)}"
 
 
-def cmd_verify_fin_sum(problem: SimpleNamespace, args) -> int:
-    lat = _need(problem, "lattice", "a lattice")
-    points = _need(problem, "points", "a points member")
+def cmd_verify_fin_sum(problem: SimpleNamespace, args):
     bound = args.bound if args.bound is not None else DEFAULT_FAMILY_BOUND
-    families = enumerate_compatible_families(lat, points, bound=bound)
+    families = enumerate_compatible_families(problem.lattice, problem.points, bound=bound)
     passed = 0
     for idx, family in enumerate(families):
         report = verify_theorem(family)
         ok = all(good for _, good in report)
         passed += ok
         for identity, good in report:
-            print(f"{'PASS' if good else 'FAIL'} {problem.name} {idx} {identity}")
-    print(f"{passed}/{len(families)} families PASS")
-    return 0 if passed == len(families) else 1
+            yield f"{'PASS' if good else 'FAIL'} {problem.name} {idx} {identity}"
+    yield f"{passed}/{len(families)} families PASS"
+    return passed == len(families)
 
 
-def cmd_ideal_from_y(problem: SimpleNamespace, args) -> int:
-    alg = _need_algebra(problem)
-    y_mask = _need(problem, "y_mask", "a Y member")
-    t = _need(problem, "ideal_index", "an ideal_index member")
-    ideal, matches = ideal_from_Y_and_I(alg, y_mask, t)
+def cmd_ideal_from_y(problem: SimpleNamespace, args):
+    alg = function_algebra(problem.spec, problem.points)
+    ideal, matches = ideal_from_Y_and_I(alg, problem.y_mask, problem.ideal_index)
     for x, s in enumerate(ideal.stalks):
-        print(f"stalk[{x}] = {s + 1}")
-    print(f"{'PASS' if matches else 'FAIL'} product-sum-equality")
-    return 0 if matches else 1
+        yield f"stalk[{x}] = {s + 1}"
+    yield f"{'PASS' if matches else 'FAIL'} product-sum-equality"
+    return matches
 
 
-def cmd_normalizer(problem: SimpleNamespace, args) -> int:
-    alg = _need_algebra(problem)
-    ideal = _need(problem, "ideal", "an ideal member (stalk list)")
-    nj, summed = cqp_sides(alg, ideal)
-    print(f"dim N(J) = {nj.dim}")
+def cmd_normalizer(problem: SimpleNamespace, args):
+    alg = function_algebra(problem.spec, problem.points)
+    nj, summed = cqp_sides(alg, problem.ideal)
+    yield f"dim N(J) = {nj.dim}"
     # N(J) = J + C(X, C1) needs a unique maximal ideal in A: one block.
     k = alg.spec.num_blocks
     if k != 1:
-        print(
-            f"PRECONDITION normalizer-decomposition "
-            f"(algebra has {k} blocks; a unique maximal ideal needs 1)"
-        )
-        return 0
+        yield ("PRECONDITION normalizer-decomposition "
+               f"(algebra has {k} blocks; a unique maximal ideal needs 1)")
+        return
     ok = nj == summed
-    print(
-        f"{'PASS' if ok else 'FAIL'} normalizer-decomposition "
-        f"(dim N(J) = {nj.dim}, dim (J + central functions) = {summed.dim})"
-    )
-    return 0 if ok else 1
+    yield (f"{'PASS' if ok else 'FAIL'} normalizer-decomposition "
+           f"(dim N(J) = {nj.dim}, dim (J + central functions) = {summed.dim})")
+    return ok
 
 
-def cmd_sandwich(problem: SimpleNamespace, args) -> int:
+def cmd_sandwich(problem: SimpleNamespace, args):
     """Decide L over the rationals through its realification: B is real, so
     L is a Lie ideal of B iff the span of (Re v, Im v) and (-Im v, Re v) over
     its rows v is closed under the halfwise brackets (see lie.LieCandidate)."""
-    alg = _need_algebra(problem)
-    rows = _need(problem, "subspace_rows", "a subspace member")
+    alg = function_algebra(problem.spec, problem.points)
     realified = []
-    for row in rows:
+    for row in problem.subspace_rows:
         re = [x for x, _ in row]
         im = [y for _, y in row]
         realified.append(re + im)
@@ -381,41 +346,37 @@ def cmd_sandwich(problem: SimpleNamespace, args) -> int:
     candidate = LieCandidate(alg, sub)
     lie = is_lie_ideal(candidate)
     witness = sandwich_witness(candidate)
-    print(f"lie-ideal: {'true' if lie else 'false'}")
+    yield f"lie-ideal: {'true' if lie else 'false'}"
     if witness is None:
-        print("witness: none")
+        yield "witness: none"
     else:
-        print(f"witness: ({','.join(str(s + 1) for s in witness.stalks)})")
+        yield f"witness: ({','.join(str(s + 1) for s in witness.stalks)})"
     consistent = lie == (witness is not None)
-    print(f"{'PASS' if consistent else 'FAIL'} sandwich-consistency")
-    return 0 if consistent else 1
+    yield f"{'PASS' if consistent else 'FAIL'} sandwich-consistency"
+    return consistent
 
 
-def cmd_cqp(problem: SimpleNamespace, args) -> int:
-    alg = _need_algebra(problem)
-    ok, lines = check_cqp(alg)
-    for line in lines:
-        print(line)
-    print(f"cqp: {'true' if ok else 'false'}")
-    return 0 if ok else 1
+def cmd_cqp(problem: SimpleNamespace, args):
+    ok, lines = check_cqp(function_algebra(problem.spec, problem.points))
+    yield from lines
+    yield f"cqp: {'true' if ok else 'false'}"
+    return ok
 
 
-def cmd_weak_central(problem: SimpleNamespace, args) -> int:
-    alg = _need_algebra(problem)
-    ok = weak_centrality(alg)
-    print(f"weakly-central: {'true' if ok else 'false'}")
-    return 0 if ok else 1
+def cmd_weak_central(problem: SimpleNamespace, args):
+    ok = weak_centrality(function_algebra(problem.spec, problem.points))
+    yield f"weakly-central: {'true' if ok else 'false'}"
+    return ok
 
 
-def cmd_fixtures(problem: SimpleNamespace, args) -> int:
-    for name in sorted(fixtures_mod.bundled_fixture_names()):
-        print(name)
-    return 0
+def cmd_fixtures(problem: SimpleNamespace, args):
+    yield from sorted(fixtures_mod.bundled_fixture_names())
 
 
-def _verify_all_lines(problem: SimpleNamespace, args) -> list:
-    lat = _need(problem, "lattice", "a lattice")
-    points = _need(problem, "points", "a points member")
+def cmd_verify_all(problem: SimpleNamespace, args):
+    """Every check on the problem.  Its lines are collected before the first
+    is yielded, so a failed invariance check prints its FAIL line alone."""
+    lat, points = problem.lattice, problem.points
     bound = args.bound if args.bound is not None else DEFAULT_FAMILY_BOUND
     lines = []
 
@@ -468,43 +429,63 @@ def _verify_all_lines(problem: SimpleNamespace, args) -> list:
         else:
             lines.append("SKIP normalizer-decomposition (needs a single block)")
 
-        sandwich_ok, sandwich_lines = sandwich_random_suite(alg, args.seed)
-        lines.extend(sandwich_lines)
-
+        lines.extend(sandwich_random_suite(alg, args.seed)[1])
         wc_ok = weak_centrality(alg)
         record("cqp", cqp_ok)
         record("weak-central", wc_ok)
-        transfer_ok, transfer_lines = cqp_transfer_check(problem.spec, points, cqp_ok, wc_ok)
-        lines.extend(transfer_lines)
+        lines.extend(cqp_transfer_check(problem.spec, points, cqp_ok, wc_ok)[1])
 
-    return lines
-
-
-def cmd_verify_all(problem: SimpleNamespace, args) -> int:
-    lines = _verify_all_lines(problem, args)
     ok = not any(line.startswith("FAIL") for line in lines)
-    for line in lines:
-        print(line)
-    print(f"verify-all: {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    yield from lines
+    yield f"verify-all: {'PASS' if ok else 'FAIL'}"
+    return ok
 
 
+# What a command needs, in the order a missing member is named, and how the
+# refusal names each member.
 _COMMANDS = {
-    "validate": cmd_validate,
-    "compat": cmd_compat,
-    "gamma": cmd_gamma,
-    "theta": cmd_theta,
-    "recover": cmd_recover,
-    "decompose": cmd_decompose,
-    "verify-fin-sum": cmd_verify_fin_sum,
-    "ideal-from-y": cmd_ideal_from_y,
-    "normalizer": cmd_normalizer,
-    "sandwich": cmd_sandwich,
-    "cqp": cmd_cqp,
-    "weak-central": cmd_weak_central,
-    "verify-all": cmd_verify_all,
-    "fixtures": cmd_fixtures,
+    "validate": (cmd_validate, ("lattice",)),
+    "compat": (cmd_compat, ("lattice", "family")),
+    "gamma": (cmd_gamma, ("lattice",)),
+    "theta": (cmd_theta, ("family",)),
+    "recover": (cmd_recover, ("lattice", "ideal")),
+    "decompose": (cmd_decompose, ("family",)),
+    "verify-fin-sum": (cmd_verify_fin_sum, ("lattice", "points")),
+    "ideal-from-y": (cmd_ideal_from_y, ("spec", "points", "y_mask", "ideal_index")),
+    "normalizer": (cmd_normalizer, ("spec", "points", "ideal")),
+    "sandwich": (cmd_sandwich, ("spec", "points", "subspace_rows")),
+    "cqp": (cmd_cqp, ("spec", "points")),
+    "weak-central": (cmd_weak_central, ("spec", "points")),
+    "verify-all": (cmd_verify_all, ("lattice", "points")),
+    "fixtures": (cmd_fixtures, ()),
 }
+_MISSING = {
+    "lattice": "a lattice",
+    "spec": "a concrete block algebra (blocks member or fixture)",
+    "points": "a points member",
+    "family": "a family member",
+    "ideal": "an ideal member (stalk list)",
+    "y_mask": "a Y member",
+    "ideal_index": "an ideal_index member",
+    "subspace_rows": "a subspace member",
+}
+
+
+def _run(args) -> int:
+    """Resolve the problem, refuse it when it lacks a member the command needs,
+    and print each line the command yields as it comes.  Returns 1 when the
+    command returned False (a check failed), else 0."""
+    command, needs = _COMMANDS[args.command]
+    problem = _resolve_problem(args)
+    for member in needs:
+        if getattr(problem, member) is None:
+            raise InputError(f"this command needs {_MISSING[member]}")
+    lines = command(problem, args)
+    try:
+        while True:
+            print(next(lines))
+    except StopIteration as end:
+        return 1 if end.value is False else 0
 
 
 # A plain command line, COMMAND [PROBLEM] with only the exact options, each
@@ -571,7 +552,7 @@ def main(argv=None) -> int:
     try:
         try:
             args = parse_args(sys.argv[1:] if argv is None else argv)
-            code = _COMMANDS[args.command](_resolve_problem(args), args)
+            code = _run(args)
         except SystemExit as exc:
             # from argparse: 0 after the help, 2 after the usage and its message
             code = exc.code

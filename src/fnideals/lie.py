@@ -35,12 +35,7 @@ from .function_algebra import (
     function_algebra,
     pointwise_subspace,
 )
-from .linalg import (
-    Subspace,
-    annihilator,
-    integer_membership,
-    rref,
-)
+from .linalg import Subspace, annihilator, integer_membership, integer_residue, rref
 from .value import Value
 
 # Candidates the sandwich suite draws per ideal, and outside every bound.
@@ -181,17 +176,16 @@ class _Interval:
         n, table = alg.dim, alg.commutator_table
         held = set(lower.pivots)
         self.q = [p for p in upper.pivots if p not in held]
-        self.upper_den, rows = upper.integer_rows()
-        self.q_rows = [row for row in rows if row[0] not in held]
-        self.lower_rows = lower.integer_rows()
-        brackets = unit_action(table, self.lower_rows[1], n, n)
-        inside = integer_membership(*self.lower_rows)
-        self.escaping = [self.split(w) for w in brackets if not inside(w)]
-        self.support = set().union(*(compress(range(n), w) for w in brackets))
+        upper_den, rows = upper.integer_rows()
+        q_rows = [row for row in rows if row[0] not in held]
+        self.residues = integer_residue(*lower.integer_rows()), integer_residue(upper_den, q_rows)
+        base = LieCandidate(alg, lower)
+        self.escaping = [self.split(w) for w in base.brackets if not base.contains(w)]
+        self.support = base.support
         # kept: the splits of [U_q, e_b] over q, for each e_b where one is not 0;
         # reach: each nonzero ([U_q, e_b]_i)_q, i outside support -> those i
         self.kept, reach, zero = [], {}, [0] * n
-        acted = [unit_action_row(table, row, n, n) for row in self.q_rows]
+        acted = [unit_action_row(table, row, n, n) for row in q_rows]
         for b in range(n):
             column = [row[b] or zero for row in acted]
             if not any(map(any, column)):
@@ -207,19 +201,9 @@ class _Interval:
 
     def split(self, v) -> list:
         """sigma + o for a row v of B, each part scaled by a fixed positive integer."""
-        den, rows = self.lower_rows
-        acc = [den * x for x in v]
-        for p, cols, values in rows:
-            if f := v[p]:
-                for c, r in zip(cols, values):
-                    acc[c] -= f * r
-        sigma = [acc[q] for q in self.q]
-        o = [self.upper_den * x for x in acc]
-        for s, (_, cols, values) in zip(sigma, self.q_rows):
-            if s:
-                for c, r in zip(cols, values):
-                    o[c] -= s * r
-        return sigma + o
+        by_lower, by_q = self.residues
+        r = by_lower(v)
+        return [r[q] for q in self.q] + by_q(r)
 
     def draw(self, rng) -> Subspace:
         """The quotient RREF C of the next draw of `rng`."""

@@ -12,9 +12,9 @@ row-echelon bases, which makes RREF a true canonical form: two subspaces are
 equal as sets iff their Subspace values compare equal field-for-field.
 The checked constructor `Subspace(n, basis)` refuses a basis that `rref`
 does not return unchanged, and stores `rref`'s canonical entries.
-Membership is fraction-free too: `integer_membership` scales the basis rows
-by their common denominator and each tested row by its own, keeps only the
-nonzero terms of each basis row, and compares integers.
+Membership is fraction-free too: `integer_residue` scales the basis rows by
+their common denominator and keeps only their nonzero terms, and
+`integer_membership` scales each tested row by its own and reads its residue.
 
 There is one elimination layout: `rref` reduces rows of the ambient width.
 Sums concatenate bases and reduce them; the annihilator is read off an RREF
@@ -211,25 +211,32 @@ class Subspace(Value):
         return echelon_subspace(n, tuple(rows), tuple(range(n)))
 
 
+def integer_residue(den: int, rows: list):
+    """v -> D*v - sum_k v[p_k]*R_k, R_k the basis rows scaled to integers by D
+    and p_k their pivots, as `Subspace.integer_rows` gives (D, rows): zero at
+    each p_k, and zero everywhere iff v lies in the span."""
+
+    def residue(vec) -> list:
+        acc = [den * x for x in vec] if den != 1 else list(vec)
+        for p, cols, values in rows:
+            if f := vec[p]:
+                for c, r in zip(cols, values):
+                    acc[c] -= f * r
+        return acc
+
+    return residue
+
+
 def integer_membership(den: int, rows: list):
     """The membership test of the subspace whose `Subspace.integer_rows` are
-    (den, rows), for a caller that already holds them.
-
-    Fraction-free: with the basis rows R_k scaled to integers by D, a row's
-    coordinates at the pivots p_k are its only possible coefficients, so v
-    (scaled to integers) lies in the span iff D*v = sum_k v[p_k]*R_k.
-    """
+    (den, rows), for a caller that already holds them: fraction-free, as v
+    is scaled to integers and its `integer_residue` compared with zero."""
+    residue = integer_residue(den, rows)
 
     def test(vec) -> bool:
         if Fraction in map(type, vec):
             vec = _scaled(vec, reduce(lcm, map(_denominator, vec)))
-        acc = [den * x for x in vec] if den != 1 else list(vec)
-        for p, cols, values in rows:
-            f = vec[p]
-            if f:
-                for c, r in zip(cols, values):
-                    acc[c] -= f * r
-        return not any(acc)
+        return not any(residue(vec))
 
     return test
 

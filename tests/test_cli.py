@@ -331,6 +331,49 @@ def test_every_command_on_generated_documents_exits_0_1_or_2(tmp_path, capsys, b
             assert err == "", (command, doc, err)
 
 
+# Each command on documents that add one member at a time.  A string is the
+# member a refusal names (exit 2, no stdout); a pair is the exit code and the
+# first 16 hex digits of the sha256 of stdout, with nothing on stderr.
+PINNED_DOCS = (
+    {},
+    {"blocks": [1, 2]},
+    {"blocks": [1, 2], "points": 2},
+    {"blocks": [1, 2], "points": 2, "Y": [0]},
+)
+_ALGEBRA = "a concrete block algebra (blocks member or fixture)"
+_IDEAL = "an ideal member (stalk list)"
+_FAMILY = "a family member"
+PINNED_REPORTS = {
+    "validate": ["a lattice", (0, "dc51b8c96c2d745d"), (0, "dc51b8c96c2d745d"), (0, "dc51b8c96c2d745d")],
+    "compat": ["a lattice", _FAMILY, _FAMILY, _FAMILY],
+    "gamma": ["a lattice", (0, "cb55145bcf090561"), (0, "cb55145bcf090561"), (0, "cb55145bcf090561")],
+    "theta": [_FAMILY, _FAMILY, _FAMILY, _FAMILY],
+    # the lattice is named before the ideal
+    "recover": ["a lattice", _IDEAL, _IDEAL, _IDEAL],
+    "decompose": [_FAMILY, _FAMILY, _FAMILY, _FAMILY],
+    "verify-fin-sum": ["a lattice", "a points member", (0, "78206ffb067177e2"), (0, "78206ffb067177e2")],
+    # blocks, then points, then Y, then ideal_index
+    "ideal-from-y": [_ALGEBRA, "a points member", "a Y member", "an ideal_index member"],
+    "normalizer": [_ALGEBRA, "a points member", _IDEAL, _IDEAL],
+    "sandwich": [_ALGEBRA, "a points member", "a subspace member", "a subspace member"],
+    "cqp": [_ALGEBRA, "a points member", (0, "151ce0b7381d6225"), (0, "151ce0b7381d6225")],
+    "weak-central": [_ALGEBRA, "a points member", (0, "a781c3cb44e19496"), (0, "a781c3cb44e19496")],
+    "verify-all": ["a lattice", "a points member", (0, "529f6898fff5e88c"), (0, "529f6898fff5e88c")],
+    "fixtures": [(0, "df1525993e59b63d")] * 4,
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+@pytest.mark.parametrize("at", range(len(PINNED_DOCS)))
+def test_each_command_prints_its_pinned_report(tmp_path, capsys, command, at):
+    code, out, err = run_cli(tmp_path, capsys, [command], PINNED_DOCS[at])
+    expected = PINNED_REPORTS[command][at]
+    if isinstance(expected, str):
+        assert (code, out, err) == (2, "", f"error: this command needs {expected}\n")
+    else:
+        assert (code, hashlib.sha256(out.encode()).hexdigest()[:16], err) == (*expected, "")
+
+
 def test_unknown_command_exits_2_with_usage(capsys):
     assert main(["nonesuch"]) == 2
     out, err = capsys.readouterr()

@@ -376,7 +376,7 @@ def test_sandwich_suite_counts_every_draw_of_a_shared_interval(monkeypatch):
 
 
 @pytest.mark.parametrize("end", ["lower", "upper"])
-def test_sandwich_suite_decides_an_end_once_and_counts_it_per_draw(monkeypatch, end):
+def test_sandwich_suite_fails_each_draw_equal_to_a_rejected_end(monkeypatch, end):
     """On M2 x 2 the interval of J = 0 is [span[0, B], N(0)] = [0, Z(B)], and
     no other interval has either end.  A fault that rejects only that end
     fails every draw equal to the end, each decided on its own."""
@@ -575,7 +575,7 @@ def trace_zero_at_first_point(alg):
     return rref([row + (0,) * (alg.dim - 4) for row in rows], alg.dim)
 
 
-def test_candidates_over_a_base_whose_brackets_leave_it():
+def test_interval_over_a_lower_end_whose_brackets_leave_it():
     """span(e12) at one point of M2 x 2 is not Lie-closed: its brackets leave
     it, so the interval [span(e12), B] keeps the splits of those that do, and
     decides every draw over it as a fresh candidate does."""

@@ -14,7 +14,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from fnideals.cli import _parse_scalar
-from fnideals.linalg import Subspace, annihilator, intersect, rref, vector
+from fnideals.linalg import Subspace, annihilator, integer_residue, intersect, rref, vector
 from oracles import from_sympy, gaussian_text
 
 
@@ -506,6 +506,19 @@ def test_membership_matches_rank_oracle_on_fraction_bases():
     bad, seen = membership_disagreements(range(4))
     assert not bad
     assert seen == {True, False}
+
+
+def test_integer_residue_vanishes_at_the_pivots_and_everywhere_on_members():
+    """A row's residue, Fractions left unscaled as the sandwich interval's
+    split leaves them, is zero at each pivot, and zero everywhere exactly
+    when the row lies in the subspace."""
+    for seed in range(4):
+        for sub, vecs in fraction_membership_cases(seed):
+            residue = integer_residue(*sub.integer_rows())
+            for v in vecs:
+                r = residue(v)
+                assert not any(r[p] for p in sub.pivots)
+                assert (not any(r)) == oracle_contains(sub.basis, v)
 
 
 @pytest.fixture(params=["unscaled-rows", "dropped-row"])
