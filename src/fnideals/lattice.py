@@ -181,7 +181,7 @@ def _pairwise_compatible(lat: BoundedLattice, sets: tuple) -> bool:
 
 
 def _exhaustive_compatible(lat: BoundedLattice, sets: tuple) -> bool:
-    """Check every nonempty subset gamma of indices, not just pairs."""
+    """Brute-force reference: check every nonempty subset gamma of indices."""
     n = lat.size
     meet = lat.meet
     meet_of = [0] * (1 << n)
@@ -200,25 +200,18 @@ def _exhaustive_compatible(lat: BoundedLattice, sets: tuple) -> bool:
     return True
 
 
-def is_compatible(family: ClosedFamily, exhaustive: bool = False) -> bool:
-    """Compatibility of the family with the lattice's meet structure.
-
-    The fast mode checks all pairs; since the index family is the whole
-    (meet-closed) lattice, arbitrary meets factor through pairwise meets.
-    The exhaustive mode re-checks every subset of indices directly.
+def is_compatible(family: ClosedFamily) -> bool:
+    """Compatibility of the family with the lattice's meet structure, checked
+    on all pairs: with meet commutative and idempotent, folding in one index
+    at a time carries the pairwise check to every subset of indices.
     """
-    lat, sets = family.lattice, family.sets
-    if exhaustive:
-        return _exhaustive_compatible(lat, sets)
-    return _pairwise_compatible(lat, sets)
+    return _pairwise_compatible(family.lattice, family.sets)
 
 
-def compat_oracles_agree(lat: BoundedLattice, points: int) -> bool:
-    """True iff enumerate_compatible_families returns exactly the families
-    found by brute force: every assignment of a subset of X to each lattice
-    index that puts X at the top and passes the exhaustive check.
-    """
-    found = enumerate_compatible_families(lat, points, bound=lat.size * points)
+def compat_oracles_agree(lat: BoundedLattice, points: int, found: list) -> bool:
+    """True iff `found`, from enumerate_compatible_families, holds exactly the
+    families found by brute force: every assignment of a subset of X to each
+    lattice index that puts X at the top and passes the exhaustive check."""
     full = (1 << points) - 1
     brute = [
         sets

@@ -178,10 +178,13 @@ class _Interval:
         self.q = [p for p in upper.pivots if p not in held]
         upper_den, rows = upper.integer_rows()
         q_rows = [row for row in rows if row[0] not in held]
-        self.residues = integer_residue(*lower.integer_rows()), integer_residue(upper_den, q_rows)
-        base = LieCandidate(alg, lower)
-        self.escaping = [self.split(w) for w in base.brackets if not base.contains(w)]
-        self.support = base.support
+        lower_den, lower_rows = lower.integer_rows()
+        self.residues = integer_residue(lower_den, lower_rows), integer_residue(upper_den, q_rows)
+        # lower's brackets, as LieCandidate(alg, lower) builds them; one lies
+        # in lower iff its residue by lower is zero
+        brackets = unit_action(table, lower_rows, n, n)
+        self.support = frozenset().union(*(compress(range(n), w) for w in brackets))
+        self.escaping = [self.split(w) for w in brackets if any(self.residues[0](w))]
         # kept: the splits of [U_q, e_b] over q, for each e_b where one is not 0;
         # reach: each nonzero ([U_q, e_b]_i)_q, i outside support -> those i
         self.kept, reach, zero = [], {}, [0] * n

@@ -289,7 +289,6 @@ def argparse_parse(argv) -> tuple:
     parser.add_argument("command", choices=sorted(cli._COMMANDS))
     parser.add_argument("problem", nargs="?", help="JSON problem file")
     parser.add_argument("--fixture", help="bundled fixture name (see the fixtures command)")
-    parser.add_argument("--oracle", action="store_true", help="exhaustive compatibility mode")
     parser.add_argument("--minimal", action="store_true", help="drop zero decomposition terms")
     parser.add_argument("--seed", type=int, default=0, help="seed for random-subspace suites")
     parser.add_argument("--bound", type=int, default=None, help="family enumeration bound")

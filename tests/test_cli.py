@@ -23,6 +23,7 @@ from fnideals import cli, decomposition, fdalgebra, lie
 from fnideals.cli import _parse_scalar, main
 from fnideals.fdalgebra import AlgebraSpec, enumerate_ideals
 from fnideals.function_algebra import PointwiseIdeal, enumerate_all_ideals
+from fnideals.lattice import _exhaustive_compatible, compute_gamma, family_from_lists, lattice_from_dict
 from fnideals.lie import commutator_ideal_span, lie_normalizer
 from fnideals.linalg import Subspace, rref
 from conftest import drop_last_normalizer_row
@@ -407,27 +408,77 @@ def test_fixture_is_a_problem_document_under_the_file(tmp_path, capsys):
     assert out.splitlines()[-1] == "64/64 families PASS"  # a level in 8 per point
 
 
+def _boolean_2_with(name, cells):
+    """BOOLEAN_2 with the given cells of its `name` table changed."""
+    table = [list(row) for row in BOOLEAN_2[name]]
+    for (i, j), v in cells.items():
+        table[i][j] = v
+    return dict(BOOLEAN_2, **{name: table})
+
+
+# bottom 0, top 4 and a 3-cycle 1 <= 2 <= 3 <= 1 in between
+CYCLE_3 = {
+    "size": 5,
+    "meet": [[0, 0, 0, 0, 0], [0, 1, 1, 3, 1], [0, 1, 2, 2, 2], [0, 3, 2, 3, 3], [0, 1, 2, 3, 4]],
+    "join": [[0, 1, 2, 3, 4], [1, 1, 2, 1, 4], [2, 2, 2, 3, 4], [3, 1, 3, 3, 4], [4, 4, 4, 4, 4]],
+    "bottom": 0,
+    "top": 4,
+}
+# 0 < a = 1, b = 2 < c = 3 < 4 with join(a, b) = 4, not c
+JOIN_AB_TOP = {
+    "size": 5,
+    "meet": [[0, 0, 0, 0, 0], [0, 1, 0, 1, 1], [0, 0, 2, 2, 2], [0, 1, 2, 3, 3], [0, 1, 2, 3, 4]],
+    "join": [[0, 1, 2, 3, 4], [1, 1, 4, 3, 4], [2, 4, 2, 3, 4], [3, 3, 3, 3, 4], [4, 4, 4, 4, 4]],
+    "bottom": 0,
+    "top": 4,
+}
+
+
 @pytest.mark.parametrize(
-    "doc, code, out",
+    "doc, code, out, err",
     [
-        ({"lattice": BOOLEAN_2}, 0, "ok\n"),
-        ({"lattice": NOT_COMMUTATIVE}, 1, "FAIL meet commutativity violated at (1,2)\n"),
+        ({"lattice": BOOLEAN_2}, 0, "ok\n", ""),
+        ({"lattice": NOT_COMMUTATIVE}, 1, "FAIL meet commutativity violated at (1,2)\n", ""),
+        ({"lattice": _boolean_2_with("meet", {(1, 1): 0})}, 1,
+         "FAIL meet idempotence violated at (1,1): got 0\n", ""),
+        ({"lattice": _boolean_2_with("join", {(1, 1): 3})}, 1,
+         "FAIL join idempotence violated at (1,1): got 3\n", ""),
+        ({"lattice": _boolean_2_with("join", {(1, 2): 1})}, 1,
+         "FAIL join commutativity violated at (1,2)\n", ""),
+        ({"lattice": _boolean_2_with("join", {(1, 2): 1, (2, 1): 1})}, 1,
+         "FAIL absorption meet(i, join(i,j)) violated at (2,1)\n", ""),
+        ({"lattice": _boolean_2_with("meet", {(1, 2): 1, (2, 1): 1})}, 1,
+         "FAIL absorption join(i, meet(i,j)) violated at (2,1)\n", ""),
+        ({"lattice": dict(BOOLEAN_2, top=1)}, 1, "FAIL top is not a unit for meet at (2,1)\n", ""),
+        ({"lattice": dict(BOOLEAN_2, bottom=1)}, 1, "FAIL bottom is not a unit for join at (0,1)\n", ""),
+        ({"lattice": CYCLE_3}, 1, "FAIL meet associativity violated at (1,2,3)\n", ""),
+        ({"lattice": JOIN_AB_TOP}, 1, "FAIL join associativity violated at (1,2,3)\n", ""),
+        ({"lattice": dict(BOOLEAN_2, meet=BOOLEAN_2["meet"][:3] + [[0, 1, 2]])}, 2, "",
+         "error: bad lattice member: meet table rows must have 4 entries\n"),
     ],
-    ids=["lattice", "not-commutative"],
+    ids=["lattice", "not-commutative", "meet-idempotence", "join-idempotence", "join-commutativity",
+         "meet-absorption", "join-absorption", "top-unit", "bottom-unit", "meet-associativity",
+         "join-associativity", "short-row"],
 )
-def test_validate_reports_the_first_violation(tmp_path, capsys, doc, code, out):
-    assert run_cli(tmp_path, capsys, ["validate"], doc) == (code, out, "")
+def test_validate_reports_the_first_violation(tmp_path, capsys, doc, code, out, err):
+    assert run_cli(tmp_path, capsys, ["validate"], doc) == (code, out, err)
 
 
-@pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["pairwise", "exhaustive"])
+@pytest.mark.parametrize("mode", ["pairwise", "exhaustive"])
 @pytest.mark.parametrize(
     "family, code, out",
     [([[], [0], [], [0]], 0, "compatible\n"), ([[0], [], [], [0]], 1, "incompatible\n")],
     ids=["compatible", "incompatible"],
 )
-def test_compat_in_both_modes(tmp_path, capsys, oracle, family, code, out):
+def test_compat_in_both_modes(tmp_path, capsys, mode, family, code, out):
+    """compat prints the pairwise verdict; the exhaustive check of every subset
+    of indices, its brute-force reference, gives the same verdict."""
     doc = {"lattice": BOOLEAN_2, "points": 1, "family": family}
-    assert run_cli(tmp_path, capsys, ["compat"] + oracle, doc) == (code, out, "")
+    if mode == "pairwise":
+        assert run_cli(tmp_path, capsys, ["compat"], doc) == (code, out, "")
+    else:
+        lat = lattice_from_dict(BOOLEAN_2)
+        assert _exhaustive_compatible(lat, family_from_lists(lat, 1, family).sets) == (code == 0)
 
 
 def test_integral_float_scalars_read_as_integers(tmp_path, capsys):
@@ -565,11 +616,11 @@ def test_parser_agrees_with_argparse(pieces):
 @pytest.mark.parametrize(
     "argv, expected",
     [
-        (["cqp"], {"problem": None, "fixture": None, "seed": 0, "bound": None, "oracle": False}),
+        (["cqp"], {"problem": None, "fixture": None, "seed": 0, "bound": None, "minimal": False}),
         (["--seed", "-1", "cqp", "p.json", "--fix=bh2"],
          {"problem": "p.json", "fixture": "bh2", "seed": -1}),
-        (["cqp", "--seed=-2", "--bo", "7", "p.json", "--orac", "--min"],
-         {"problem": "p.json", "seed": -2, "bound": 7, "oracle": True, "minimal": True}),
+        (["cqp", "--seed=-2", "--bo", "7", "p.json", "--min"],
+         {"problem": "p.json", "seed": -2, "bound": 7, "minimal": True}),
         (["cqp", "--", "p.json"], {"problem": "p.json"}),
     ],
     ids=["defaults", "negative-value-and-prefix", "options-between", "separator"],
@@ -581,7 +632,7 @@ def test_parser_reads_options_anywhere(argv, expected):
 
 
 USAGE = f"""\
-usage: fnideals [-h] [--fixture FIXTURE] [--oracle] [--minimal] [--seed SEED]
+usage: fnideals [-h] [--fixture FIXTURE] [--minimal] [--seed SEED]
                 [--bound BOUND]
                 {{{",".join(sorted(cli._COMMANDS))}}}
                 [problem]
@@ -591,8 +642,9 @@ usage: fnideals [-h] [--fixture FIXTURE] [--oracle] [--minimal] [--seed SEED]
 @pytest.mark.parametrize(
     "argv",
     [["nonesuch"], ["cqp", "p.json", "q.json", "-x"], ["cqp", "--fixture"],
-     ["cqp", "--seed", "--oracle"], ["cqp", "--seed", "x"], ["cqp", "--bou=1.5"]],
-    ids=["invalid-choice", "unrecognized", "expected-one", "option-as-value", "invalid-int", "invalid-int-prefix"],
+     ["cqp", "--seed", "--minimal"], ["cqp", "--seed", "x"], ["cqp", "--bou=1.5"], ["compat", "p.json", "--oracle"]],
+    ids=["invalid-choice", "unrecognized", "expected-one", "option-as-value", "invalid-int", "invalid-int-prefix",
+         "retired-oracle"],
 )
 def test_refused_command_line_prints_usage_and_argparse_message(capsys, argv):
     """main prints the usage and one error line, as the oracle parser prints
@@ -620,7 +672,6 @@ positional arguments:
 options:
   -h, --help            show this help message and exit
   --fixture FIXTURE     bundled fixture name (see the fixtures command)
-  --oracle              exhaustive compatibility mode
   --minimal             drop zero decomposition terms
   --seed SEED           seed for random-subspace suites
   --bound BOUND         family enumeration bound
@@ -859,8 +910,11 @@ def test_verify_all_reports_a_vacuous_outside_check_and_passes(tmp_path, capsys)
 
 def test_verify_all_on_the_zero_algebra(tmp_path, capsys):
     """With no points B is 0, so its one ideal's interval is [0, 0]: every
-    draw is that interval's only subspace, and it is also [0, B]."""
-    code, out, err = run_cli(tmp_path, capsys, ["verify-all"], {"blocks": [2], "points": 0})
+    draw is that interval's only subspace, and it is also [0, B].  B has no
+    maximal ideal, so weak centrality holds vacuously."""
+    doc = {"blocks": [2], "points": 0}
+    assert run_cli(tmp_path, capsys, ["weak-central"], doc) == (0, "weakly-central: true\n", "")
+    code, out, err = run_cli(tmp_path, capsys, ["verify-all"], doc)
     assert code == 0 and err == ""
     assert out.splitlines() == [
         "PASS lattice-laws",
@@ -872,7 +926,7 @@ def test_verify_all_on_the_zero_algebra(tmp_path, capsys):
         "PASS sandwich-between-bounds (20 subspaces, 0 discrepancies)",
         "VACUOUS sandwich-outside-bounds (every subspace lies in [0, B])",
         "PASS cqp",
-        "PASS weak-central",
+        "VACUOUS weak-central (no maximal ideal)",
         "SKIP points=0 function algebra is the zero algebra",
         "verify-all: PASS",
     ]
@@ -986,6 +1040,17 @@ def _full_normalizer_at_mask_1(parts):
     return faulted
 
 
+def _drop_largest_gamma_index(_original):
+    """union_over_gamma with the largest index of gamma_j left out."""
+    def faulted(family, j):
+        mask = 0
+        for k in sorted(compute_gamma(family.lattice, j))[:-1]:
+            mask |= family.sets[k]
+        return mask
+
+    return faulted
+
+
 WEAK_CENTRALITY = ("weak-centrality-equals-cqp-base", "weak-centrality-equals-cqp-function-algebra")
 
 
@@ -1020,6 +1085,7 @@ WEAK_CENTRALITY = ("weak-centrality-equals-cqp-base", "weak-centrality-equals-cq
         # entry, so the two CQP transfer lines stay PASS.
         ("lie.stalk_parts", _full_normalizer_at_mask_1,
          ["sandwich-between-bounds", "cqp", *WEAK_CENTRALITY]),
+        ("union_over_gamma", _drop_largest_gamma_index, ["fin-sum"]),
     ],
 )
 def test_verify_all_fails_on_lattice_side_faults(tmp_path, capsys, monkeypatch, name, fault, failed):
@@ -1039,6 +1105,42 @@ def test_verify_all_fails_on_lattice_side_faults(tmp_path, capsys, monkeypatch, 
     for check in failed:
         assert any(line.startswith(f"FAIL {check}") for line in lines), (check, out)
     assert {line.split()[1] for line in lines if line.startswith("FAIL ")} == set(failed), out
+
+
+def test_verify_fin_sum_fails_union_reduction_when_gamma_loses_an_index(tmp_path, capsys, monkeypatch):
+    """The union_over_gamma fault above, family by family: each family whose
+    terms it changes FAILs union-reduction with the other two identities."""
+    monkeypatch.setattr(decomposition, "union_over_gamma", _drop_largest_gamma_index(None))
+    code, out, err = run_cli(tmp_path, capsys, ["verify-fin-sum"], {"lattice": BOOLEAN_2, "points": 1})
+    assert (code, err) == (1, "")
+    identities = ("evaluate-equals-theta", "recover-roundtrip", "union-reduction")
+    fails = [line for line in out.splitlines() if line.startswith("FAIL ")]
+    assert fails == [f"FAIL problem {k} {identity}" for k in (1, 2) for identity in identities]
+    assert out.splitlines()[-1] == "2/4 families PASS"
+
+
+@pytest.mark.parametrize(
+    "default_bound, steps",
+    [(16, ["PASS fin-sum (16 families)", "PASS compat-oracle-agreement"]),
+     (4, ["SKIP fin-sum (enumeration bound)", "SKIP compat-oracle-agreement (enumeration bound)"])],
+    ids=["every-step", "fin-sum-skipped"],
+)
+def test_verify_all_enumerates_the_families_once(tmp_path, capsys, monkeypatch, default_bound, steps):
+    """fin-sum, compat-oracle-agreement and bijection-count read one list of
+    families; with fin-sum over the default bound, bijection-count builds it."""
+    calls = []
+    original = cli.enumerate_compatible_families
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "enumerate_compatible_families", counted)
+    monkeypatch.setattr(cli, "DEFAULT_FAMILY_BOUND", default_bound)
+    code, out, _ = run_cli(tmp_path, capsys, ["verify-all"], {"blocks": [1, 2], "points": 2})
+    lines = out.splitlines()
+    assert code == 0 and len(calls) == 1
+    assert lines[1:4] == [*steps, "PASS bijection-count (16 = 16)"]
 
 
 # ---------------------------------------------------------------------------

@@ -151,7 +151,39 @@ def test_bundled_bh2_family_passes():
 def test_union_reduction_identity(lat):
     families = enumerate_compatible_families(lat, 2)
     for fam in families:
-        assert union_reduction_holds(fam)
+        assert union_reduction_holds(fam, decompose(fam))
+
+
+@pytest.mark.parametrize("lat", [B4, chain_lattice(4), boolean_lattice(3)])
+def test_union_reduction_fails_on_a_changed_term(lat):
+    """Negative control: a point x dropped from a term's Y_j lies in some S_k
+    with k in gamma_j; then j is in alpha_k, so the identity at k loses x."""
+    checked = 0
+    for fam in enumerate_compatible_families(lat, 2):
+        terms = decompose(fam).terms
+        for t, (y, j) in enumerate(terms):
+            if y:
+                changed = terms[:t] + ((y & (y - 1), j),) + terms[t + 1:]
+                assert not union_reduction_holds(fam, Decomposition(lat, 2, changed))
+                checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("lat", [B4, chain_lattice(4)])
+def test_verify_theorem_builds_each_term_once(monkeypatch, lat):
+    """union-reduction reads the terms' Y_j: each union over gamma_j is
+    computed once per family, |L| - 1 in all."""
+    calls = []
+
+    def counted(family, j):
+        calls.append(j)
+        return lattice.union_over_gamma(family, j)
+
+    monkeypatch.setattr(decomposition, "union_over_gamma", counted)
+    for fam in enumerate_compatible_families(lat, 2):
+        calls.clear()
+        assert all(ok for _, ok in verify_theorem(fam))
+        assert sorted(calls) == [j for j in range(lat.size) if j != lat.bottom]
 
 
 @given(st.data())

@@ -9,9 +9,9 @@ from conftest import BH2_NESTED_LEVELS, level_family
 from fnideals.fdalgebra import AlgebraSpec, enumerate_ideals
 from fnideals.fixtures import bundled_fixture_names, load_fixture
 from fnideals.lattice import (
+    _exhaustive_compatible,
     compute_gamma,
     family_from_lists,
-    is_compatible,
     lattice_from_dict,
     union_over_gamma,
     validate_lattice,
@@ -87,7 +87,7 @@ def test_bh2_is_distributive():
 def test_bh2_bundled_family_is_compatible_with_nested_order():
     fam = bh2_family()
     assert fam.points == 4
-    assert is_compatible(fam, exhaustive=True)
+    assert _exhaustive_compatible(fam.lattice, fam.sets)
     for i in range(9):
         for j in range(9):
             if fam.lattice.leq(i, j):
@@ -96,7 +96,7 @@ def test_bh2_bundled_family_is_compatible_with_nested_order():
 
 def test_bh2_nested_family_distinct_nonempty():
     fam = level_family(fixture_lattice("bh2"), BH2_NESTED_LEVELS)
-    assert is_compatible(fam, exhaustive=True)
+    assert _exhaustive_compatible(fam.lattice, fam.sets)
     assert len(set(fam.sets)) == 9
     assert all(fam.sets)
 

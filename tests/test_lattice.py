@@ -111,16 +111,16 @@ def family(lat, sets, points=2):
 def test_all_full_family_is_compatible():
     fam = family(B4, (3, 3, 3, 3))
     assert is_compatible(fam)
-    assert is_compatible(fam, exhaustive=True)
+    assert _exhaustive_compatible(B4, fam.sets)
 
 
 def test_boolean_examples():
     good = family(B4, (0b00, 0b01, 0b10, 0b11))
     bad = family(B4, (0b00, 0b01, 0b01, 0b11))
     assert is_compatible(good)
-    assert is_compatible(good, exhaustive=True)
+    assert _exhaustive_compatible(B4, good.sets)
     assert not is_compatible(bad)  # S_2 cap S_3 = {0} != S_1
-    assert not is_compatible(bad, exhaustive=True)
+    assert not _exhaustive_compatible(B4, bad.sets)
 
 
 def test_compatibility_requires_full_top():
@@ -148,7 +148,7 @@ def test_pairwise_agrees_with_exhaustive(lat, points):
     full = (1 << points) - 1
     for assignment in itertools.product(range(full + 1), repeat=lat.size):
         assert _pairwise_compatible(lat, assignment) == _exhaustive_compatible(lat, assignment)
-    assert compat_oracles_agree(lat, points)
+    assert compat_oracles_agree(lat, points, enumerate_compatible_families(lat, points))
 
 
 def test_oracle_agreement_check_can_fail():
@@ -161,7 +161,7 @@ def test_oracle_agreement_check_can_fail():
     lat = BoundedLattice(b.size, meet, b.join, b.bottom, b.top)
     assert _pairwise_compatible(lat, (0, 1, 0, 3))
     assert not _exhaustive_compatible(lat, (0, 1, 0, 3))
-    assert not compat_oracles_agree(lat, 2)
+    assert not compat_oracles_agree(lat, 2, enumerate_compatible_families(lat, 2))
 
 
 @pytest.mark.parametrize(
@@ -169,7 +169,7 @@ def test_oracle_agreement_check_can_fail():
     [(boolean_lattice(2), 3), (chain_lattice(3), 4), (chain_lattice(6), 2), (boolean_lattice(3), 1)],
 )
 def test_enumerator_agrees_with_brute_force(lat, points):
-    assert compat_oracles_agree(lat, points)
+    assert compat_oracles_agree(lat, points, enumerate_compatible_families(lat, points))
 
 
 @pytest.mark.parametrize("points", [1, 2])
@@ -177,7 +177,7 @@ def test_oracle_agreement_fails_when_the_enumerator_drops_a_trigger(drop_meet_tr
     """On a valid lattice: unchecked, S_1 and S_2 may meet outside S_0."""
     lat = boolean_lattice(2)
     assert (0, 1, 1, 1) in [f.sets for f in enumerate_compatible_families(lat, 1)]
-    assert not compat_oracles_agree(lat, points)
+    assert not compat_oracles_agree(lat, points, enumerate_compatible_families(lat, points))
 
 
 @given(st.sampled_from(POOL), st.data())
@@ -187,7 +187,7 @@ def test_level_families_are_compatible(lat, data):
     levels = [data.draw(st.integers(0, lat.size - 1)) for _ in range(points)]
     fam = level_family(lat, levels)
     assert is_compatible(fam)
-    assert is_compatible(fam, exhaustive=True)
+    assert _exhaustive_compatible(lat, fam.sets)
 
 
 # ---------------------------------------------------------------------------

@@ -514,7 +514,7 @@ def test_sandwich_suite_decides_the_draws_of_whole_rows(spec, points, seed):
 
 @pytest.mark.parametrize("seed", DRAW_SEEDS)
 @pytest.mark.parametrize("spec, points", DRAW_CASES)
-def test_candidates_over_the_interval_base_agree_with_fresh_ones(spec, points, seed):
+def test_interval_decides_each_draw_as_a_fresh_candidate(spec, points, seed):
     """The interval decides each draw as a fresh candidate for the lifted
     draw does, with the same support and J_min."""
     alg, _, decided = decided_candidates(spec, points, seed)
