@@ -203,6 +203,10 @@ def _resolve_problem(args) -> SimpleNamespace:
         if lattice is not None and lattice != block_lat:
             raise InputError("lattice member must be the block lattice, indexed by block bitmask")
         lattice = block_lat
+    elif lattice is not None and args.command != "validate":  # validate reports a violation
+        violation = validate_lattice(lattice)
+        if violation is not None:
+            raise InputError(f"bad lattice member: {violation}")
 
     def family(value):
         entries = enumerate(_json_list(value, "family"))

@@ -181,9 +181,6 @@ class Subspace(Value):
         ambient length; build it once and apply it to a batch of rows."""
         return integer_membership(*self.integer_rows())
 
-    def __contains__(self, vec) -> bool:
-        return self.contains(vec)
-
     def __le__(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")

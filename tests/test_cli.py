@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
-from fnideals import cli, decomposition, fdalgebra, lie
+from fnideals import cli, decomposition, fdalgebra, function_algebra, lie
 from fnideals.cli import _parse_scalar, main
 from fnideals.fdalgebra import AlgebraSpec, enumerate_ideals
 from fnideals.function_algebra import PointwiseIdeal, enumerate_all_ideals
@@ -35,9 +35,6 @@ from oracles import (
     gaussian_text,
     lattice_to_dict,
 )
-
-# The package re-exports a function of the same name over the module.
-function_algebra = importlib.import_module("fnideals.function_algebra")
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 SRC_DIR = BENCH_DIR.parent / "src"
@@ -267,14 +264,15 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv, doc, mess
     assert err == f"error: {message}\n"
 
 
-FUZZ_MEMBERS = ("points", "family", "ideal", "Y", "ideal_index", "subspace")
+FUZZ_MEMBERS = ("points", "family", "ideal", "Y", "ideal_index", "subspace", "lattice")
 
 
 @st.composite
 def fuzz_documents(draw, bad):
     """A small problem document: A is blocks [1], [2], [1,1] or [1,2], or a
     2-3 element chain, at 0-2 points.  Each optional member is valid or
-    missing, except the member `bad` (None for none), which is malformed."""
+    missing, except the member `bad` (None for none), which is malformed.  A
+    malformed lattice has the drawn lattice's size but breaks a law."""
     if draw(st.booleans()):
         spec = AlgebraSpec(draw(st.sampled_from([(1,), (2,), (1, 1), (1, 2)])))
         doc, lat, dim = {"blocks": list(spec.block_dims)}, enumerate_ideals(spec), spec.total_dim
@@ -305,6 +303,11 @@ def fuzz_documents(draw, bad):
     for name, value in valid.items():
         if draw(st.sampled_from([True, True, True, False])):
             doc[name] = value
+    if bad == "lattice":
+        table, i = lattice_to_dict(lat), draw(st.integers(0, size - 1))
+        meet = [list(row) for row in table["meet"]]
+        meet[i][i] = (i + 1) % size
+        malformed["lattice"] = [dict(table, bottom=lat.top, top=lat.bottom), dict(table, meet=meet)]
     if bad is not None:
         doc[bad] = draw(st.sampled_from(malformed[bad]))
     return doc
@@ -434,34 +437,61 @@ JOIN_AB_TOP = {
 }
 
 
+# Each table breaks a lattice law; the string is the first violation
+# validate_lattice finds.
+LAW_VIOLATIONS = {
+    "not-commutative": (NOT_COMMUTATIVE, "meet commutativity violated at (1,2)"),
+    "meet-idempotence": (_boolean_2_with("meet", {(1, 1): 0}),
+                         "meet idempotence violated at (1,1): got 0"),
+    "join-idempotence": (_boolean_2_with("join", {(1, 1): 3}),
+                         "join idempotence violated at (1,1): got 3"),
+    "join-commutativity": (_boolean_2_with("join", {(1, 2): 1}),
+                           "join commutativity violated at (1,2)"),
+    "meet-absorption": (_boolean_2_with("join", {(1, 2): 1, (2, 1): 1}),
+                        "absorption meet(i, join(i,j)) violated at (2,1)"),
+    "join-absorption": (_boolean_2_with("meet", {(1, 2): 1, (2, 1): 1}),
+                        "absorption join(i, meet(i,j)) violated at (2,1)"),
+    "top-unit": (dict(BOOLEAN_2, top=1), "top is not a unit for meet at (2,1)"),
+    "bottom-unit": (dict(BOOLEAN_2, bottom=1), "bottom is not a unit for join at (0,1)"),
+    "meet-associativity": (CYCLE_3, "meet associativity violated at (1,2,3)"),
+    "join-associativity": (JOIN_AB_TOP, "join associativity violated at (1,2,3)"),
+}
+# Three more: every meet is bottom, top is bottom, and the 3-chain upside
+# down.  Each takes recover, verify-fin-sum or verify-all past its lattice
+# into code that assumes the laws.
+MORE_LAW_VIOLATIONS = {
+    "meet-all-bottom": ({"size": 2, "meet": [[0, 0], [0, 0]], "join": [[0, 1], [1, 1]], "bottom": 0, "top": 1},
+                        "meet idempotence violated at (1,1): got 0"),
+    "top-is-bottom": ({"size": 2, "meet": [[0, 1], [0, 0]], "join": [[0, 0], [0, 0]], "bottom": 0, "top": 0},
+                      "meet idempotence violated at (1,1): got 0"),
+    "chain-3-upside-down": (dict(lattice_to_dict(chain_lattice(3)), bottom=2, top=0),
+                            "bottom is not a unit for join at (0,2)"),
+}
+
+
 @pytest.mark.parametrize(
     "doc, code, out, err",
-    [
-        ({"lattice": BOOLEAN_2}, 0, "ok\n", ""),
-        ({"lattice": NOT_COMMUTATIVE}, 1, "FAIL meet commutativity violated at (1,2)\n", ""),
-        ({"lattice": _boolean_2_with("meet", {(1, 1): 0})}, 1,
-         "FAIL meet idempotence violated at (1,1): got 0\n", ""),
-        ({"lattice": _boolean_2_with("join", {(1, 1): 3})}, 1,
-         "FAIL join idempotence violated at (1,1): got 3\n", ""),
-        ({"lattice": _boolean_2_with("join", {(1, 2): 1})}, 1,
-         "FAIL join commutativity violated at (1,2)\n", ""),
-        ({"lattice": _boolean_2_with("join", {(1, 2): 1, (2, 1): 1})}, 1,
-         "FAIL absorption meet(i, join(i,j)) violated at (2,1)\n", ""),
-        ({"lattice": _boolean_2_with("meet", {(1, 2): 1, (2, 1): 1})}, 1,
-         "FAIL absorption join(i, meet(i,j)) violated at (2,1)\n", ""),
-        ({"lattice": dict(BOOLEAN_2, top=1)}, 1, "FAIL top is not a unit for meet at (2,1)\n", ""),
-        ({"lattice": dict(BOOLEAN_2, bottom=1)}, 1, "FAIL bottom is not a unit for join at (0,1)\n", ""),
-        ({"lattice": CYCLE_3}, 1, "FAIL meet associativity violated at (1,2,3)\n", ""),
-        ({"lattice": JOIN_AB_TOP}, 1, "FAIL join associativity violated at (1,2,3)\n", ""),
-        ({"lattice": dict(BOOLEAN_2, meet=BOOLEAN_2["meet"][:3] + [[0, 1, 2]])}, 2, "",
-         "error: bad lattice member: meet table rows must have 4 entries\n"),
-    ],
-    ids=["lattice", "not-commutative", "meet-idempotence", "join-idempotence", "join-commutativity",
-         "meet-absorption", "join-absorption", "top-unit", "bottom-unit", "meet-associativity",
-         "join-associativity", "short-row"],
+    [({"lattice": BOOLEAN_2}, 0, "ok\n", "")]
+    + [({"lattice": table}, 1, f"FAIL {violation}\n", "") for table, violation in LAW_VIOLATIONS.values()]
+    + [({"lattice": dict(BOOLEAN_2, meet=BOOLEAN_2["meet"][:3] + [[0, 1, 2]])}, 2, "",
+        "error: bad lattice member: meet table rows must have 4 entries\n")],
+    ids=["lattice", *LAW_VIOLATIONS, "short-row"],
 )
 def test_validate_reports_the_first_violation(tmp_path, capsys, doc, code, out, err):
     assert run_cli(tmp_path, capsys, ["validate"], doc) == (code, out, err)
+
+
+@pytest.mark.parametrize("command", sorted(set(cli._COMMANDS) - {"validate"}))
+@pytest.mark.parametrize("table, violation", [*LAW_VIOLATIONS.values(), *MORE_LAW_VIOLATIONS.values()],
+                         ids=[*LAW_VIOLATIONS, *MORE_LAW_VIOLATIONS])
+def test_every_command_but_validate_refuses_a_lattice_that_breaks_a_law(
+        tmp_path, capsys, command, table, violation):
+    """The laws are checked before any member built on the lattice, so each
+    command, given every member it reads, names the violation validate prints."""
+    size = table["size"]
+    doc = {"lattice": table, "points": 1, "family": [[0]] * size, "ideal": [table["top"]],
+           "Y": [0], "ideal_index": 0, "subspace": []}
+    assert run_cli(tmp_path, capsys, [command], doc) == (2, "", f"error: bad lattice member: {violation}\n")
 
 
 @pytest.mark.parametrize("mode", ["pairwise", "exhaustive"])
@@ -689,6 +719,25 @@ def test_cli_start_up_imports_no_heavy_modules():
         env=dict(os.environ, PYTHONPATH=str(SRC_DIR)),
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
+
+
+@pytest.mark.parametrize(
+    "module, loaded",
+    [("lattice", "fnideals fnideals.lattice fnideals.value"),
+     ("cli", "fnideals fnideals.cli fnideals.decomposition fnideals.fdalgebra fnideals.fixtures "
+             "fnideals.function_algebra fnideals.lattice fnideals.lie fnideals.linalg fnideals.value")],
+    ids=["lattice", "cli"],
+)
+def test_importing_a_module_loads_only_what_it_imports(module, loaded):
+    """The package exports nothing, so importing one module loads that module
+    and its own imports, not every module of the package."""
+    code = (f"import sys, fnideals.{module}\n"
+            "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'fnideals'))")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(SRC_DIR)),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, loaded + "\n", "")
 
 
 def test_plain_command_lines_leave_argparse_unloaded(tmp_path):
@@ -1086,6 +1135,9 @@ WEAK_CENTRALITY = ("weak-centrality-equals-cqp-base", "weak-centrality-equals-cq
         ("lie.stalk_parts", _full_normalizer_at_mask_1,
          ["sandwich-between-bounds", "cqp", *WEAK_CENTRALITY]),
         ("union_over_gamma", _drop_largest_gamma_index, ["fin-sum"]),
+        # a lattice member that breaks a law is refused before verify-all
+        # runs, so only a block lattice reaches this step
+        ("cli.validate_lattice", lambda f: lambda lat: "seeded violation", ["lattice-laws"]),
     ],
 )
 def test_verify_all_fails_on_lattice_side_faults(tmp_path, capsys, monkeypatch, name, fault, failed):

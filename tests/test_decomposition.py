@@ -1,13 +1,11 @@
 """Finite-sum decomposition: terms, evaluation and the full round trip."""
 
-import importlib
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BH2_NESTED_LEVELS, level_family
-from fnideals import decomposition, lattice
+from fnideals import decomposition, function_algebra, lattice
 from fnideals.decomposition import (
     Decomposition,
     decompose,
@@ -28,8 +26,6 @@ from fnideals.lattice import (
 from oracles import chain_lattice
 
 B4 = boolean_lattice(2)
-# the package exports a function of the same name
-function_algebra = importlib.import_module("fnideals.function_algebra")
 
 
 def test_decompose_boolean_example():
